@@ -1,0 +1,595 @@
+"""The ``verify`` check registry.
+
+Each check states one result as a row ``Check(id, claim, run)``, where
+``run(bits, scale)`` returns ``(verdict, detail)`` and the verdict is
+``pass``, ``fail``, ``unknown`` or ``external-assumption``.  Most runners
+come from a few shaped constructors: one certificate, one exact comparison,
+a certified sweep, an equality pin, a table of pins and an external
+assumption.  Checks with their own logic are plain functions.  The suite of
+a check is read from its id prefix.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from math import factorial
+from typing import Callable
+
+from mpmath import iv
+
+from .bounds import (
+    bound2_iv,
+    char2_counts,
+    d1,
+    d2,
+    d3,
+    f_interval,
+    n_lambda,
+    premet_lower,
+    ratio_holds,
+    ratio_iv,
+    zeta_tail_check,
+)
+from .dominance import (
+    HypothesisError,
+    bracket,
+    is_good,
+    orbit_length,
+    weyl_order,
+    weyl_stabilizer_order,
+)
+from .intervals import (
+    FALSE,
+    TRUE,
+    UNKNOWN,
+    certify_cmp,
+    certify_less,
+    contains,
+    exact,
+    exact_compare_cert,
+    power,
+)
+from .partitions import (
+    bound3_value,
+    conjugate,
+    hook_length_dim,
+    is_p_regular,
+    k_sum_bound,
+    k_sum_exact,
+    k_sum_majorant,
+    mullineux,
+    p_regular_partitions,
+    partition_bound,
+    partition_count,
+)
+from .rootdata import root_datum
+from .witness import ENGINES, a5_good_family
+
+Runner = Callable[[int, str], tuple[str, str]]
+
+# suite name -> id prefix
+SUITES = {"typeA": "a", "char2": "c2", "nonA": "n", "partitions": "p",
+          "symmetric": "s"}
+
+
+@dataclass(frozen=True)
+class Check:
+    id: str
+    claim: str
+    run: Runner
+
+
+# ---------------------------------------------------------------------------
+# Shaped constructors.
+
+def _cert_result(cert) -> tuple[str, str]:
+    verdict = {TRUE: "pass", FALSE: "fail", UNKNOWN: "unknown"}[cert.verdict]
+    where = "exact" if cert.prec_bits == 0 else f"{cert.prec_bits} bits"
+    return verdict, f"lhs = {cert.lhs}, rhs = {cert.rhs} ({where})"
+
+
+def certificate(make, note: str = "", on_pass: bool = False) -> Runner:
+    """One certificate make(bits); the note is appended to every detail, or
+    to a pass only when on_pass is set."""
+    def run(bits: int, scale: str) -> tuple[str, str]:
+        verdict, detail = _cert_result(make(bits))
+        if verdict == "pass" or not on_pass:
+            detail += note
+        return verdict, detail
+    return run
+
+
+def less(lhs, rhs, note: str = "", strict: bool = True) -> Runner:
+    """Certified lhs() < rhs() (<= unless strict) up to the ceiling."""
+    return certificate(lambda bits: certify_cmp(lhs, rhs, strict=strict,
+                                                ceiling_bits=bits), note)
+
+
+def exact_less(pair, note: str = "") -> Runner:
+    """Exact a < b for (a, b) = pair(); the note is appended on a pass."""
+    return certificate(lambda bits: exact_compare_cert(*pair()), note,
+                       on_pass=True)
+
+
+def by_scale(desk, extended) -> Callable[[str], object]:
+    return lambda scale: extended if scale == "extended" else desk
+
+
+def sweep(var: str, points, make, ok) -> Runner:
+    """Certificate make(x, bits) at every point x; the points and the pass
+    text ok may be functions of the scale."""
+    def run(bits: int, scale: str) -> tuple[str, str]:
+        last_bits = 0
+        for x in points(scale) if callable(points) else points:
+            cert = make(x, bits)
+            if cert.verdict != TRUE:
+                verdict, detail = _cert_result(cert)
+                return verdict, f"{var} = {x}: {detail}"
+            last_bits = max(last_bits, cert.prec_bits)
+        text = ok(scale) if callable(ok) else ok
+        return "pass", f"{text} (up to {last_bits} bits)"
+    return run
+
+
+def f_below(name: str, rhs):
+    """Sweep step: certified f_name(x) < rhs(x)."""
+    return lambda x, bits: certify_less(lambda: f_interval(name, x),
+                                        lambda: rhs(x), ceiling_bits=bits)
+
+
+def pin(got, want) -> Runner:
+    """Exact equality got() == want."""
+    def run(bits: int, scale: str) -> tuple[str, str]:
+        value = got()
+        if value == want:
+            return "pass", f"computed {value}"
+        return "fail", f"computed {value}, pinned {want}"
+    return run
+
+
+def pins(fn, table, fail: str, ok: str) -> Runner:
+    """fn(*args) == want for every row (args, want); fail is formatted with
+    the args and got, want; ok with the row count n."""
+    def run(bits: int, scale: str) -> tuple[str, str]:
+        for args, want in table:
+            got = fn(*args)
+            if got != want:
+                return "fail", fail.format(*args, got=got, want=want)
+        return "pass", ok.format(n=len(table))
+    return run
+
+
+def external(note: str) -> Runner:
+    return lambda bits, scale: ("external-assumption", note)
+
+
+_PUBLISHED = external("count taken from published tables, not computed")
+_TABLES = external("table facts, not computed here")
+_DIMENSIONS = external("dimensions are never computed by this package")
+_TABLE_BOUNDS = "; rises with n, table fact bounds the count"
+
+
+# ---------------------------------------------------------------------------
+# Checks with their own logic.
+
+def _weights_up_to(rank: int, total: int):
+    """Dominant weights with coefficient sum at most total."""
+    def rec(prefix: list[int], remaining: int):
+        if len(prefix) == rank:
+            yield tuple(prefix)
+            return
+        for a in range(remaining + 1):
+            yield from rec(prefix + [a], remaining - a)
+    yield from rec([], total)
+
+
+def _a5_family(bits: int, scale: str) -> tuple[str, str]:
+    datum = root_datum("A", 5)
+    w = (0, 0, 25, 0, 0)
+    fam = a5_good_family(w)
+    total = 0
+    for mu, chain in fam:
+        if not chain.verify(datum, w):
+            return "fail", f"chain for {mu} failed on input {w}"
+        total += orbit_length(datum, mu)
+    if len(fam) != 243 or total != 174960:
+        return "fail", f"{len(fam)} members, orbit total {total}"
+    if total <= 57750:
+        return "fail", "orbit total does not clear the window cap 57750"
+    return "pass", ("243 members, orbit total 174960 > 57750, "
+                    "all chains re-verified")
+
+
+def _ratio_readout(bits: int, scale: str) -> tuple[str, str]:
+    cert = contains(lambda: ratio_iv(10, factorial(11)),
+                    Fraction(179885, 100000), Fraction(179895, 100000),
+                    ceiling_bits=bits)
+    verdict, detail = _cert_result(cert)
+    if verdict == "pass":
+        detail = "value rounds to 1.7989; " + detail
+    return verdict, detail
+
+
+def _witness_sweep(bits: int, scale: str) -> tuple[str, str]:
+    max_rank, max_sum = (7, 9) if scale == "extended" else (4, 6)
+    tried = produced = 0
+    for r in range(1, max_rank + 1):
+        datum = root_datum("A", r)
+        k = (r - 1) // 2
+        for w in _weights_up_to(r, max_sum):
+            for name, (fn, takes_m) in ENGINES.items():
+                ms = list(range(1, k + 1)) if takes_m else [None]
+                for m in ms:
+                    tried += 1
+                    try:
+                        mu, chain = (fn(datum, w, m) if takes_m
+                                     else fn(datum, w))
+                    except HypothesisError:
+                        continue
+                    if not chain.verify(datum, w):
+                        return "fail", (f"{name} on {w} (m = {m}): "
+                                        "chain failed")
+                    if name == "good" and not is_good(mu):
+                        return "fail", (f"good on {w}: witness {mu} has a "
+                                        "zero coefficient")
+                    if name == "middle2":
+                        centre = (k + 1, r - k)
+                        if not any(mu[t - 1] > 0 for t in centre):
+                            return "fail", (f"middle2 on {w}: witness {mu} "
+                                            "misses the centre")
+                        if bracket(datum, mu) != bracket(datum, w):
+                            return "fail", (f"middle2 on {w}: bracket "
+                                            "not preserved")
+                    produced += 1
+    if produced == 0:
+        return "fail", "no engine produced a witness on the sweep"
+    return "pass", (f"{produced} witnesses re-verified out of {tried} "
+                    f"engine calls (rank <= {max_rank}, "
+                    f"coefficient sum <= {max_sum})")
+
+
+def _lower_consistency(bits: int, scale: str) -> tuple[str, str]:
+    datum = root_datum("A", 2)
+    checked = 0
+    for w in itertools.product(range(5), repeat=2):
+        quick = n_lambda(datum, w)
+        walk = premet_lower(datum, w, 5)
+        if quick > walk:
+            return "fail", (f"weight {w}: closed-form count {quick} "
+                            f"exceeds walk count {walk}")
+        checked += 1
+    return "pass", f"{checked} restricted weights: closed form <= walk count"
+
+
+def _orbit_stabilizer(bits: int, scale: str) -> tuple[str, str]:
+    checked = 0
+    for family, rank in (("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)):
+        datum = root_datum(family, rank)
+        order = weyl_order(datum)
+        for w in _weights_up_to(rank, 2):
+            if orbit_length(datum, w) * weyl_stabilizer_order(datum, w) \
+                    != order:
+                return "fail", f"{family}{rank}, weight {w}"
+            checked += 1
+    return "pass", (f"{checked} weights over five diagrams: orbit length "
+                    "times stabilizer order equals the group order")
+
+
+def _char2_sweep(bits: int, scale: str) -> tuple[str, str]:
+    worst = None
+    for r in range(0, 26):
+        for m in range(0, r + 1):
+            tail, quotient = char2_counts(r, m)
+            if tail > quotient:
+                return "fail", f"r = {r}, m = {m}: {tail} > {quotient}"
+            slack = quotient - tail
+            if worst is None or slack < worst[0]:
+                worst = (slack, r, m)
+    return "pass", (f"all 0 <= m <= r <= 25; tightest slack {worst[0]} "
+                    f"at r = {worst[1]}, m = {worst[2]}")
+
+
+def _char2_total(bits: int, scale: str) -> tuple[str, str]:
+    for r in range(1, 26):
+        if char2_counts(r, 0)[0] != 2 ** r:
+            return "fail", f"r = {r}: full binomial tail is not 2^r"
+    return "pass", "full tail equals 2^r for 1 <= r <= 25"
+
+
+def _penvelope(bits: int, scale: str) -> tuple[str, str]:
+    for n in (1, 39, 100, 1000):
+        rep = partition_bound(n, bits=bits)
+        bad = [c for c in rep.certificates if c.verdict != TRUE]
+        if bad or not rep.valid:
+            return "fail", f"n = {n}: {rep.guard_detail}"
+    return "pass", "p(n) < e^(pi sqrt(2n/3)) certified at n = 1, 39, 100, 1000"
+
+
+def _k_majorant(bits: int, scale: str) -> tuple[str, str]:
+    got = k_sum_majorant(76)
+    if got != 136531526805:
+        return "fail", f"majorant {got}"
+    rep = k_sum_bound(76, bits=bits)
+    bad = [c for c in rep.certificates if c.verdict != TRUE]
+    if bad or not rep.valid:
+        return "fail", rep.guard_detail
+    return "pass", ("rank-free majorant 136531526805 certified below the "
+                    "exponential envelope at cap 76")
+
+
+def _k_boundary(bits: int, scale: str) -> tuple[str, str]:
+    rep = k_sum_bound(0, bits=bits)
+    if rep.valid and "non-strict" in rep.guard_detail:
+        return "pass", rep.guard_detail
+    return "fail", rep.guard_detail
+
+
+def _twist_involution(bits: int, scale: str) -> tuple[str, str]:
+    n_hi = 14 if scale == "extended" else 10
+    checked = 0
+    for n in range(1, n_hi + 1):
+        for p in (3, 5, 7):
+            for lam in p_regular_partitions(n, p):
+                img = mullineux(lam, p)
+                if sum(img) != n or not is_p_regular(img, p):
+                    return "fail", f"{lam} at p = {p}: image {img}"
+                if mullineux(img, p) != lam:
+                    return "fail", f"{lam} at p = {p}: not an involution"
+                checked += 1
+    return "pass", (f"{checked} regular partitions up to size {n_hi}: "
+                    "twist twice returns the start")
+
+
+def _twist_conjugation(bits: int, scale: str) -> tuple[str, str]:
+    checked = 0
+    for n in range(1, 11):
+        for lam in p_regular_partitions(n, 0):  # p = 0: every partition
+            if mullineux(lam, 0) != conjugate(lam):
+                return "fail", f"{lam}: p = 0 image differs from conjugate"
+            checked += 1
+    return "pass", f"{checked} partitions up to size 10: p = 0 conjugates"
+
+
+def _halfpower_vs_hooks(bits: int, scale: str) -> tuple[str, str]:
+    n_hi = 14 if scale == "extended" else 10
+    checked = 0
+    for n in range(5, n_hi + 1):
+        for p in (3, 5):
+            for lam in p_regular_partitions(n, p):
+                dim = hook_length_dim(lam)
+                rep = bound3_value(lam, p)
+                if not rep.value.le_int(dim):
+                    return "fail", (f"{lam} at p = {p}: half-power floor "
+                                    f"{rep.value} exceeds straight-shape "
+                                    f"dimension {dim}")
+                checked += 1
+    return "pass", (f"{checked} pairs up to size {n_hi}: half-power floor "
+                    "stays below the straight-shape dimension")
+
+
+def _power_vs_pr(bits: int, scale: str) -> tuple[str, str]:
+    r_hi = 400 if scale == "extended" else 60
+    for r in range(13, r_hi + 1):
+        lhs = (4 * partition_count(r)) ** 2
+        rhs = 2 ** (5 * ((r - 3) // 2))
+        if lhs >= rhs:
+            return "fail", f"r = {r}: {lhs} >= {rhs}"
+    return "pass", (f"(4 p(r))^2 < n^5 at n = 2^((r-3)/2 rounded down) "
+                    f"for 13 <= r <= {r_hi}")
+
+
+# ---------------------------------------------------------------------------
+# Generated rows: the zeta-sum displays and the symmetric-group windows.
+
+def _display(cid: str, label: str, s: Fraction, extra, n0: int,
+             double: bool) -> Check:
+    ed = "2^(-s)" if extra == "2^-s" else str(extra)
+    if double:
+        claim = (f"family {label}: zeta(s)(zeta(s)-1) + zeta(s)*{ed} < "
+                 f"1 - {n0}^(-s) at s = {s}")
+    else:
+        claim = (f"family {label}: zeta(s) - 1 + {ed} < 1 - {n0}^(-s) "
+                 f"at s = {s}")
+    return Check(cid, claim, certificate(
+        lambda bits: zeta_tail_check(s, extra, n0, double=double,
+                                     ceiling_bits=bits),
+        "; the right side rises with n, so all n >= n0 follow", on_pass=True))
+
+
+def _window(cid: str, n_low: int, r_cap: int) -> Check:
+    claim = (f"window floor {n_low}: (308 p({r_cap}))^2 < 625 * "
+             f"{n_low}^5, the squared form of p({r_cap}) < 25 n^(5/2)/308")
+    return Check(cid, claim, exact_less(
+        lambda: ((308 * partition_count(r_cap)) ** 2, 625 * n_low ** 5),
+        "; p is monotone, so every rank under the cap follows"))
+
+
+_SPOT_RANKS = (19, 100, 365, 729)
+
+CHECKS: tuple[Check, ...] = (
+    # -- type A
+    Check("a-010", "weighted 5-tuple count at cap 76 equals 2415231",
+          pin(lambda: k_sum_exact(5, 76), 2415231)),
+    Check("a-011", "2415231 < 2500^(5/2), squared form "
+          "2415231^2 < 2500^5", exact_less(lambda: (2415231 ** 2, 2500 ** 5))),
+    Check("a-020", "good family at rank 5: 243 members with orbit "
+          "total 174960, clearing the window cap 57750", _a5_family),
+    Check("a-030", "f1(730) < d1(730)^(19/5)",
+          less(lambda: f_interval("f1", 730),
+               lambda: power(d1(730), Fraction(19, 5)))),
+    Check("a-031", "f1(729) against d1(729)^(19/5), reported",
+          less(lambda: f_interval("f1", 729),
+               lambda: power(d1(729), Fraction(19, 5)),
+               "; readout one rank below the quoted threshold")),
+    Check("a-040", "f4(m) < 2^(m+1) for 80 <= m <= 200",
+          sweep("m", range(80, 201),
+                f_below("f4", lambda m: exact(2 ** (m + 1))),
+                "all m in [80, 200] certified")),
+    Check("a-041", "f4(m) < (2^(m+1))^(19/5) for 6 <= m <= 79",
+          sweep("m", range(6, 80),
+                f_below("f4", lambda m: power(2, Fraction(19 * (m + 1), 5))),
+                "all m in [6, 79] certified")),
+    Check("a-050", "f1(r) < d2(r)^(94/25) on the mid-range rank sweep",
+          sweep("r", by_scale(_SPOT_RANKS, range(19, 730)),
+                f_below("f1", lambda r: power(d2(r), Fraction(94, 25))),
+                by_scale("ranks [19, 100, 365, 729] certified",
+                         "ranks [19, 20, 21, 22]... certified"))),
+    Check("a-051", "f2(r) < d1(r)^(94/25) on the mid-range rank sweep",
+          sweep("r", by_scale(_SPOT_RANKS + (1000,), range(19, 730)),
+                f_below("f2", lambda r: power(d1(r), Fraction(94, 25))),
+                "spot ranks certified; the exponent gap widens with the "
+                "rank")),
+    Check("a-052", "f1(r) < d3(r)^(29/10) for 11 <= r <= 19",
+          sweep("r", range(11, 20),
+                f_below("f1", lambda r: power(d3(r), Fraction(29, 10))),
+                "all r in [11, 19] certified")),
+    Check("a-053", "f3(r) < n^(329/100) at n = (r+1)^4 for 11 <= r <= 18",
+          sweep("r", range(11, 19),
+                f_below("f3", lambda r: power((r + 1) ** 4,
+                                              Fraction(329, 100))),
+                "all r in [11, 18] at the floor n = (r+1)^4; rises with n")),
+    Check("a-060", "5(r+1)loglog n < 9 log n at n = (r+1)! for "
+          "5 <= r <= 69",
+          sweep("r", range(5, 70),
+                lambda r, bits: ratio_holds(r, factorial(r + 1),
+                                            ceiling_bits=bits),
+                "5(r+1)loglog n < 9 log n at n = (r+1)! for all r in "
+                "[5, 69]")),
+    Check("a-061", "(r+1)loglog n / log n at r = 10, n = 11! lies in "
+          "(1.79885, 1.79895)", _ratio_readout),
+    Check("a-070", "2^5 d (1+log d)^4 < n^(5/2) at n = 57750",
+          less(lambda: bound2_iv(5, 57750),
+               lambda: power(57750, Fraction(5, 2)))),
+    Check("a-071", "envelope growth exponent 1 + 4/(1+log d) < 5/2 "
+          "at d = 9625",
+          less(lambda: 1 + 4 / (1 + iv.log(exact(9625))),
+               lambda: exact(Fraction(5, 2)),
+               "; the local exponent falls as d grows")),
+    Check("a-080", "2^3 d (1+log d)^2 < 5*10^5 at n = 3787",
+          less(lambda: bound2_iv(3, 3787), lambda: exact(5 * 10 ** 5))),
+    Check("a-081", "n^(17/5)/27 > 200 at n = 24",
+          less(lambda: exact(200),
+               lambda: power(24, Fraction(17, 5)) / exact(27), _TABLE_BOUNDS)),
+    Check("a-082", "n^(17/5)/64 > 10^5 at n = 120",
+          less(lambda: exact(10 ** 5),
+               lambda: power(120, Fraction(17, 5)) / exact(64),
+               _TABLE_BOUNDS)),
+    Check("a-090", "witness engines: every produced chain re-verifies "
+          "on an exhaustive low-weight sweep", _witness_sweep),
+    Check("a-100", "closed-form weight count never exceeds the "
+          "dominance-walk count (rank 2, p = 5)", _lower_consistency),
+    Check("a-101", "orbit length times stabilizer order equals the "
+          "reflection group order", _orbit_stabilizer),
+    Check("a-900", "R_500 < 200 for the rank-3 special linear group "
+          "(published degree tables)", _PUBLISHED),
+    Check("a-901", "R_719 <= 170 for the rank-4 special linear group "
+          "(published degree tables)", _PUBLISHED),
+    Check("a-902", "rank-5 special linear group: R_n <= n for "
+          "n <= 2500 (published degree tables)", _PUBLISHED),
+    Check("a-903", "ranks below 11 in the mid and small windows rest "
+          "on explicit degree tables", _TABLES),
+    Check("a-904", "true irreducible-module dimensions are consumed "
+          "as table facts", _DIMENSIONS),
+    # -- characteristic 2
+    Check("c2-010", "binomial tail from m never exceeds "
+          "(r+1)!/(m+1)! for 0 <= m <= r <= 25", _char2_sweep),
+    Check("c2-020", "binomial tail from 0 equals 2^r (cross-check of "
+          "the counting routine)", _char2_total),
+    Check("c2-900", "ranks below 9 with n < 256 rest on published "
+          "degree tables", _TABLES),
+    # -- non-A families in odd characteristic
+    _display("n-010", "C", Fraction(2), Fraction(1, 4), 4, False),
+    _display("n-011", "B", Fraction(9, 4), "2^-s", 7, True),
+    _display("n-012", "D", Fraction(9, 4), "2^-s", 8, True),
+    _display("n-013", "E6", Fraction(5, 2), "2^-s", 27, False),
+    _display("n-014", "E7", Fraction(9, 4), "2^-s", 56, False),
+    _display("n-015", "E8", Fraction(9, 4), "2^-s", 248, False),
+    _display("n-016", "F4", Fraction(2), Fraction(1, 4), 25, False),
+    Check("n-020", "rank-3 even orthogonal: 2(n+3)(1+log((n+3)/4))^2 "
+          "< n^2 at n = 24",
+          less(lambda: 2 * exact(27) * (1 + iv.log(exact(Fraction(27, 4))))
+               ** 2, lambda: exact(576))),
+    Check("n-021", "e < 27/4, so the rank-3 display separates beyond "
+          "its threshold",
+          less(lambda: iv.exp(exact(1)), lambda: exact(Fraction(27, 4)),
+               "; hence the two sides separate for n >= 24")),
+    Check("n-900", "rank-3 even orthogonal counts for n <= 23 rest on "
+          "published degree tables", _TABLES),
+    Check("n-901", "degree floors 4 (C), 7 (B), 8 (D), 27 (E6), "
+          "56 (E7), 248 (E8), 25 (F4) come from published tables",
+          external("smallest nontrivial degrees are table facts")),
+    Check("n-902", "family G: the quadratic count is asserted without "
+          "a displayed recursion",
+          external("assumed, not certified by this package")),
+    # -- partitions
+    Check("p-010", "p(21) = 792", pin(lambda: partition_count(21), 792)),
+    Check("p-011", "p(39) = 31185", pin(lambda: partition_count(39), 31185)),
+    Check("p-012", "p(60) = 966467",
+          pin(lambda: partition_count(60), 966467)),
+    Check("p-020", "p(n) < e^(pi sqrt(2n/3)) at spot values", _penvelope),
+    Check("p-030", "weighted tuple majorant at cap 76 equals "
+          "136531526805 and stays below the envelope", _k_majorant),
+    Check("p-031", "cap 0 boundary: majorant and envelope both equal "
+          "1, compared non-strictly", _k_boundary),
+    Check("p-040", "pinned twist images reproduce",
+          # late-bound, so a rebinding of mullineux (a tracer's) is seen
+          pins(lambda lam, p: mullineux(lam, p),
+               ((((3,), 3), (2, 1)), (((4,), 3), (2, 2)),
+                (((2, 1), 3), (3,)), (((5, 4), 5), (4, 3, 2))),
+               "{0} at p = {1}: got {got}, pinned {want}",
+               "{n} pinned images reproduced")),
+    Check("p-041", "the twist is an involution preserving size and "
+          "regularity", _twist_involution),
+    Check("p-042", "p = 0 twist equals conjugation up to size 10",
+          _twist_conjugation),
+    Check("p-050", "pinned straight-shape dimensions reproduce",
+          pins(hook_length_dim, ((((3, 2),), 5), (((4, 1),), 4),
+                                 (((2, 2, 1),), 5), (((4, 3, 2, 1),), 768)),
+               "{0}: dimension {got}, pinned {want}",
+               "{n} straight-shape dimensions reproduced")),
+    Check("p-060", "half-power dimension floor never exceeds the "
+          "straight-shape dimension", _halfpower_vs_hooks),
+    Check("p-900", "true modular irreducible dimensions are consumed "
+          "as table facts", _DIMENSIONS),
+    # -- symmetric and alternating groups
+    Check("s-010", "f5(10^13) <= 10^13",
+          less(lambda: f_interval("f5", 10 ** 13), lambda: exact(10 ** 13),
+               strict=False)),
+    Check("s-011", "f5(10^44) < 10^22",
+          less(lambda: f_interval("f5", 10 ** 44), lambda: exact(10 ** 22))),
+    Check("s-020", "f5(n) < 25 n^(5/2)/308 at n = 1503",
+          less(lambda: f_interval("f5", 1503),
+               lambda: exact(Fraction(25, 308)) * power(1503, Fraction(5, 2)),
+               "; the left side grows slower than any power, so larger n "
+               "only widen the gap")),
+    _window("s-030", 677, 60),
+    _window("s-031", 172, 39),
+    _window("s-032", 53, 21),
+    Check("s-040", "(4 p(r))^2 < 2^(5 floor((r-3)/2)) on the rank "
+          "sweep", _power_vs_pr),
+    Check("s-050", "625*128 < 283^2, the exact combination step",
+          exact_less(lambda: (625 * 128, 283 ** 2),
+                     "; unpacks to 1 + 2^(7/2) < 308/25, the combination "
+                     "step for one degree and its double")),
+    Check("s-900", "modules of degree below r-2 are classified "
+          "(published classification)",
+          external("minimal-degree facts, not computed here")),
+    Check("s-901", "double-cover modules below the threshold factor "
+          "through the quotient (published classification)",
+          external("spin reduction is a table fact")),
+    Check("s-902", "ranks 5 through 12 rest on published "
+          "decomposition tables", _TABLES),
+    Check("s-903", "true modular irreducible dimensions are consumed "
+          "as table facts", _DIMENSIONS),
+    Check("s-904", "counts of classes of maximal subgroups consume "
+          "these bounds downstream",
+          external("out of scope for this package")),
+)
+
+
+def suite_checks(name: str) -> list[Check]:
+    """The checks of one suite, or of every suite for "all", in id order."""
+    return [c for c in CHECKS
+            if name == "all" or c.id.split("-")[0] == SUITES[name]]

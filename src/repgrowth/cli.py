@@ -3,12 +3,13 @@
 Five subcommands: ``bound`` serializes a certified count bound, ``witness``
 runs a dominance witness engine and re-verifies its output, ``enumerate``
 tabulates exact lower-bound counts against the certified upper bound,
-``verify`` runs a named check suite, and ``mullineux`` applies the sign-twist
-involution on regular partitions.
+``verify`` runs a named suite of :mod:`repgrowth.checks`, and ``mullineux``
+applies the sign-twist involution on regular partitions.
 
-Output is JSON by default, CSV with ``--format csv``; both round-trip through
-:func:`parse_json` and :func:`parse_csv`.  Every numeric field carries a kind
-tag (``exact``, ``interval``, or ``external``).
+Output is JSON by default, CSV with ``--format csv``.  A CSV row is a JSON
+record flattened by :func:`render_csv`; :func:`parse_csv` reads it back.
+Every numeric field carries a kind tag (``exact``, ``interval``, or
+``external``).
 """
 
 from __future__ import annotations
@@ -20,78 +21,30 @@ import itertools
 import json
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
-from typing import Callable
+from dataclasses import asdict
 
 import mpmath
 
 from .bounds import (
     BoundReport,
     ExactValue,
-    ExternalValue,
     IntervalValue,
-    Root2Power,
     _is_prime,
-    bound2_iv,
-    char2_counts,
-    d1,
-    d2,
-    d3,
-    f_interval,
     n_lambda,
     premet_lower,
-    ratio_holds,
-    ratio_iv,
     rn_upper,
-    zeta_tail_check,
 )
+from .checks import SUITES, suite_checks
 from .dominance import (
     HypothesisError,
     SaturationCapError,
     bracket,
     is_good,
     orbit_length,
-    weyl_order,
-    weyl_stabilizer_order,
 )
-from .intervals import (
-    FALSE,
-    TRUE,
-    UNKNOWN,
-    Certificate,
-    certify_leq,
-    certify_less,
-    contains,
-    exact,
-    exact_compare_cert,
-    log_of,
-    power,
-)
-from .partitions import (
-    bound3_value,
-    conjugate,
-    hook_length_dim,
-    is_p_regular,
-    k_sum_bound,
-    k_sum_exact,
-    k_sum_majorant,
-    mullineux,
-    m_p,
-    p_regular_partitions,
-    partition_bound,
-    partition_count,
-)
-from .rootdata import RootDataError, is_dominant, root_datum
-from .witness import (
-    a5_good_family,
-    good_witness,
-    incr_witness,
-    m_good_witness,
-    middle2_witness,
-    middle_witness,
-)
+from .partitions import m_p, mullineux
+from .rootdata import RootDataError, root_datum
+from .witness import ENGINES as _SINGLE_ENGINES, a5_good_family
 
 PREC_DEFAULT = 256
 PREC_CEILING = 1024
@@ -99,62 +52,16 @@ CAP_DEFAULT = 10 ** 7
 
 
 # ---------------------------------------------------------------------------
-# Serialization and the round-trip parsers.
+# Serialization and the round-trip parser.
 
-def obj_of_value(v) -> dict:
-    """Kind-tagged JSON object for a report value."""
-    if isinstance(v, ExactValue):
-        return {"kind": "exact", "value": v.value}
-    if isinstance(v, Root2Power):
-        return {"kind": "exact", "value": str(v), "halves": v.halves}
-    if isinstance(v, IntervalValue):
-        return {"kind": "interval", "lo": v.lo, "hi": v.hi,
-                "prec_bits": v.prec_bits}
-    if isinstance(v, ExternalValue):
-        return {"kind": "external", "note": v.note}
-    raise TypeError(f"no serialization for {v!r}")
-
-
-def obj_of_cert(c: Certificate) -> dict:
-    return {"verdict": c.verdict, "prec_bits": c.prec_bits,
-            "lhs": c.lhs, "rhs": c.rhs}
-
-
-def obj_of_report(rep: BoundReport) -> dict:
-    return {
-        "name": rep.name,
-        "inputs": {k: v for k, v in rep.inputs},
-        "value": obj_of_value(rep.value),
-        "valid": rep.valid,
-        "guard_detail": rep.guard_detail,
-        "certificates": [obj_of_cert(c) for c in rep.certificates],
-    }
-
-
-def flat_value(prefix: str, v) -> dict:
-    """Flatten a report value into CSV columns, keeping the kind tag."""
-    out: dict = {f"{prefix}_kind": v.kind}
-    if isinstance(v, ExactValue):
-        out[prefix] = v.value
-    elif isinstance(v, Root2Power):
-        out[prefix] = str(v)
-    elif isinstance(v, IntervalValue):
-        out[prefix] = v.lo
-        out[f"{prefix}_hi"] = v.hi
-        out[f"{prefix}_prec_bits"] = v.prec_bits
-    elif isinstance(v, ExternalValue):
-        out[prefix] = v.note
-    else:
-        raise TypeError(f"no serialization for {v!r}")
-    return out
-
-
-def parse_json(text: str):
-    """Round-trip parser for the JSON output format."""
-    obj = json.loads(text)
-    if not isinstance(obj, (dict, list)):
-        raise ValueError("top level must be an object or an array")
-    return obj
+def record(x) -> dict:
+    """JSON form of a bound report or of a kind-tagged value."""
+    if isinstance(x, BoundReport):
+        return {"name": x.name, "inputs": dict(x.inputs),
+                "value": record(x.value), "valid": x.valid,
+                "guard_detail": x.guard_detail,
+                "certificates": [asdict(c) for c in x.certificates]}
+    return {"kind": x.kind, **asdict(x)}
 
 
 def parse_csv(text: str) -> list[dict]:
@@ -166,23 +73,37 @@ def parse_csv(text: str) -> list[dict]:
     return rows
 
 
-def render_csv(rows: list[dict]) -> str:
-    fields: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
+def _cells(key: str, value) -> dict:
+    """CSV columns of one record field.  A kind-tagged object spreads into
+    key_kind, key (its first field) and key_<field> for the rest; a list
+    joins into one cell, with commas or, for text, with " | "."""
+    if isinstance(value, dict):
+        (_, kind), (_, first), *rest = value.items()
+        return {f"{key}_kind": kind, key: first,
+                **{f"{key}_{k}": v for k, v in rest}}
+    if isinstance(value, list):
+        sep = " | " if any(isinstance(v, str) for v in value) else ","
+        return {key: sep.join(map(str, value))}
+    return {key: value}
+
+
+def render_csv(records: list[dict]) -> str:
+    """Records as CSV rows; columns in order of first appearance."""
+    rows =[{k: v for key, value in rec.items()
+             for k, v in _cells(key, value).items()} for rec in records]
+    fields = list(dict.fromkeys(k for row in rows for k in row))
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, restval="")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
-def _emit(args, payload: dict, rows: list[dict]) -> None:
+def _emit(args, payload: dict, rows: list[dict] | None = None) -> None:
+    """Print the payload as JSON, or the rows (default: the payload alone)
+    as CSV."""
     if args.format == "csv":
-        sys.stdout.write(render_csv(rows))
+        sys.stdout.write(render_csv([payload] if rows is None else rows))
     else:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
@@ -193,11 +114,10 @@ def _bits(args) -> int:
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(x) for x in text.split(",") if x.strip() != "")
+        return tuple(int(x) for x in text.split(",") if x.strip() != "")
     except ValueError:
         raise HypothesisError(f"{what} must be comma-separated integers, "
                               f"got {text!r}")
-    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -205,25 +125,15 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 def cmd_bound(args) -> int:
     rep = rn_upper(args.family, args.rank, args.n, args.p, bits=_bits(args))
-    row = {"name": rep.name, "family": args.family, "rank": args.rank,
-           "n": args.n, "p": args.p, "valid": rep.valid}
-    row.update(flat_value("value", rep.value))
-    row["guard_detail"] = rep.guard_detail
-    _emit(args, obj_of_report(rep), [row])
+    payload = record(rep)
+    row = {"name": rep.name, **payload["inputs"], "valid": rep.valid,
+           "value": payload["value"], "guard_detail": rep.guard_detail}
+    _emit(args, payload, [row])
     return 0
 
 
 # ---------------------------------------------------------------------------
 # witness
-
-_SINGLE_ENGINES: dict[str, tuple[Callable, bool]] = {
-    "incr": (incr_witness, True),
-    "middle": (middle_witness, True),
-    "m-good": (m_good_witness, True),
-    "middle2": (middle2_witness, False),
-    "good": (good_witness, False),
-}
-
 
 def _engine_transcript(name: str, datum, w, m, mu, chain) -> list[str]:
     lines = [f"engine {name} on weight {list(w)}"
@@ -253,28 +163,21 @@ def cmd_witness(args) -> int:
         if args.m is not None:
             raise HypothesisError("engine a5 takes no --m")
         datum = root_datum("A", 5)
-        family = a5_good_family(w)
         members = []
-        total = 0
-        for mu, chain in family:
+        for mu, chain in a5_good_family(w):
             if not chain.verify(datum, w):
                 raise AssertionError("family chain failed self-verification")
-            size = orbit_length(datum, mu)
-            total += size
             members.append({"witness": list(mu),
                             "root_coeffs": list(chain.root_coeffs),
-                            "orbit_length": size})
+                            "orbit_length": orbit_length(datum, mu)})
         payload = {
             "engine": "a5", "input": list(w), "members": len(members),
-            "orbit_total": total, "all_verified": True,
-            "witnesses": members,
+            "orbit_total": sum(m["orbit_length"] for m in members),
+            "all_verified": True, "witnesses": members,
         }
-        rows = [{"engine": "a5", "member": i, "witness":
-                 ",".join(map(str, m["witness"])),
-                 "root_coeffs": ",".join(map(str, m["root_coeffs"])),
-                 "orbit_length": m["orbit_length"], "verified": True}
-                for i, m in enumerate(members)]
-        _emit(args, payload, rows)
+        _emit(args, payload, [{"engine": "a5", "member": i, **m,
+                               "verified": True}
+                              for i, m in enumerate(members)])
         return 0
 
     fn, takes_m = _SINGLE_ENGINES[args.engine]
@@ -289,37 +192,28 @@ def cmd_witness(args) -> int:
         if args.m is not None:
             raise HypothesisError(f"engine {args.engine} takes no --m")
         mu, chain = fn(datum, w)
-    transcript = _engine_transcript(args.engine, datum, w, args.m, mu, chain)
-    payload = {
+    _emit(args, {
         "engine": args.engine, "rank": args.rank, "m": args.m,
         "input": list(w), "witness": list(mu),
-        "root_coeffs": list(chain.root_coeffs),
-        "verified": True, "transcript": transcript,
-    }
-    rows = [{
-        "engine": args.engine, "rank": args.rank,
-        "m": "" if args.m is None else args.m,
-        "input": ",".join(map(str, w)),
-        "witness": ",".join(map(str, mu)),
-        "root_coeffs": ",".join(map(str, chain.root_coeffs)),
-        "verified": True,
-        "transcript": " | ".join(transcript),
-    }]
-    _emit(args, payload, rows)
+        "root_coeffs": list(chain.root_coeffs), "verified": True,
+        "transcript": _engine_transcript(args.engine, datum, w, args.m, mu,
+                                         chain),
+    })
     return 0
 
 
 # ---------------------------------------------------------------------------
 # enumerate
 
-def _margin(value, count: int) -> tuple[str, object]:
+def _margin(value, count: int) -> dict:
     """Bound minus exact count; lower endpoint is used for intervals."""
     if isinstance(value, ExactValue):
-        return "exact", value.value - count
+        return {"kind": "exact", "value": value.value - count}
     if isinstance(value, IntervalValue):
         with mpmath.workprec(64):
-            return "interval", mpmath.nstr(mpmath.mpf(value.lo) - count, 12)
-    return value.kind, str(value)
+            return {"kind": "interval",
+                    "value": mpmath.nstr(mpmath.mpf(value.lo) - count, 12)}
+    return {"kind": value.kind, "value": str(value)}
 
 
 def cmd_enumerate(args) -> int:
@@ -330,6 +224,8 @@ def cmd_enumerate(args) -> int:
             "coefficient box is finite only then")
     if args.n_max < 0:
         raise HypothesisError("--n-max must be >= 0")
+    if args.cap < 1:
+        raise ValueError(f"--cap must be >= 1, got {args.cap}")
     use_premet = args.bound == "premet"
     values: list[int] = []
     overflow = 0
@@ -344,26 +240,17 @@ def cmd_enumerate(args) -> int:
         values.append(v)
     values.sort()
     bits = _bits(args)
-    out_rows: list[dict] = []
-    json_rows: list[dict] = []
+    rows = []
     for n in range(1, args.n_max + 1):
         count = bisect_right(values, n)
         rep = rn_upper(args.family, args.rank, n, args.p, bits=bits)
-        mkind, mval = _margin(rep.value, count)
-        json_rows.append({"n": n, "count": count,
-                          "bound": obj_of_value(rep.value),
-                          "margin": {"kind": mkind, "value": mval},
-                          "overflow": overflow})
-        row = {"n": n, "count": count}
-        row.update(flat_value("bound", rep.value))
-        row["margin_kind"] = mkind
-        row["margin"] = mval
-        row["overflow"] = overflow
-        out_rows.append(row)
+        rows.append({"n": n, "count": count, "bound": record(rep.value),
+                     "margin": _margin(rep.value, count),
+                     "overflow": overflow})
     payload = {"family": args.family, "rank": args.rank, "p": args.p,
                "bound": args.bound, "cap": args.cap, "n_max": args.n_max,
-               "overflow": overflow, "rows": json_rows}
-    _emit(args, payload, out_rows)
+               "overflow": overflow, "rows": rows}
+    _emit(args, payload, rows)
     return 0
 
 
@@ -376,711 +263,16 @@ def cmd_mullineux(args) -> int:
     back = mullineux(img, args.p)
     if back != tuple(lam):
         raise AssertionError("twist applied twice did not return the input")
-    if args.p == 0:
-        note = "p = 0 acts by conjugation"
-    elif args.p == 2:
-        note = "p = 2 acts as the identity"
-    else:
-        note = "rim-symbol twist"
-    payload = {"p": args.p, "partition": list(lam), "image": list(img),
-               "involution_check": "ok", "m_p": m_p(lam, args.p),
-               "note": note}
-    rows = [{"p": args.p, "partition": ",".join(map(str, lam)),
-             "image": ",".join(map(str, img)), "involution_check": "ok",
-             "m_p": payload["m_p"], "note": note}]
-    _emit(args, payload, rows)
+    note = {0: "p = 0 acts by conjugation",
+            2: "p = 2 acts as the identity"}.get(args.p, "rim-symbol twist")
+    _emit(args, {"p": args.p, "partition": list(lam), "image": list(img),
+                 "involution_check": "ok", "m_p": m_p(lam, args.p),
+                 "note": note})
     return 0
 
 
 # ---------------------------------------------------------------------------
-# verify: the check suites.
-
-@dataclass(frozen=True)
-class Check:
-    id: str
-    claim: str
-    run: Callable[[int, str], tuple[str, str]]
-
-
-def _cert_result(cert: Certificate) -> tuple[str, str]:
-    verdict = {TRUE: "pass", FALSE: "fail", UNKNOWN: "unknown"}[cert.verdict]
-    where = "exact" if cert.prec_bits == 0 else f"{cert.prec_bits} bits"
-    return verdict, f"lhs = {cert.lhs}, rhs = {cert.rhs} ({where})"
-
-
-def _eq_result(got, want) -> tuple[str, str]:
-    if got == want:
-        return "pass", f"computed {got}"
-    return "fail", f"computed {got}, pinned {want}"
-
-
-def _external(note: str) -> Callable[[int, str], tuple[str, str]]:
-    return lambda bits, scale: ("external-assumption", note)
-
-
-def _weights_up_to(rank: int, total: int):
-    """Dominant weights with coefficient sum at most total."""
-    def rec(prefix: list[int], remaining: int):
-        if len(prefix) == rank:
-            yield tuple(prefix)
-            return
-        for a in range(remaining + 1):
-            yield from rec(prefix + [a], remaining - a)
-    yield from rec([], total)
-
-
-def _sweep_cert(points, make_cert, label: Callable[[object], str],
-                ok_detail: str) -> tuple[str, str]:
-    last_bits = 0
-    for x in points:
-        cert = make_cert(x)
-        if cert.verdict != TRUE:
-            verdict, detail = _cert_result(cert)
-            return verdict, f"{label(x)}: {detail}"
-        last_bits = max(last_bits, cert.prec_bits)
-    return "pass", f"{ok_detail} (up to {last_bits} bits)"
-
-
-# -- type A checks ----------------------------------------------------------
-
-def _run_k_sum(bits: int, scale: str) -> tuple[str, str]:
-    return _eq_result(k_sum_exact(5, 76), 2415231)
-
-
-def _run_tuple_vs_window(bits: int, scale: str) -> tuple[str, str]:
-    return _cert_result(exact_compare_cert(2415231 ** 2, 2500 ** 5))
-
-
-def _run_a5_family(bits: int, scale: str) -> tuple[str, str]:
-    datum = root_datum("A", 5)
-    w = (0, 0, 25, 0, 0)
-    fam = a5_good_family(w)
-    total = 0
-    for mu, chain in fam:
-        if not chain.verify(datum, w):
-            return "fail", f"chain for {mu} failed on input {w}"
-        total += orbit_length(datum, mu)
-    if len(fam) != 243 or total != 174960:
-        return "fail", f"{len(fam)} members, orbit total {total}"
-    if total <= 57750:
-        return "fail", "orbit total does not clear the window cap 57750"
-    return "pass", ("243 members, orbit total 174960 > 57750, "
-                    "all chains re-verified")
-
-
-def _run_f1_730(bits: int, scale: str) -> tuple[str, str]:
-    cert = certify_less(lambda: f_interval("f1", 730),
-                        lambda: power(d1(730), Fraction(19, 5)),
-                        ceiling_bits=bits)
-    return _cert_result(cert)
-
-
-def _run_f1_729(bits: int, scale: str) -> tuple[str, str]:
-    cert = certify_less(lambda: f_interval("f1", 729),
-                        lambda: power(d1(729), Fraction(19, 5)),
-                        ceiling_bits=bits)
-    verdict, detail = _cert_result(cert)
-    return verdict, detail + "; readout one rank below the quoted threshold"
-
-
-def _run_f4_linear(bits: int, scale: str) -> tuple[str, str]:
-    return _sweep_cert(
-        range(80, 201),
-        lambda m: certify_less(lambda: f_interval("f4", m),
-                               lambda: exact(2 ** (m + 1)),
-                               ceiling_bits=bits),
-        lambda m: f"m = {m}",
-        "all m in [80, 200] certified")
-
-
-def _run_f4_power(bits: int, scale: str) -> tuple[str, str]:
-    return _sweep_cert(
-        range(6, 80),
-        lambda m: certify_less(lambda: f_interval("f4", m),
-                               lambda: power(2, Fraction(19 * (m + 1), 5)),
-                               ceiling_bits=bits),
-        lambda m: f"m = {m}",
-        "all m in [6, 79] certified")
-
-
-_SPOT_RANKS = (19, 100, 365, 729)
-
-
-def _case1_ranks(scale: str):
-    return range(19, 730) if scale == "extended" else _SPOT_RANKS
-
-
-def _run_mid_f1(bits: int, scale: str) -> tuple[str, str]:
-    pts = _case1_ranks(scale)
-    return _sweep_cert(
-        pts,
-        lambda r: certify_less(lambda: f_interval("f1", r),
-                               lambda: power(d2(r), Fraction(94, 25)),
-                               ceiling_bits=bits),
-        lambda r: f"r = {r}",
-        f"ranks {list(pts)[:4]}{'...' if scale == 'extended' else ''} "
-        "certified")
-
-
-def _run_mid_f2(bits: int, scale: str) -> tuple[str, str]:
-    pts = (_case1_ranks(scale) if scale == "extended"
-           else _SPOT_RANKS + (1000,))
-    return _sweep_cert(
-        pts,
-        lambda r: certify_less(lambda: f_interval("f2", r),
-                               lambda: power(d1(r), Fraction(94, 25)),
-                               ceiling_bits=bits),
-        lambda r: f"r = {r}",
-        "spot ranks certified; the exponent gap widens with the rank")
-
-
-def _run_small_f1(bits: int, scale: str) -> tuple[str, str]:
-    return _sweep_cert(
-        range(11, 20),
-        lambda r: certify_less(lambda: f_interval("f1", r),
-                               lambda: power(d3(r), Fraction(29, 10)),
-                               ceiling_bits=bits),
-        lambda r: f"r = {r}",
-        "all r in [11, 19] certified")
-
-
-def _run_small_f3(bits: int, scale: str) -> tuple[str, str]:
-    return _sweep_cert(
-        range(11, 19),
-        lambda r: certify_less(lambda: f_interval("f3", r),
-                               lambda: power((r + 1) ** 4,
-                                             Fraction(329, 100)),
-                               ceiling_bits=bits),
-        lambda r: f"r = {r}",
-        "all r in [11, 18] at the floor n = (r+1)^4; rises with n")
-
-
-def _run_ratio_sweep(bits: int, scale: str) -> tuple[str, str]:
-    return _sweep_cert(
-        range(5, 70),
-        lambda r: ratio_holds(r, factorial(r + 1), ceiling_bits=bits),
-        lambda r: f"r = {r}",
-        "5(r+1)loglog n < 9 log n at n = (r+1)! for all r in [5, 69]")
-
-
-def _run_ratio_readout(bits: int, scale: str) -> tuple[str, str]:
-    cert = contains(lambda: ratio_iv(10, factorial(11)),
-                    Fraction(179885, 100000), Fraction(179895, 100000),
-                    ceiling_bits=bits)
-    verdict, detail = _cert_result(cert)
-    if verdict == "pass":
-        detail = "value rounds to 1.7989; " + detail
-    return verdict, detail
-
-
-def _run_a5_envelope(bits: int, scale: str) -> tuple[str, str]:
-    cert = certify_less(lambda: bound2_iv(5, 57750),
-                        lambda: power(57750, Fraction(5, 2)),
-                        ceiling_bits=bits)
-    return _cert_result(cert)
-
-
-def _run_a5_exponent(bits: int, scale: str) -> tuple[str, str]:
-    cert = certify_less(lambda: 1 + 4 / (1 + log_of(9625)),
-                        lambda: exact(Fraction(5, 2)),
-                        ceiling_bits=bits)
-    verdict, detail = _cert_result(cert)
-    return verdict, detail + "; the local exponent falls as d grows"
-
-
-def _run_rank3_envelope(bits: int, scale: str) -> tuple[str, str]:
-    cert = certify_less(lambda: bound2_iv(3, 3787),
-                        lambda: exact(5 * 10 ** 5),
-                        ceiling_bits=bits)
-    return _cert_result(cert)
-
-
-def _run_rank3_window(bits: int, scale: str) -> tuple[str, str]:
-    cert = certify_less(lambda: exact(200),
-                        lambda: power(24, Fraction(17, 5)) / exact(27),
-                        ceiling_bits=bits)
-    verdict, detail = _cert_result(cert)
-    return verdict, detail + "; rises with n, table fact bounds the count"
-
-
-def _run_rank4_window(bits: int, scale: str) -> tuple[str, str]:
-    cert = certify_less(lambda: exact(10 ** 5),
-                        lambda: power(120, Fraction(17, 5)) / exact(64),
-                        ceiling_bits=bits)
-    verdict, detail = _cert_result(cert)
-    return verdict, detail + "; rises with n, table fact bounds the count"
-
-
-def _run_witness_sweep(bits: int, scale: str) -> tuple[str, str]:
-    max_rank, max_sum = (7, 9) if scale == "extended" else (4, 6)
-    tried = produced = 0
-    for r in range(1, max_rank + 1):
-        datum = root_datum("A", r)
-        k = (r - 1) // 2
-        for w in _weights_up_to(r, max_sum):
-            for name, (fn, takes_m) in _SINGLE_ENGINES.items():
-                ms = list(range(1, k + 1)) if takes_m else [None]
-                for m in ms:
-                    tried += 1
-                    try:
-                        mu, chain = (fn(datum, w, m) if takes_m
-                                     else fn(datum, w))
-                    except HypothesisError:
-                        continue
-                    if not chain.verify(datum, w):
-                        return "fail", (f"{name} on {w} (m = {m}): "
-                                        "chain failed")
-                    if name == "good" and not is_good(mu):
-                        return "fail", (f"good on {w}: witness {mu} has a "
-                                        "zero coefficient")
-                    if name == "middle2":
-                        centre = (k + 1, r - k)
-                        if not any(mu[t - 1] > 0 for t in centre):
-                            return "fail", (f"middle2 on {w}: witness {mu} "
-                                            "misses the centre")
-                        if bracket(datum, mu) != bracket(datum, w):
-                            return "fail", (f"middle2 on {w}: bracket "
-                                            "not preserved")
-                    produced += 1
-    if produced == 0:
-        return "fail", "no engine produced a witness on the sweep"
-    return "pass", (f"{produced} witnesses re-verified out of {tried} "
-                    f"engine calls (rank <= {max_rank}, "
-                    f"coefficient sum <= {max_sum})")
-
-
-def _run_lower_consistency(bits: int, scale: str) -> tuple[str, str]:
-    datum = root_datum("A", 2)
-    checked = 0
-    for w in itertools.product(range(5), repeat=2):
-        quick = n_lambda(datum, w)
-        walk = premet_lower(datum, w, 5)
-        if quick > walk:
-            return "fail", (f"weight {w}: closed-form count {quick} "
-                            f"exceeds walk count {walk}")
-        checked += 1
-    return "pass", f"{checked} restricted weights: closed form <= walk count"
-
-
-def _run_orbit_stabilizer(bits: int, scale: str) -> tuple[str, str]:
-    checked = 0
-    for family, rank in (("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)):
-        datum = root_datum(family, rank)
-        order = weyl_order(datum)
-        for w in _weights_up_to(rank, 2):
-            if orbit_length(datum, w) * weyl_stabilizer_order(datum, w) \
-                    != order:
-                return "fail", f"{family}{rank}, weight {w}"
-            checked += 1
-    return "pass", (f"{checked} weights over five diagrams: orbit length "
-                    "times stabilizer order equals the group order")
-
-
-def _typea_checks() -> list[Check]:
-    return [
-        Check("a-010", "weighted 5-tuple count at cap 76 equals 2415231",
-              _run_k_sum),
-        Check("a-011", "2415231 < 2500^(5/2), squared form "
-              "2415231^2 < 2500^5", _run_tuple_vs_window),
-        Check("a-020", "good family at rank 5: 243 members with orbit "
-              "total 174960, clearing the window cap 57750", _run_a5_family),
-        Check("a-030", "f1(730) < d1(730)^(19/5)", _run_f1_730),
-        Check("a-031", "f1(729) against d1(729)^(19/5), reported",
-              _run_f1_729),
-        Check("a-040", "f4(m) < 2^(m+1) for 80 <= m <= 200",
-              _run_f4_linear),
-        Check("a-041", "f4(m) < (2^(m+1))^(19/5) for 6 <= m <= 79",
-              _run_f4_power),
-        Check("a-050", "f1(r) < d2(r)^(94/25) on the mid-range rank sweep",
-              _run_mid_f1),
-        Check("a-051", "f2(r) < d1(r)^(94/25) on the mid-range rank sweep",
-              _run_mid_f2),
-        Check("a-052", "f1(r) < d3(r)^(29/10) for 11 <= r <= 19",
-              _run_small_f1),
-        Check("a-053", "f3(r) < n^(329/100) at n = (r+1)^4 for "
-              "11 <= r <= 18", _run_small_f3),
-        Check("a-060", "5(r+1)loglog n < 9 log n at n = (r+1)! for "
-              "5 <= r <= 69", _run_ratio_sweep),
-        Check("a-061", "(r+1)loglog n / log n at r = 10, n = 11! lies in "
-              "(1.79885, 1.79895)", _run_ratio_readout),
-        Check("a-070", "2^5 d (1+log d)^4 < n^(5/2) at n = 57750",
-              _run_a5_envelope),
-        Check("a-071", "envelope growth exponent 1 + 4/(1+log d) < 5/2 "
-              "at d = 9625", _run_a5_exponent),
-        Check("a-080", "2^3 d (1+log d)^2 < 5*10^5 at n = 3787",
-              _run_rank3_envelope),
-        Check("a-081", "n^(17/5)/27 > 200 at n = 24", _run_rank3_window),
-        Check("a-082", "n^(17/5)/64 > 10^5 at n = 120", _run_rank4_window),
-        Check("a-090", "witness engines: every produced chain re-verifies "
-              "on an exhaustive low-weight sweep", _run_witness_sweep),
-        Check("a-100", "closed-form weight count never exceeds the "
-              "dominance-walk count (rank 2, p = 5)", _run_lower_consistency),
-        Check("a-101", "orbit length times stabilizer order equals the "
-              "reflection group order", _run_orbit_stabilizer),
-        Check("a-900", "R_500 < 200 for the rank-3 special linear group "
-              "(published degree tables)",
-              _external("count taken from published tables, not computed")),
-        Check("a-901", "R_719 <= 170 for the rank-4 special linear group "
-              "(published degree tables)",
-              _external("count taken from published tables, not computed")),
-        Check("a-902", "rank-5 special linear group: R_n <= n for "
-              "n <= 2500 (published degree tables)",
-              _external("count taken from published tables, not computed")),
-        Check("a-903", "ranks below 11 in the mid and small windows rest "
-              "on explicit degree tables",
-              _external("table facts, not computed here")),
-        Check("a-904", "true irreducible-module dimensions are consumed "
-              "as table facts",
-              _external("dimensions are never computed by this package")),
-    ]
-
-
-# -- characteristic 2 checks ------------------------------------------------
-
-def _run_char2_sweep(bits: int, scale: str) -> tuple[str, str]:
-    worst = None
-    for r in range(0, 26):
-        for m in range(0, r + 1):
-            tail, quotient = char2_counts(r, m)
-            if tail > quotient:
-                return "fail", f"r = {r}, m = {m}: {tail} > {quotient}"
-            slack = quotient - tail
-            if worst is None or slack < worst[0]:
-                worst = (slack, r, m)
-    return "pass", (f"all 0 <= m <= r <= 25; tightest slack {worst[0]} "
-                    f"at r = {worst[1]}, m = {worst[2]}")
-
-
-def _run_char2_total(bits: int, scale: str) -> tuple[str, str]:
-    for r in range(1, 26):
-        if char2_counts(r, 0)[0] != 2 ** r:
-            return "fail", f"r = {r}: full binomial tail is not 2^r"
-    return "pass", "full tail equals 2^r for 1 <= r <= 25"
-
-
-def _char2_checks() -> list[Check]:
-    return [
-        Check("c2-010", "binomial tail from m never exceeds "
-              "(r+1)!/(m+1)! for 0 <= m <= r <= 25", _run_char2_sweep),
-        Check("c2-020", "binomial tail from 0 equals 2^r (cross-check of "
-              "the counting routine)", _run_char2_total),
-        Check("c2-900", "ranks below 9 with n < 256 rest on published "
-              "degree tables",
-              _external("table facts, not computed here")),
-    ]
-
-
-# -- non-A families in odd characteristic -----------------------------------
-
-_DISPLAYS: tuple[tuple[str, str, Fraction, object, int, bool], ...] = (
-    ("n-010", "C", Fraction(2), Fraction(1, 4), 4, False),
-    ("n-011", "B", Fraction(9, 4), "2^-s", 7, True),
-    ("n-012", "D", Fraction(9, 4), "2^-s", 8, True),
-    ("n-013", "E6", Fraction(5, 2), "2^-s", 27, False),
-    ("n-014", "E7", Fraction(9, 4), "2^-s", 56, False),
-    ("n-015", "E8", Fraction(9, 4), "2^-s", 248, False),
-    ("n-016", "F4", Fraction(2), Fraction(1, 4), 25, False),
-)
-
-
-def _display_check(cid: str, label: str, s: Fraction, extra, n0: int,
-                   double: bool) -> Check:
-    sd = f"{s.numerator}/{s.denominator}" if s.denominator != 1 else str(s)
-    ed = "2^(-s)" if extra == "2^-s" else str(extra)
-    if double:
-        claim = (f"family {label}: zeta(s)(zeta(s)-1) + zeta(s)*{ed} < "
-                 f"1 - {n0}^(-s) at s = {sd}")
-    else:
-        claim = (f"family {label}: zeta(s) - 1 + {ed} < 1 - {n0}^(-s) "
-                 f"at s = {sd}")
-
-    def run(bits: int, scale: str) -> tuple[str, str]:
-        cert = zeta_tail_check(s, extra, n0, double=double,
-                               ceiling_bits=bits)
-        verdict, detail = _cert_result(cert)
-        if verdict == "pass":
-            detail += "; the right side rises with n, so all n >= n0 follow"
-        return verdict, detail
-
-    return Check(cid, claim, run)
-
-
-def _run_rank3_orthogonal(bits: int, scale: str) -> tuple[str, str]:
-    def lhs():
-        return 2 * exact(27) * (1 + log_of(Fraction(27, 4))) ** 2
-    cert = certify_less(lhs, lambda: exact(576), ceiling_bits=bits)
-    return _cert_result(cert)
-
-
-def _run_rank3_separation(bits: int, scale: str) -> tuple[str, str]:
-    from .intervals import exp_of
-    cert = certify_less(lambda: exp_of(exact(1)),
-                        lambda: exact(Fraction(27, 4)),
-                        ceiling_bits=bits)
-    verdict, detail = _cert_result(cert)
-    return verdict, detail + "; hence the two sides separate for n >= 24"
-
-
-def _nona_checks() -> list[Check]:
-    checks = [_display_check(*row) for row in _DISPLAYS]
-    checks += [
-        Check("n-020", "rank-3 even orthogonal: 2(n+3)(1+log((n+3)/4))^2 "
-              "< n^2 at n = 24", _run_rank3_orthogonal),
-        Check("n-021", "e < 27/4, so the rank-3 display separates beyond "
-              "its threshold", _run_rank3_separation),
-        Check("n-900", "rank-3 even orthogonal counts for n <= 23 rest on "
-              "published degree tables",
-              _external("table facts, not computed here")),
-        Check("n-901", "degree floors 4 (C), 7 (B), 8 (D), 27 (E6), "
-              "56 (E7), 248 (E8), 25 (F4) come from published tables",
-              _external("smallest nontrivial degrees are table facts")),
-        Check("n-902", "family G: the quadratic count is asserted without "
-              "a displayed recursion",
-              _external("assumed, not certified by this package")),
-    ]
-    return checks
-
-
-# -- partition checks -------------------------------------------------------
-
-def _run_pcount(target: int, want: int) -> Callable:
-    def run(bits: int, scale: str) -> tuple[str, str]:
-        return _eq_result(partition_count(target), want)
-    return run
-
-
-def _run_penvelope(bits: int, scale: str) -> tuple[str, str]:
-    for n in (1, 39, 100, 1000):
-        rep = partition_bound(n, bits=bits)
-        bad = [c for c in rep.certificates if c.verdict != TRUE]
-        if bad or not rep.valid:
-            return "fail", f"n = {n}: {rep.guard_detail}"
-    return "pass", "p(n) < e^(pi sqrt(2n/3)) certified at n = 1, 39, 100, 1000"
-
-
-def _run_k_majorant(bits: int, scale: str) -> tuple[str, str]:
-    got = k_sum_majorant(76)
-    if got != 136531526805:
-        return "fail", f"majorant {got}"
-    rep = k_sum_bound(76, bits=bits)
-    bad = [c for c in rep.certificates if c.verdict != TRUE]
-    if bad or not rep.valid:
-        return "fail", rep.guard_detail
-    return "pass", ("rank-free majorant 136531526805 certified below the "
-                    "exponential envelope at cap 76")
-
-
-def _run_k_boundary(bits: int, scale: str) -> tuple[str, str]:
-    rep = k_sum_bound(0, bits=bits)
-    if rep.valid and "non-strict" in rep.guard_detail:
-        return "pass", rep.guard_detail
-    return "fail", rep.guard_detail
-
-
-def _run_twist_pins(bits: int, scale: str) -> tuple[str, str]:
-    pins = (((3,), 3, (2, 1)), ((4,), 3, (2, 2)), ((2, 1), 3, (3,)),
-            ((5, 4), 5, (4, 3, 2)))
-    for lam, p, want in pins:
-        got = mullineux(lam, p)
-        if got != want:
-            return "fail", f"{lam} at p = {p}: got {got}, pinned {want}"
-    return "pass", f"{len(pins)} pinned images reproduced"
-
-
-def _all_partitions(n: int):
-    # p-regular with a prime p > n puts no cap on repeats
-    p = n + 1
-    while not _is_prime(p):
-        p += 1
-    return p_regular_partitions(n, p)
-
-
-def _run_twist_involution(bits: int, scale: str) -> tuple[str, str]:
-    n_hi = 14 if scale == "extended" else 10
-    checked = 0
-    for n in range(1, n_hi + 1):
-        for p in (3, 5, 7):
-            for lam in p_regular_partitions(n, p):
-                img = mullineux(lam, p)
-                if sum(img) != n or not is_p_regular(img, p):
-                    return "fail", f"{lam} at p = {p}: image {img}"
-                if mullineux(img, p) != lam:
-                    return "fail", f"{lam} at p = {p}: not an involution"
-                checked += 1
-    return "pass", (f"{checked} regular partitions up to size {n_hi}: "
-                    "twist twice returns the start")
-
-
-def _run_twist_conjugation(bits: int, scale: str) -> tuple[str, str]:
-    checked = 0
-    for n in range(1, 11):
-        for lam in _all_partitions(n):
-            if mullineux(lam, 0) != conjugate(lam):
-                return "fail", f"{lam}: p = 0 image differs from conjugate"
-            checked += 1
-    return "pass", f"{checked} partitions up to size 10: p = 0 conjugates"
-
-
-def _run_hook_pins(bits: int, scale: str) -> tuple[str, str]:
-    pins = (((3, 2), 5), ((4, 1), 4), ((2, 2, 1), 5), ((4, 3, 2, 1), 768))
-    for lam, want in pins:
-        got = hook_length_dim(lam)
-        if got != want:
-            return "fail", f"{lam}: dimension {got}, pinned {want}"
-    return "pass", f"{len(pins)} straight-shape dimensions reproduced"
-
-
-def _run_halfpower_vs_hooks(bits: int, scale: str) -> tuple[str, str]:
-    n_hi = 14 if scale == "extended" else 10
-    checked = 0
-    for n in range(5, n_hi + 1):
-        for p in (3, 5):
-            for lam in p_regular_partitions(n, p):
-                dim = hook_length_dim(lam)
-                rep = bound3_value(lam, p)
-                if not rep.value.le_int(dim):
-                    return "fail", (f"{lam} at p = {p}: half-power floor "
-                                    f"{rep.value} exceeds straight-shape "
-                                    f"dimension {dim}")
-                checked += 1
-    return "pass", (f"{checked} pairs up to size {n_hi}: half-power floor "
-                    "stays below the straight-shape dimension")
-
-
-def _partition_checks() -> list[Check]:
-    return [
-        Check("p-010", "p(21) = 792", _run_pcount(21, 792)),
-        Check("p-011", "p(39) = 31185", _run_pcount(39, 31185)),
-        Check("p-012", "p(60) = 966467", _run_pcount(60, 966467)),
-        Check("p-020", "p(n) < e^(pi sqrt(2n/3)) at spot values",
-              _run_penvelope),
-        Check("p-030", "weighted tuple majorant at cap 76 equals "
-              "136531526805 and stays below the envelope", _run_k_majorant),
-        Check("p-031", "cap 0 boundary: majorant and envelope both equal "
-              "1, compared non-strictly", _run_k_boundary),
-        Check("p-040", "pinned twist images reproduce", _run_twist_pins),
-        Check("p-041", "the twist is an involution preserving size and "
-              "regularity", _run_twist_involution),
-        Check("p-042", "p = 0 twist equals conjugation up to size 10",
-              _run_twist_conjugation),
-        Check("p-050", "pinned straight-shape dimensions reproduce",
-              _run_hook_pins),
-        Check("p-060", "half-power dimension floor never exceeds the "
-              "straight-shape dimension", _run_halfpower_vs_hooks),
-        Check("p-900", "true modular irreducible dimensions are consumed "
-              "as table facts",
-              _external("dimensions are never computed by this package")),
-    ]
-
-
-# -- symmetric and alternating checks ---------------------------------------
-
-def _run_f5_large(bits: int, scale: str) -> tuple[str, str]:
-    cert = certify_leq(lambda: f_interval("f5", 10 ** 13),
-                       lambda: exact(10 ** 13), ceiling_bits=bits)
-    return _cert_result(cert)
-
-
-def _run_f5_huge(bits: int, scale: str) -> tuple[str, str]:
-    cert = certify_less(lambda: f_interval("f5", 10 ** 44),
-                        lambda: exact(10 ** 22), ceiling_bits=bits)
-    return _cert_result(cert)
-
-
-def _run_f5_crossover(bits: int, scale: str) -> tuple[str, str]:
-    def rhs():
-        return exact(Fraction(25, 308)) * power(1503, Fraction(5, 2))
-    cert = certify_less(lambda: f_interval("f5", 1503), rhs,
-                        ceiling_bits=bits)
-    verdict, detail = _cert_result(cert)
-    return verdict, detail + ("; the left side grows slower than any "
-                              "power, so larger n only widen the gap")
-
-
-def _window_check(cid: str, n_low: int, r_cap: int) -> Check:
-    claim = (f"window floor {n_low}: (308 p({r_cap}))^2 < 625 * "
-             f"{n_low}^5, the squared form of p({r_cap}) < 25 n^(5/2)/308")
-
-    def run(bits: int, scale: str) -> tuple[str, str]:
-        cert = exact_compare_cert((308 * partition_count(r_cap)) ** 2,
-                                  625 * n_low ** 5)
-        verdict, detail = _cert_result(cert)
-        if verdict == "pass":
-            detail += "; p is monotone, so every rank under the cap follows"
-        return verdict, detail
-    return Check(cid, claim, run)
-
-
-def _run_power_vs_pr(bits: int, scale: str) -> tuple[str, str]:
-    r_hi = 400 if scale == "extended" else 60
-    for r in range(13, r_hi + 1):
-        lhs = (4 * partition_count(r)) ** 2
-        rhs = 2 ** (5 * ((r - 3) // 2))
-        if lhs >= rhs:
-            return "fail", f"r = {r}: {lhs} >= {rhs}"
-    return "pass", (f"(4 p(r))^2 < n^5 at n = 2^((r-3)/2 rounded down) "
-                    f"for 13 <= r <= {r_hi}")
-
-
-def _run_alt_combination(bits: int, scale: str) -> tuple[str, str]:
-    cert = exact_compare_cert(625 * 128, 283 ** 2)
-    verdict, detail = _cert_result(cert)
-    if verdict == "pass":
-        detail += ("; unpacks to 1 + 2^(7/2) < 308/25, the combination "
-                   "step for one degree and its double")
-    return verdict, detail
-
-
-def _symmetric_checks() -> list[Check]:
-    return [
-        Check("s-010", "f5(10^13) <= 10^13", _run_f5_large),
-        Check("s-011", "f5(10^44) < 10^22", _run_f5_huge),
-        Check("s-020", "f5(n) < 25 n^(5/2)/308 at n = 1503",
-              _run_f5_crossover),
-        _window_check("s-030", 677, 60),
-        _window_check("s-031", 172, 39),
-        _window_check("s-032", 53, 21),
-        Check("s-040", "(4 p(r))^2 < 2^(5 floor((r-3)/2)) on the rank "
-              "sweep", _run_power_vs_pr),
-        Check("s-050", "625*128 < 283^2, the exact combination step",
-              _run_alt_combination),
-        Check("s-900", "modules of degree below r-2 are classified "
-              "(published classification)",
-              _external("minimal-degree facts, not computed here")),
-        Check("s-901", "double-cover modules below the threshold factor "
-              "through the quotient (published classification)",
-              _external("spin reduction is a table fact")),
-        Check("s-902", "ranks 5 through 12 rest on published "
-              "decomposition tables",
-              _external("table facts, not computed here")),
-        Check("s-903", "true modular irreducible dimensions are consumed "
-              "as table facts",
-              _external("dimensions are never computed by this package")),
-        Check("s-904", "counts of classes of maximal subgroups consume "
-              "these bounds downstream",
-              _external("out of scope for this package")),
-    ]
-
-
-_SUITES: dict[str, Callable[[], list[Check]]] = {
-    "typeA": _typea_checks,
-    "char2": _char2_checks,
-    "nonA": _nona_checks,
-    "partitions": _partition_checks,
-    "symmetric": _symmetric_checks,
-}
-
-
-def suite_checks(name: str) -> list[Check]:
-    if name == "all":
-        checks = [c for key in _SUITES for c in _SUITES[key]()]
-    else:
-        checks = _SUITES[name]()
-    checks.sort(key=lambda c: c.id)
-    ids = [c.id for c in checks]
-    assert len(ids) == len(set(ids)), "duplicate check id"
-    return checks
-
+# verify
 
 def cmd_verify(args) -> int:
     checks = suite_checks(args.suite)
@@ -1092,16 +284,10 @@ def cmd_verify(args) -> int:
         counts[verdict] += 1
         results.append({"id": ch.id, "claim": ch.claim,
                         "verdict": verdict, "detail": detail})
-    if counts["fail"]:
-        code = 1
-    elif counts["unknown"]:
-        code = 2
-    else:
-        code = 0
+    code = 1 if counts["fail"] else 3 if counts["unknown"] else 0
     payload = {"suite": args.suite, "scale": args.scale, "prec_bits": bits,
                "checks": results, "summary": counts, "exit_code": code}
-    rows = [{"suite": args.suite, **r} for r in results]
-    _emit(args, payload, rows)
+    _emit(args, payload, [{"suite": args.suite, **r} for r in results])
     return code
 
 
@@ -1165,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", parents=[common],
                            help="run a verification suite")
     p_ver.add_argument("--suite", required=True,
-                       choices=("typeA", "char2", "nonA", "partitions",
-                                "symmetric", "all"))
+                       choices=(*SUITES, "all"))
     p_ver.set_defaults(func=cmd_verify)
 
     p_mul = sub.add_parser("mullineux", parents=[common],

@@ -64,10 +64,12 @@ def certify_cmp(lhs, rhs, strict: bool = True,
     """Certificate for lhs < rhs (or <= when strict=False).
 
     lhs and rhs are zero-argument callables evaluated under the working
-    interval precision; they must produce mpmath intervals.
+    interval precision; they must produce mpmath intervals.  Precision
+    starts at start_bits, or at the ceiling when that is lower, and doubles
+    up to ceiling_bits.
     """
-    bits = max(8, int(start_bits))
-    ceiling = max(bits, int(ceiling_bits))
+    ceiling = max(8, int(ceiling_bits))
+    bits = min(max(8, int(start_bits)), ceiling)
     while True:
         saved = iv.prec
         try:
@@ -131,14 +133,6 @@ def power(base, expo) -> "iv.mpf":
     b = exact(base)
     e = exact(expo)
     return iv.exp(e * iv.log(b))
-
-
-def log_of(x) -> "iv.mpf":
-    return iv.log(exact(x))
-
-
-def exp_of(x) -> "iv.mpf":
-    return iv.exp(x)
 
 
 @lru_cache(maxsize=None)

@@ -144,14 +144,6 @@ def root_datum(family: str, rank: int) -> RootDatum:
                      edges=edges)
 
 
-def simple_root_as_weight(datum: RootDatum, i: int) -> Weight:
-    return datum.simple_root(i)
-
-
-def highest_root_coeffs(datum: RootDatum) -> tuple[int, ...]:
-    return datum.highest_root_coeffs
-
-
 def is_dominant(w) -> bool:
     return all(c >= 0 for c in w)
 

@@ -305,3 +305,13 @@ def a5_good_family(w) -> list[tuple[Weight, WitnessChain]]:
                         family.append((member, chain))
     assert len({mu for mu, _ in family}) == 243
     return family
+
+
+# Single-witness engines by command name: (engine, takes m).
+ENGINES = {
+    "incr": (incr_witness, True),
+    "middle": (middle_witness, True),
+    "m-good": (m_good_witness, True),
+    "middle2": (middle2_witness, False),
+    "good": (good_witness, False),
+}

@@ -238,3 +238,39 @@ def test_usage_errors_exit_two(capsys):
         main(["witness", "unknown-engine", "--weight", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# --- flag limits and exit codes ---------------------------------------------------
+
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_enumerate_rejects_cap_below_one(capsys, cap):
+    code, out, err = run(capsys, "enumerate", "--family", "A", "--rank", "2",
+                         "--p", "5", "--n-max", "3", "--bound", "premet",
+                         "--cap", cap)
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "input"
+    assert "--cap must be >= 1" in error["message"]
+
+
+def test_verify_undecided_exits_three(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "typeA", "--prec", "16")
+    assert code == 3
+    data = json.loads(out)
+    assert data["prec_bits"] == 16
+    assert data["exit_code"] == 3
+    undecided = [c for c in data["checks"] if c["verdict"] == "unknown"]
+    assert [c["id"] for c in undecided] == ["a-061"]
+    assert undecided[0]["detail"].endswith("(16 bits)")
+    assert data["summary"]["fail"] == 0
+
+
+def test_verify_prec_is_a_ceiling_below_the_start(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--prec", "24")
+    assert code == 0
+    data = json.loads(out)
+    assert data["prec_bits"] == 24
+    details = " ".join(c["detail"] for c in data["checks"])
+    assert "(24 bits)" in details
+    assert "64 bits" not in details

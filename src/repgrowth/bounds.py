@@ -17,7 +17,7 @@ from math import comb, factorial, isqrt, prod
 from mpmath import iv
 
 from . import intervals
-from .dominance import (HypothesisError, _saturated_walk, orbit_length)
+from .dominance import HypothesisError, saturated_weight_total
 from .intervals import (Certificate, DEFAULT_CEILING_BITS, DEFAULT_START_BITS,
                         certify_cmp, certify_less, exact, power, zeta_iv)
 from .rootdata import RootDatum, Weight, is_dominant, is_restricted, root_datum
@@ -148,10 +148,7 @@ def premet_lower(datum: RootDatum, w, p: int, cap: int = 10 ** 7) -> int:
         raise HypothesisError("characteristic 3 excluded for G2")
     if not is_restricted(w, p):
         raise HypothesisError(f"weight {w} is not {p}-restricted")
-    dominants, total = _saturated_walk(datum, w, cap)
-    s = sum(orbit_length(datum, mu) for mu in dominants)
-    assert s == total, "orbit sum disagrees with the walk count"
-    return s
+    return saturated_weight_total(datum, w, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -302,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
                              f"(default {PREC_DEFAULT}, "
                              f"capped at {PREC_CEILING})")
     common.add_argument("--cap", type=int, default=CAP_DEFAULT,
-                        help="enumeration budget "
+                        help="largest saturated set, in weights with Weyl "
+                             "images included, walked per highest weight "
                              f"(default {CAP_DEFAULT})")
     common.add_argument("--scale", choices=("desk", "extended"),
                         default="desk",

@@ -14,7 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .rootdata import RootDatum, Weight, is_dominant, sub
+from .rootdata import (RootDatum, Weight, add, is_dominant, positive_roots,
+                       sub)
 
 
 class HypothesisError(ValueError):
@@ -135,7 +136,12 @@ def weyl_stabilizer_order(datum: RootDatum, w: Weight) -> int:
     w = datum.check_weight(w)
     if not is_dominant(w):
         raise HypothesisError(f"weight {w} is not dominant")
-    support = {i + 1 for i, c in enumerate(w) if c == 0}
+    return _parabolic_order(
+        datum, frozenset(i + 1 for i, c in enumerate(w) if c == 0))
+
+
+@lru_cache(maxsize=None)
+def _parabolic_order(datum: RootDatum, support: frozenset[int]) -> int:
     adj: dict[int, list[tuple[int, int]]] = {u: [] for u in support}
     for i, j, m in datum.edges:
         if i in support and j in support:
@@ -164,45 +170,53 @@ def orbit_length(datum: RootDatum, w: Weight) -> int:
 # ---------------------------------------------------------------------------
 # Saturated set below a dominant weight.
 
-def _saturated_walk(datum: RootDatum, lam: Weight,
-                    cap: int) -> tuple[list[Weight], int]:
-    """All dominant members of the saturated set of lam, plus the total count.
+def _saturated_walk(datum: RootDatum, lam: Weight, cap: int
+                    ) -> tuple[list[tuple[Weight, tuple[int, ...]]], int]:
+    """Dominant members of the saturated set of lam, each with the
+    simple-root coefficients of lam - mu, sorted descending; plus the size
+    of the whole set (Weyl images included) as a sum of orbit lengths.
 
-    Walks every root string downward from each visited weight; by the string
-    property this reaches the whole saturated set exactly once per weight.
+    Every dominant mu <= lam is reached from lam through dominant weights
+    by subtracting one positive root at a time (Stembridge, "The partial
+    order of dominant weights", Adv. Math. 136, 1998), so the walk never
+    leaves the dominant chamber.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     lam = datum.check_weight(lam)
     if not is_dominant(lam):
         raise HypothesisError(f"weight {lam} is not dominant")
-    roots = [datum.simple_root(i) for i in range(1, datum.rank + 1)]
-    seen = {lam}
+    # w - alpha is dominant iff w covers alpha's positive coefficients.
+    roots = [(c, alpha, [(t, a) for t, a in enumerate(alpha) if a > 0])
+             for c, alpha in positive_roots(datum)]
+    coeffs_of = {lam: datum.zero()}
     queue = deque([lam])
+    total = 0
     while queue:
         w = queue.popleft()
-        for i, alpha in enumerate(roots):
-            c = w[i]
-            v = w
-            for _ in range(c):
-                v = sub(v, alpha)
-                if v not in seen:
-                    if len(seen) >= cap:
-                        raise SaturationCapError(
-                            f"saturated set of {lam} exceeds cap {cap}")
-                    seen.add(v)
+        total += orbit_length(datum, w)
+        if total > cap:
+            raise SaturationCapError(
+                f"saturated set of {lam} exceeds cap {cap}")
+        coeffs = coeffs_of[w]
+        for c, alpha, needs in roots:
+            if all(w[t] >= a for t, a in needs):
+                v = sub(w, alpha)
+                if v not in coeffs_of:
+                    coeffs_of[v] = add(coeffs, c)
                     queue.append(v)
-    dominants = sorted((w for w in seen if is_dominant(w)), reverse=True)
-    return dominants, len(seen)
+    return sorted(coeffs_of.items(), reverse=True), total
 
 
 def saturated_dominant_set(datum: RootDatum, lam: Weight,
                            cap: int = 10 ** 7) -> list[tuple[Weight, WitnessChain]]:
     """Dominant weights dominated by lam, each with its chain, sorted
     descending-lexicographically (lam itself first)."""
-    dominants, _ = _saturated_walk(datum, lam, cap)
+    members, _ = _saturated_walk(datum, lam, cap)
     out = []
-    for mu in dominants:
-        chain = dominance_witness(datum, lam, mu)
-        assert chain is not None
+    for mu, coeffs in members:
+        chain = WitnessChain(target=mu, root_coeffs=coeffs)
+        assert chain.verify(datum, lam)
         out.append((mu, chain))
     return out
 

@@ -144,6 +144,31 @@ def root_datum(family: str, rank: int) -> RootDatum:
                      edges=edges)
 
 
+@lru_cache(maxsize=None)
+def positive_roots(datum: RootDatum) -> tuple[tuple[tuple[int, ...], Weight], ...]:
+    """Positive roots as (simple-root coefficients, weight) pairs, by height.
+
+    Closes the simple roots under the simple reflections
+    s_i(c) = c - (sum_j cartan[i][j]*c_j) e_i; a simple reflection sends
+    every positive root but alpha_i to a positive root, and every positive
+    root is reached from a simple one that way.
+    """
+    n = datum.rank
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    seen = set(simple)
+    frontier = list(simple)
+    while frontier:
+        c = frontier.pop()
+        for i in range(n):
+            pair = sum(datum.cartan[i][j] * c[j] for j in range(n))
+            s = c[:i] + (c[i] - pair,) + c[i + 1:]
+            if s[i] >= 0 and s not in seen:
+                seen.add(s)
+                frontier.append(s)
+    return tuple((c, datum.root_combination(c))
+                 for c in sorted(seen, key=lambda c: (sum(c), c)))
+
+
 def is_dominant(w) -> bool:
     return all(c >= 0 for c in w)
 

@@ -7,6 +7,7 @@ not an echo.  Oracles favor clarity over speed; keep inputs small.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from itertools import product
 
@@ -140,6 +141,34 @@ def brute_saturated_total(datum, lam, box: int = 24) -> int:
     """Size of the saturated hull: orbits of every dominant weight below."""
     return sum(len(brute_orbit(datum, mu))
                for mu in brute_dominants_below(datum, lam, box=box))
+
+
+def brute_saturated_walk(datum, lam):
+    """Every weight of the saturated set of lam, Weyl images included.
+
+    Walks each simple-root string downward from every visited weight; by
+    the string property this reaches the whole set, each weight once.
+    Each weight carries the simple-root coefficients of lam minus it.
+    Returns the dominant members with their coefficients, sorted
+    descending, and the size of the whole set.
+    """
+    lam = tuple(lam)
+    r = datum.rank
+    coeffs_of = {lam: (0,) * r}
+    queue = deque([lam])
+    while queue:
+        w = queue.popleft()
+        for i in range(r):
+            v, coeffs = w, coeffs_of[w]
+            for _ in range(w[i]):
+                v = tuple(v[t] - datum.cartan[t][i] for t in range(r))
+                coeffs = coeffs[:i] + (coeffs[i] + 1,) + coeffs[i + 1:]
+                if v not in coeffs_of:
+                    coeffs_of[v] = coeffs
+                    queue.append(v)
+    dominants = sorted(((w, c) for w, c in coeffs_of.items()
+                        if all(x >= 0 for x in w)), reverse=True)
+    return dominants, len(coeffs_of)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repgrowth.bounds import premet_lower
 from repgrowth.dominance import (
     HypothesisError,
     SaturationCapError,
@@ -17,7 +18,8 @@ from repgrowth.dominance import (
 )
 from repgrowth.rootdata import is_dominant, root_datum
 
-from oracles import brute_dominants_below, brute_orbit, brute_saturated_total
+from oracles import (brute_dominants_below, brute_orbit,
+                     brute_saturated_total, brute_saturated_walk)
 
 SMALL_DATA = [
     ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
@@ -208,6 +210,52 @@ def test_saturated_walk_rejects_non_dominant():
 def test_saturation_cap_enforced():
     with pytest.raises(SaturationCapError):
         saturated_weight_total(root_datum("A", 3), (2, 2, 2), cap=5)
+
+
+@pytest.mark.parametrize("family,rank,lam,size", [
+    ("A", 2, (1, 1), 7),
+    ("F", 4, (1, 0, 0, 0), 49),
+])
+def test_saturation_cap_boundary(family, rank, lam, size):
+    """The cap bounds the size of the whole saturated set, images included."""
+    datum = root_datum(family, rank)
+    assert saturated_weight_total(datum, lam, cap=size) == size
+    with pytest.raises(SaturationCapError) as err:
+        saturated_weight_total(datum, lam, cap=size - 1)
+    assert str(err.value) == f"saturated set of {lam} exceeds cap {size - 1}"
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_saturation_cap_below_one_rejected(cap):
+    datum = root_datum("A", 2)
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        saturated_weight_total(datum, (0, 0), cap=cap)
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        saturated_dominant_set(datum, (0, 0), cap=cap)
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        premet_lower(datum, (0, 0), 5, cap=cap)
+
+
+# Criterion 7's type-A box (coefficients 0-4) and small boxes elsewhere.
+WALK_BOXES = [
+    ("A", 1, 4), ("A", 2, 4), ("A", 3, 4), ("B", 3, 3), ("C", 3, 3),
+    ("D", 4, 2), ("G", 2, 5), ("B", 4, 1), ("F", 4, 1),
+]
+
+
+@pytest.mark.parametrize("family,rank,top", WALK_BOXES)
+def test_saturated_walk_matches_full_walk(family, rank, top):
+    """The dominant-only walk against the walk over the whole saturated
+    set: same dominant members, same chains, and orbit sums that count
+    the whole set."""
+    datum = root_datum(family, rank)
+    for lam in _box(rank, top):
+        dominants, size = brute_saturated_walk(datum, lam)
+        members = saturated_dominant_set(datum, lam)
+        assert [(mu, chain.root_coeffs) for mu, chain in members] == dominants
+        assert sum(orbit_length(datum, mu) for mu, _ in members) == size
+        assert saturated_weight_total(datum, lam) == size
+        assert premet_lower(datum, lam, 7) == size
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,6 +10,7 @@ from repgrowth.rootdata import (
     add,
     is_dominant,
     is_restricted,
+    positive_roots,
     root_datum,
     sub,
 )
@@ -134,6 +135,41 @@ def test_highest_root_is_dominant(family, rank):
         assert support == 2  # relabelled A3
     else:
         assert support == 1
+
+
+def expected_positive_root_count(family: str, rank: int) -> int:
+    if family == "A":
+        return rank * (rank + 1) // 2
+    if family in ("B", "C"):
+        return rank * rank
+    if family == "D":
+        return rank * (rank - 1)
+    if family == "E":
+        return {6: 36, 7: 63, 8: 120}[rank]
+    return {"F": 24, "G": 6}[family]
+
+
+@pytest.mark.parametrize("family,rank", ALL_DATA)
+def test_positive_root_count(family, rank):
+    roots = positive_roots(root_datum(family, rank))
+    assert len(roots) == expected_positive_root_count(family, rank)
+    assert len({c for c, _ in roots}) == len(roots)
+
+
+@pytest.mark.parametrize("family,rank", ALL_DATA)
+def test_positive_roots_top_is_highest_root(family, rank):
+    datum = root_datum(family, rank)
+    roots = [c for c, _ in positive_roots(datum)]
+    top = max(sum(c) for c in roots)
+    assert [c for c in roots if sum(c) == top] == [datum.highest_root_coeffs]
+
+
+@pytest.mark.parametrize("family,rank", ALL_DATA)
+def test_positive_root_weights(family, rank):
+    datum = root_datum(family, rank)
+    for coeffs, weight in positive_roots(datum):
+        assert all(k >= 0 for k in coeffs)
+        assert weight == datum.root_combination(coeffs)
 
 
 def test_check_weight_rejects_wrong_length():

@@ -263,13 +263,29 @@ def _lower_consistency(bits: int, scale: str) -> tuple[str, str]:
     return "pass", f"{checked} restricted weights: closed form <= walk count"
 
 
+def _orbit_size(datum, w) -> int:
+    """Orbit of a dominant weight by closure under the simple reflections,
+    each applied only where the coefficient is positive."""
+    seen = {w}
+    frontier = [w]
+    while frontier:
+        u = frontier.pop()
+        for j, c in enumerate(u):
+            if c > 0:
+                v = tuple(x - c * row[j] for x, row in zip(u, datum.cartan))
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+    return len(seen)
+
+
 def _orbit_stabilizer(bits: int, scale: str) -> tuple[str, str]:
     checked = 0
     for family, rank in (("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)):
         datum = root_datum(family, rank)
         order = weyl_order(datum)
         for w in _weights_up_to(rank, 2):
-            if orbit_length(datum, w) * weyl_stabilizer_order(datum, w) \
+            if _orbit_size(datum, w) * weyl_stabilizer_order(datum, w) \
                     != order:
                 return "fail", f"{family}{rank}, weight {w}"
             checked += 1

@@ -12,7 +12,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .rootdata import (RootDatum, Weight, add, is_dominant, positive_roots,
                        sub)
@@ -89,46 +88,11 @@ def dominance_witness(datum: RootDatum, lam: Weight,
 
 
 # ---------------------------------------------------------------------------
-# Weyl group and stabilizer orders via the zero-coefficient subdiagram.
-
-_FORK_ORDERS = {(1, 2, 2): 51840, (1, 2, 3): 2903040, (1, 2, 4): 696729600}
-
+# Weyl group and stabilizer orders as products over root heights.
 
 @lru_cache(maxsize=None)
 def weyl_order(datum: RootDatum) -> int:
     return weyl_stabilizer_order(datum, datum.zero())
-
-
-def _component_order(comp: list[int], adj: dict[int, list[tuple[int, int]]]) -> int:
-    k = len(comp)
-    mults = [m for u in comp for (v, m) in adj[u] if u < v]
-    if any(m == 3 for m in mults):
-        return 12
-    if any(m == 2 for m in mults):
-        if k == 4:
-            (u, v) = next((u, v) for u in comp for (v, m) in adj[u]
-                          if m == 2 and u < v)
-            if len(adj[u]) == 2 and len(adj[v]) == 2:
-                return 1152  # double bond between the two interior nodes
-        return (2 ** k) * factorial(k)
-    degs = {u: len(adj[u]) for u in comp}
-    if all(d <= 2 for d in degs.values()):
-        return factorial(k + 1)
-    hub = next(u for u, d in degs.items() if d == 3)
-    arms = []
-    for first, _ in adj[hub]:
-        length, prev, cur = 1, hub, first
-        while True:
-            nxt = [w for w, _ in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[:2] == [1, 1]:
-        return (2 ** (k - 1)) * factorial(k)
-    return _FORK_ORDERS[tuple(arms)]
 
 
 def weyl_stabilizer_order(datum: RootDatum, w: Weight) -> int:
@@ -142,24 +106,17 @@ def weyl_stabilizer_order(datum: RootDatum, w: Weight) -> int:
 
 @lru_cache(maxsize=None)
 def _parabolic_order(datum: RootDatum, support: frozenset[int]) -> int:
-    adj: dict[int, list[tuple[int, int]]] = {u: [] for u in support}
-    for i, j, m in datum.edges:
-        if i in support and j in support:
-            adj[i].append((j, m))
-            adj[j].append((i, m))
-    order = 1
-    left = set(support)
-    while left:
-        start = left.pop()
-        comp, queue = [start], deque([start])
-        while queue:
-            u = queue.popleft()
-            for v, _ in adj[u]:
-                if v in left:
-                    left.discard(v)
-                    comp.append(v)
-                    queue.append(v)
-        order *= _component_order(comp, adj)
+    """|W_J| = prod (ht a + 1) / ht a over the positive roots a supported
+    in J (Macdonald, "The Poincaré series of a Coxeter group", Math. Ann.
+    199, 1972)."""
+    num = den = 1
+    for c, _ in positive_roots(datum):
+        if all(k == 0 or i in support for i, k in enumerate(c, start=1)):
+            height = sum(c)
+            num *= height + 1
+            den *= height
+    order, rem = divmod(num, den)
+    assert rem == 0
     return order
 
 

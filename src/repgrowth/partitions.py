@@ -160,19 +160,11 @@ def k_sum_bound(cap: int, bits: int = 256) -> BoundReport:
 def is_p_regular(lam, p: int) -> bool:
     lam = check_partition(lam)
     _check_char(p)
-    if p == 0:
-        return True
-    run = 0
-    prev = None
-    for a in lam:
-        run = run + 1 if a == prev else 1
-        if run >= p:
-            return False
-        prev = a
-    return True
+    return p == 0 or _first_repeat(lam, p) is None
 
 
-def _first_repeat(lam, p: int) -> int:
+def _first_repeat(lam, p: int) -> int | None:
+    """The first part repeated p times, or None."""
     run = 0
     prev = None
     for a in lam:
@@ -180,7 +172,7 @@ def _first_repeat(lam, p: int) -> int:
         if run >= p:
             return a
         prev = a
-    raise AssertionError
+    return None
 
 
 def p_regular_partitions(n: int, p: int):

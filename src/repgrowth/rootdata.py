@@ -73,40 +73,25 @@ def _cartan(family: str, rank: int,
     return tuple(tuple(row) for row in m)
 
 
-_HIGHEST_E = {
-    6: (1, 2, 2, 3, 2, 1),
-    7: (2, 2, 3, 4, 3, 2, 1),
-    8: (2, 3, 4, 6, 5, 4, 3, 2),
-}
-
-
-def _highest(family: str, rank: int) -> tuple[int, ...]:
-    """Coefficients of the highest root over the simple roots."""
-    if family == "A":
-        return (1,) * rank
-    if family == "B":
-        return (1,) + (2,) * (rank - 1)
-    if family == "C":
-        return (2,) * (rank - 1) + (1,)
-    if family == "D":
-        return (1,) + (2,) * (rank - 3) + (1, 1)
-    if family == "E":
-        return _HIGHEST_E[rank]
-    if family == "F":
-        return (2, 3, 4, 2)
-    return (3, 2)  # G2
-
-
 @dataclass(frozen=True)
 class RootDatum:
     family: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]
-    highest_root_coeffs: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]
 
     def __repr__(self) -> str:
         return f"RootDatum({self.family}{self.rank})"
+
+    def __hash__(self) -> int:
+        # root_datum() makes one object per (family, rank); hashing the
+        # nested tables on every cache lookup would be wasted work.
+        return hash((self.family, self.rank))
+
+    @property
+    def highest_root_coeffs(self) -> tuple[int, ...]:
+        """Coefficients of the highest root: the unique root of top height."""
+        return positive_roots(self)[-1][0]
 
     def check_weight(self, w) -> Weight:
         w = tuple(w)
@@ -139,9 +124,7 @@ def root_datum(family: str, rank: int) -> RootDatum:
     _check_family_rank(family, rank)
     edges = _edges(family, rank)
     return RootDatum(family=family, rank=rank,
-                     cartan=_cartan(family, rank, edges),
-                     highest_root_coeffs=_highest(family, rank),
-                     edges=edges)
+                     cartan=_cartan(family, rank, edges), edges=edges)
 
 
 @lru_cache(maxsize=None)

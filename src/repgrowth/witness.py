@@ -153,17 +153,19 @@ def middle_witness(datum: RootDatum, w, m: int) -> tuple[Weight, WitnessChain]:
     r, k = datum.rank, _centre(datum.rank)
     if not 1 <= m <= k:
         raise HypothesisError(f"window parameter m={m} outside 1..{k}")
-    return _middle_apply(datum, w, m)
+    return _clear_centre(datum, w, list(w), [0] * r, m)
 
 
-def _middle_apply(datum: RootDatum, w: Weight,
+def _clear_centre(datum: RootDatum, w: Weight, a: list[int], kvec: list[int],
                   m: int) -> tuple[Weight, WitnessChain]:
+    """Add the centre-clearing roots for a to kvec and finish the witness
+    below w; it is positive on the centred window of half-width m."""
     r = datum.rank
-    a = list(w)
-    kv = _middle_kvec(r, a, m)
-    mu = sub(w, datum.root_combination(kv))
+    for i, x in enumerate(_middle_kvec(r, a, m)):
+        kvec[i] += x
+    mu = sub(w, datum.root_combination(kvec))
     lo, hi = _window(r, m)
-    muL, chain = _finish(datum, w, list(mu), kv)
+    muL, chain = _finish(datum, w, list(mu), kvec)
     assert all(muL[i - 1] > 0 for i in range(lo, hi + 1))
     return muL, chain
 
@@ -205,14 +207,7 @@ def _m_good_apply(datum: RootDatum, w: Weight,
             _incr_step(a, kvec, k)
         else:
             _reversed_incr_step(a, kvec, k)
-    kv_mid = _middle_kvec(r, a, m)
-    for i, x in enumerate(kv_mid):
-        kvec[i] += x
-    mu = sub(w, datum.root_combination(kvec))
-    lo, hi = _window(r, m)
-    muL, chain = _finish(datum, w, list(mu), kvec)
-    assert all(muL[i - 1] > 0 for i in range(lo, hi + 1))
-    return muL, chain
+    return _clear_centre(datum, w, a, kvec, m)
 
 
 def middle2_witness(datum: RootDatum, w) -> tuple[Weight, WitnessChain]:

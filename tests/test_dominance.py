@@ -1,5 +1,7 @@
 """Dominance chains, Weyl orbit sizes, and saturated-set walks."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -156,6 +158,25 @@ def test_orbit_stabilizer_product(family, rank):
     order = weyl_order(datum)
     for w in _box(rank, 2):
         assert orbit_length(datum, w) * weyl_stabilizer_order(datum, w) == order
+
+
+CLOSURE_DATA = (
+    [("A", r) for r in range(1, 7)]
+    + [("B", r) for r in range(2, 6)]
+    + [("C", r) for r in range(2, 6)]
+    + [("D", r) for r in range(3, 6)]
+    + [("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("family,rank", CLOSURE_DATA)
+def test_parabolic_orders_match_closure(family, rank):
+    """Every stabilizer order is |W| over an orbit counted by reflecting."""
+    datum = root_datum(family, rank)
+    group = len(brute_orbit(datum, (1,) * rank))
+    for w in itertools.product((0, 1), repeat=rank):
+        orbit = len(brute_orbit(datum, w))
+        assert weyl_stabilizer_order(datum, w) == group // orbit, w
 
 
 # --- saturated sets ---------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, isqrt
 
 import mpmath
 from mpmath import iv
@@ -79,15 +79,14 @@ def certify_cmp(lhs, rhs, strict: bool = True,
                 holds, fails = (a < b) is True, (a >= b) is True
             else:
                 holds, fails = (a <= b) is True, (a > b) is True
-            shown = (_show(a), _show(b))
+            verdict = (TRUE if holds else FALSE if fails
+                       else UNKNOWN if bits >= ceiling else None)
+            if verdict is not None:
+                # formatted only for the deciding evaluation, under its
+                # own precision
+                return Certificate(verdict, bits, _show(a), _show(b))
         finally:
             iv.prec = saved
-        if holds:
-            return Certificate(TRUE, bits, *shown)
-        if fails:
-            return Certificate(FALSE, bits, *shown)
-        if bits >= ceiling:
-            return Certificate(UNKNOWN, bits, *shown)
         bits = min(2 * bits, ceiling)
 
 
@@ -115,12 +114,23 @@ def enclosure(fn, bits: int) -> tuple[str, str]:
 def contains(fn, lo: Fraction, hi: Fraction,
              start_bits: int = DEFAULT_START_BITS,
              ceiling_bits: int = DEFAULT_CEILING_BITS) -> Certificate:
-    """Certificate that the value of fn lies in the open interval (lo, hi)."""
-    low = certify_cmp(lambda: exact(lo), fn, strict=True,
+    """Certificate that the value of fn lies in the open interval (lo, hi).
+
+    fn runs once per precision tried: the upper comparison reuses the
+    enclosure from the rung that decided the lower one.
+    """
+    values = {}
+
+    def value():
+        if iv.prec not in values:
+            values[iv.prec] = fn()
+        return values[iv.prec]
+
+    low = certify_cmp(lambda: exact(lo), value, strict=True,
                       start_bits=start_bits, ceiling_bits=ceiling_bits)
     if low.verdict != TRUE:
         return low
-    return certify_cmp(fn, lambda: exact(hi), strict=True,
+    return certify_cmp(value, lambda: exact(hi), strict=True,
                        start_bits=max(low.prec_bits, start_bits),
                        ceiling_bits=ceiling_bits)
 
@@ -151,36 +161,62 @@ def _bernoulli(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
+def _smallest_prime_factors(m: int) -> list[int]:
+    """spf[n] for 0 <= n <= m, where spf[n] == n marks a prime (or 0, 1)."""
+    spf = list(range(m + 1))
+    for p in range(2, isqrt(m) + 1):
+        if spf[p] == p:
+            for k in range(p * p, m + 1, p):
+                if spf[k] == k:
+                    spf[k] = p
+    return spf
+
+
+def _euler_maclaurin_tail(s: Fraction, m: int, terms: int):
+    """Exact (T, R) with sum_{n>m} n^-s = m^(1-s) (T + theta R) for some
+    |theta| <= 1, at real s > 1.
+
+    T = 1/(s-1) - 1/(2m) + sum_{j<=terms} B_2j/(2j)! s(s+1)...(s+2j-2)
+    m^-2j, and R is the magnitude of the first omitted (j = terms + 1) term,
+    which bounds the remainder for real s > 1.
+    """
+    a, b = s.numerator, s.denominator
+    total = 1 / (s - 1) - Fraction(1, 2 * m)
+    # s(s+1)...(s+2j-2) / ((2j)! m^2j) as num/den, here at j = 1
+    num, den = a, 2 * m * m * b
+    for j in range(1, terms + 2):
+        term = _bernoulli(2 * j) * Fraction(num, den)
+        if j > terms:
+            return total, abs(term)
+        total += term
+        num *= (a + (2 * j - 1) * b) * (a + 2 * j * b)
+        den *= (2 * j + 1) * (2 * j + 2) * m * m * b * b
+
+
 def zeta_iv(s: Fraction):
     """Riemann zeta at rational s > 1, enclosed at the working precision.
 
     Truncated Dirichlet sum with Euler-Maclaurin corrections; the remainder
     is enclosed by the magnitude of the first omitted correction term, which
-    bounds the truncation error for real s > 1.
+    bounds the truncation error for real s > 1.  n -> n^-s is completely
+    multiplicative, so only primes cost an exp and a log; the correction
+    series is an exact rational scaled by the single power M^(1-s).
     """
     s = Fraction(s)
     if s <= 1:
         raise ValueError("zeta enclosure requires s > 1")
     prec = iv.prec
-    sv = exact(s)
     M = max(16, prec // 8)
-    total = iv.mpf(0)
-    for n_ in range(1, M + 1):
-        total += power(n_, -s)
-    logM = iv.log(iv.mpf(M))
-    total += iv.exp((1 - sv) * logM) / (sv - 1)
-    total -= iv.exp(-sv * logM) / 2
+    spf = _smallest_prime_factors(M)
+    pw = [None, iv.mpf(1)]      # pw[n] encloses n^-s
+    total = iv.mpf(1)
+    for n in range(2, M + 1):
+        p = spf[n]
+        pw.append(power(n, -s) if p == n else pw[p] * pw[n // p])
+        total += pw[n]
     # Correction order: each term shrinks by roughly (2*pi*M)^-2, i.e. at
     # least 13 bits per step at the minimum M.
     J = prec // 13 + 2
-    rise = sv                   # s*(s+1)*...*(s+2j-2), odd factor count
-    for j in range(1, J + 2):
-        coef = exact(_bernoulli(2 * j)) / exact(factorial(2 * j))
-        term = coef * rise * iv.exp((1 - sv - 2 * j) * logM)
-        if j <= J:
-            total += term
-        else:
-            bound = max(abs(term.a), abs(term.b))
-            total += iv.mpf(bound) * iv.mpf((-1, 1))
-        rise = rise * (sv + (2 * j - 1)) * (sv + 2 * j)
-    return total
+    t, r = _euler_maclaurin_tail(s, M, J)
+    bound = exact(r).b
+    return total + power(M, 1 - s) * (exact(t) + iv.mpf((-bound, bound)))

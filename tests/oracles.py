@@ -8,8 +8,13 @@ not an echo.  Oracles favor clarity over speed; keep inputs small.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import factorial
+
+import mpmath
+from mpmath import iv
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +174,48 @@ def brute_saturated_walk(datum, lam):
     dominants = sorted(((w, c) for w, c in coeffs_of.items()
                         if all(x >= 0 for x in w)), reverse=True)
     return dominants, len(coeffs_of)
+
+
+# ---------------------------------------------------------------------------
+# Riemann zeta term by term.
+
+def _iv_exact(q):
+    q = Fraction(q)
+    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+
+
+def _iv_power(base, expo):
+    return iv.exp(_iv_exact(expo) * iv.log(_iv_exact(base)))
+
+
+def direct_zeta_iv(s):
+    """zeta(s) for rational s > 1 at the working interval precision: an exp
+    and a log for every n <= M in the Dirichlet sum, and every
+    Euler-Maclaurin correction enclosed on its own, the first omitted one
+    bounding the remainder.  Same M and J as `intervals.zeta_iv`."""
+    s = Fraction(s)
+    prec = iv.prec
+    sv = _iv_exact(s)
+    M = max(16, prec // 8)
+    total = iv.mpf(0)
+    for n in range(1, M + 1):
+        total += _iv_power(n, -s)
+    logM = iv.log(iv.mpf(M))
+    total += iv.exp((1 - sv) * logM) / (sv - 1)
+    total -= iv.exp(-sv * logM) / 2
+    J = prec // 13 + 2
+    rise = sv
+    for j in range(1, J + 2):
+        coef = (_iv_exact(Fraction(*mpmath.bernfrac(2 * j)))
+                / iv.mpf(factorial(2 * j)))
+        term = coef * rise * iv.exp((1 - sv - 2 * j) * logM)
+        if j <= J:
+            total += term
+        else:
+            bound = max(abs(term.a), abs(term.b))
+            total += iv.mpf(bound) * iv.mpf((-1, 1))
+        rise = rise * (sv + (2 * j - 1)) * (sv + 2 * j)
+    return total
 
 
 # ---------------------------------------------------------------------------

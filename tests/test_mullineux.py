@@ -3,7 +3,8 @@
 import pytest
 
 from repgrowth.dominance import HypothesisError
-from repgrowth.partitions import conjugate, is_p_regular, mullineux
+from repgrowth.partitions import (conjugate, is_p_regular, mullineux,
+                                  p_regular_partitions)
 
 from oracles import (
     LADDER_CONVENTION,
@@ -125,3 +126,17 @@ def test_ladder_convention_is_the_unique_match():
         if ok:
             survivors.append(conv)
     assert survivors == [LADDER_CONVENTION]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_andrews_olsson_fixed_point_count(p):
+    # Andrews-Olsson (J. reine angew. Math. 413, 1991): the twist fixes as
+    # many p-regular partitions of n as there are partitions of n into
+    # distinct odd parts not divisible by p.
+    for n in range(1, 21):
+        fixed = sum(1 for lam in p_regular_partitions(n, p)
+                    if mullineux(lam, p) == lam)
+        odd = sum(1 for lam in brute_partitions(n)
+                  if len(set(lam)) == len(lam)
+                  and all(part % 2 and part % p for part in lam))
+        assert fixed == odd, n

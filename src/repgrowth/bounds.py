@@ -135,12 +135,16 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _check_char(p: int) -> None:
+    if p != 0 and not _is_prime(p):
+        raise HypothesisError(f"characteristic {p} is neither 0 nor prime")
+
+
 def premet_lower(datum: RootDatum, w, p: int, cap: int = 10 ** 7) -> int:
     """Saturated-set weight count: a dimension lower bound for restricted
     highest weights away from the excluded small characteristics."""
     w = datum.check_weight(w)
-    if p != 0 and not _is_prime(p):
-        raise HypothesisError(f"characteristic {p} is neither 0 nor prime")
+    _check_char(p)
     if datum.family in ("B", "C", "F", "G") and p == 2:
         raise HypothesisError(
             "characteristic 2 excluded for two root lengths")

@@ -294,52 +294,56 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument plumbing.
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--prec", type=int, default=PREC_DEFAULT,
-                        help="working precision ceiling in bits "
-                             f"(default {PREC_DEFAULT}, "
-                             f"capped at {PREC_CEILING})")
-    common.add_argument("--cap", type=int, default=CAP_DEFAULT,
-                        help="largest saturated set, in weights with Weyl "
-                             "images included, walked per highest weight "
-                             f"(default {CAP_DEFAULT})")
-    common.add_argument("--scale", choices=("desk", "extended"),
-                        default="desk",
-                        help="desk keeps sweeps to spot sets; extended "
-                             "runs them in full")
+_FLAGS = {
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--prec": dict(type=int, default=PREC_DEFAULT,
+                   help="working precision ceiling in bits "
+                        f"(default {PREC_DEFAULT}, capped at {PREC_CEILING})"),
+    "--cap": dict(type=int, default=CAP_DEFAULT,
+                  help="largest saturated set, in weights with Weyl images "
+                       "included, walked per highest weight "
+                       f"(default {CAP_DEFAULT})"),
+    "--scale": dict(choices=("desk", "extended"), default="desk",
+                    help="desk keeps sweeps to spot sets; extended runs "
+                         "them in full"),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repgrowth",
         description="certified counts of low-dimensional irreducible "
                     "representations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_bound = sub.add_parser("bound", parents=[common],
-                             help="certified upper bound for the number of "
-                                  "restricted irreducibles of dimension "
-                                  "at most n")
+    def command(name, func, summary, *flags):
+        # --format everywhere; each other flag only where it is read
+        sp = sub.add_parser(name, help=summary)
+        for flag in ("--format", *flags):
+            sp.add_argument(flag, **_FLAGS[flag])
+        sp.set_defaults(func=func)
+        return sp
+
+    p_bound = command("bound", cmd_bound,
+                      "certified upper bound for the number of restricted "
+                      "irreducibles of dimension at most n", "--prec")
     p_bound.add_argument("--family", required=True,
                          choices=("A", "B", "C", "D", "E", "F", "G"))
     p_bound.add_argument("--rank", type=int, required=True)
     p_bound.add_argument("--n", type=int, required=True)
     p_bound.add_argument("--p", type=int, required=True)
-    p_bound.set_defaults(func=cmd_bound)
 
-    p_wit = sub.add_parser("witness", parents=[common],
-                           help="run a dominance witness engine")
+    p_wit = command("witness", cmd_witness, "run a dominance witness engine")
     p_wit.add_argument("engine", choices=("incr", "middle", "m-good",
                                           "middle2", "good", "a5"))
     p_wit.add_argument("--rank", type=int, default=None)
     p_wit.add_argument("--weight", required=True,
                        help="comma-separated coefficients")
     p_wit.add_argument("--m", type=int, default=None)
-    p_wit.set_defaults(func=cmd_witness)
 
-    p_enum = sub.add_parser("enumerate", parents=[common],
-                            help="tabulate exact lower-bound counts "
-                                 "against the certified upper bound")
+    p_enum = command("enumerate", cmd_enumerate,
+                     "tabulate exact lower-bound counts against the "
+                     "certified upper bound", "--prec", "--cap")
     p_enum.add_argument("--family", required=True,
                         choices=("A", "B", "C", "D", "E", "F", "G"))
     p_enum.add_argument("--rank", type=int, required=True)
@@ -347,20 +351,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--n-max", dest="n_max", type=int, required=True)
     p_enum.add_argument("--bound", choices=("nlambda", "premet"),
                         default="nlambda")
-    p_enum.set_defaults(func=cmd_enumerate)
 
-    p_ver = sub.add_parser("verify", parents=[common],
-                           help="run a verification suite")
+    p_ver = command("verify", cmd_verify, "run a verification suite",
+                    "--prec", "--scale")
     p_ver.add_argument("--suite", required=True,
                        choices=(*SUITES, "all"))
-    p_ver.set_defaults(func=cmd_verify)
 
-    p_mul = sub.add_parser("mullineux", parents=[common],
-                           help="apply the sign-twist involution")
+    p_mul = command("mullineux", cmd_mullineux,
+                    "apply the sign-twist involution")
     p_mul.add_argument("--p", type=int, required=True)
     p_mul.add_argument("--partition", required=True,
                        help="comma-separated parts")
-    p_mul.set_defaults(func=cmd_mullineux)
 
     return parser
 

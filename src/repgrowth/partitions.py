@@ -1,11 +1,8 @@
 """Partition combinatorics and the symmetric/alternating growth arithmetic.
 
-The sign-twist involution on p-regular partitions is computed through its
-two-row symbol: strip boundary strips of length p (with the row-jump rule)
-until the diagram is empty, complement the row-count line, and rebuild.  The
-rebuild step inverts the stripping by a small exact search; every layer is
-re-checked by stripping the candidate forward, so a wrong branch cannot
-survive.
+The sign-twist involution on p-regular partitions removes good cells one at
+a time, recording each residue i, down to the empty diagram, then adds good
+cells of the residues -i mod p in reverse order.
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ from math import factorial
 from mpmath import iv
 
 from .bounds import (BoundReport, ExactValue, ExternalValue, Root2Power,
-                     _inputs, _interval_value, _is_prime, f_interval)
+                     _check_char, _inputs, _interval_value, f_interval)
 from .dominance import HypothesisError
 from .intervals import (Certificate, certify_cmp, exact, exact_compare_cert,
                         power)
@@ -31,12 +28,6 @@ def check_partition(lam) -> Partition:
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise HypothesisError(f"parts must be weakly decreasing: {lam}")
     return lam
-
-
-def _check_char(p: int) -> int:
-    if p != 0 and not _is_prime(p):
-        raise HypothesisError(f"characteristic {p} is neither 0 nor prime")
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -206,154 +197,73 @@ def conjugate(lam) -> Partition:
 
 
 # ---------------------------------------------------------------------------
-# The boundary-strip symbol and the sign-twist involution.
+# The sign-twist involution by good cells.
 
-def _rim_runs(nu: Partition) -> list[int]:
-    # row i owns boundary columns max(nu[i+1], 1) .. nu[i]
-    r = len(nu)
-    return [nu[i] - max(nu[i + 1] if i + 1 < r else 0, 1) + 1
-            for i in range(r)]
+def _good_cell(lam, i: int, p: int, delta: int) -> Partition | None:
+    """lam with its good cell of residue i removed (delta = -1) or added
+    (delta = +1); None when there is no such cell.
 
-
-def _strip_levels(nu: Partition, p: int) -> list[int]:
-    """Nodes removed per row by one boundary pass: segments of p along the
-    boundary path, jumping to the next row after each full segment."""
-    counts = []
-    need = p
-    for run in _rim_runs(nu):
-        if run >= need:
-            counts.append(need)
-            need = p
-        else:
-            counts.append(run)
-            need -= run
-    return counts
-
-
-def _strip_p_rim(nu: Partition, p: int) -> tuple[Partition, int]:
-    counts = _strip_levels(nu, p)
-    rows = [nu[i] - counts[i] for i in range(len(nu))]
-    mu = tuple(a for a in rows if a > 0)
-    assert len(mu) == sum(1 for a in rows if a > 0) and \
-        all(rows[i] >= rows[i + 1] for i in range(len(rows) - 1)), \
-        f"strip of {nu} left a non-partition {rows}"
-    return mu, sum(counts)
-
-
-def rim_symbol(lam, p: int) -> tuple[tuple[int, int], ...]:
-    """Pairs (strip size, row count) from iterated boundary stripping."""
-    lam = check_partition(lam)
-    if p < 2:
-        raise HypothesisError("stripping needs p >= 2")
-    out = []
-    cur = lam
-    while cur:
-        mu, a = _strip_p_rim(cur, p)
-        out.append((a, len(cur)))
-        cur = mu
-    return tuple(out)
-
-
-def _add_p_rim(mu: Partition, a: int, r: int, p: int) -> Partition:
-    """The unique nu with r rows whose boundary strip has size a and leaves
-    mu; found by an exact search over per-row removal counts, then verified
-    by stripping forward.
-
-    The search runs bottom row up, carrying (length of the row below, need
-    entering the row below).  In each row the walk either completed a
-    segment (count = entering need, the row below started fresh at p) or
-    exhausted the row's boundary run mid-segment (possible only when the
-    base row length is exactly one short of the row below).  A short final
-    segment can occur only in the bottom row, and only on an empty base row.
-    The need entering the top row must come out as p.
+    Cell (row, col), 0-based, has residue (col - row) mod p.  The
+    i-signature reads the addable (+) and removable (-) cells of residue i
+    from the bottom row up, and each - followed by a + cancels.  Removal
+    takes the first surviving -, addition the last surviving +.
     """
-    if len(mu) > r or not r <= a <= r * p:
-        raise HypothesisError(
-            f"no strip layer with size {a} on {r} rows over {mu}")
-    pad = list(mu) + [0] * (r - len(mu))
-    sols: list[tuple[int, ...]] = []
-
-    def settle(i: int, c: int, h: int, counts: list[int],
-               used: int) -> None:
-        if i == 0:
-            if h == p and used == a:
-                sols.append(tuple(counts))
-            return
-        up(i - 1, pad[i] + c, h, counts, used)
-
-    def up(i: int, nu_next: int, h_next: int, counts: list[int],
-           used: int) -> None:
-        budget = a - used
-        if not i + 1 <= budget <= (i + 1) * p:
-            return
-        floor_next = max(nu_next, 1) - 1
-        lo = max(1, nu_next - pad[i])
-        # segment completed in row i; the row below started fresh
-        if h_next == p and pad[i] >= floor_next:
-            for c in range(lo, p + 1):
-                settle(i, c, c, [c] + counts, used + c)
-        # row i's run exhausted mid-segment
-        if pad[i] == floor_next and h_next < p:
-            for c in range(lo, p - h_next + 1):
-                settle(i, c, c + h_next, [c] + counts, used + c)
-
-    bottom = r - 1
-    if pad[bottom] > 0:
-        pairs = [(c, c) for c in range(1, p + 1)]
-    else:
-        pairs = [(c, h) for c in range(1, p + 1)
-                 for h in range(c, p + 1)]
-    for c, h in pairs:
-        settle(bottom, c, h, [c], c)
-
-    nus = {tuple(pad[i] + c[i] for i in range(r)) for c in sols}
-    assert len(nus) == 1, \
-        f"strip layer ({a}, {r}) over {mu} has {len(nus)} solutions"
-    nu = nus.pop()
-    back, size = _strip_p_rim(nu, p)
-    assert back == mu and size == a and len(nu) == r
-    return nu
+    parts = list(lam) + [0, 0]
+    plus: list[int] = []  # rows of surviving +, bottom up
+    minus: list[int] = []  # rows of - not yet cancelled, bottom up
+    for row in range(len(lam), -1, -1):
+        length = parts[row]
+        if length > parts[row + 1] and (length - 1 - row) % p == i:
+            minus.append(row)
+        elif (row == 0 or parts[row - 1] > length) and (length - row) % p == i:
+            if minus:
+                minus.pop()
+            else:
+                plus.append(row)
+    found = minus[:1] if delta == -1 else plus[-1:]
+    if not found:
+        return None
+    parts[found[0]] += delta
+    return tuple(a for a in parts if a)
 
 
 def mullineux(lam, p: int) -> Partition:
     """The sign-twist involution on p-regular partitions; conjugation at
-    p = 0, identity at p = 2."""
+    p = 0, identity at p = 2.
+
+    Otherwise remove good cells down to the empty partition, recording
+    their residues, then add good cells of the negated residues in reverse
+    order (Kleshchev's branching rule; Ford and Kleshchev, "A proof of the
+    Mullineux conjecture", Math. Z. 226, 1997)."""
     lam = check_partition(lam)
-    _check_char(p)
     if not is_p_regular(lam, p):
         raise HypothesisError(
             f"part {_first_repeat(lam, p)} repeats {p} times (p = {p})")
     if p == 0:
         return conjugate(lam)
-    if p == 2 or not lam:
+    if p == 2:
         return lam
-    sym = rim_symbol(lam, p)
-    twisted = []
-    for a, rows in sym:
-        eps = 0 if a % p == 0 else 1
-        new_rows = a - rows + eps
-        assert 1 <= new_rows <= a
-        twisted.append((a, new_rows))
-    nu: Partition = ()
-    for a, rows in reversed(twisted):
-        nu = _add_p_rim(nu, a, rows, p)
-    assert rim_symbol(nu, p) == tuple(twisted)
-    assert is_p_regular(nu, p)
-    return nu
+    path = []
+    while lam:
+        for i in range(p):
+            smaller = _good_cell(lam, i, p, -1)
+            if smaller is not None:
+                break
+        assert smaller is not None, f"{lam} has no good cell"
+        path.append(i)
+        lam = smaller
+    for i in reversed(path):
+        lam = _good_cell(lam, -i % p, p, +1)
+        assert lam is not None, f"no good cell of residue {-i % p} to add"
+    return lam
 
 
 def m_p(lam, p: int) -> int:
-    """max of the first part and the sign-twist image's first part (the
-    first part alone at p = 2; the part count stands in at p = 0)."""
+    """max of the first part and the sign-twist image's first part (0 for
+    the empty partition); HypothesisError unless lam is p-regular."""
     lam = check_partition(lam)
     if not lam:
         return 0
-    if not is_p_regular(lam, p):
-        raise HypothesisError(f"{lam} is not {p}-regular")
-    if p == 2:
-        return lam[0]
-    if p == 0:
-        return max(lam[0], len(lam))
     return max(lam[0], mullineux(lam, p)[0])
 
 

@@ -243,9 +243,10 @@ def brute_syt_count(lam: tuple[int, ...]) -> int:
 # as "-", ordered by row; opposite adjacent signs cancel; the remove
 # operator acts on the first surviving "-", the add operator on the last
 # surviving "+".  The node order and the cancelling pattern are fixed by
-# LADDER_CONVENTION, calibrated once against the rim route on all regular
-# partitions of size at most 8 for p in {3, 5} (exactly one of the four
-# candidate conventions reproduces it; see test_mullineux).
+# LADDER_CONVENTION, the convention the library's good-cell twist uses:
+# exactly one of the four candidate conventions reproduces the library on
+# all regular partitions of size at most 8 for p in {3, 5}, and the library
+# itself is checked against the rim route below (see test_mullineux).
 
 LADDER_CONVENTIONS = tuple((order, cancel)
                            for order in ("rowasc", "rowdesc")
@@ -341,3 +342,129 @@ def ladder_mullineux(lam, p: int, conv=LADDER_CONVENTION):
         assert result is not None, "no good cell to add on the image side"
         return result
     raise AssertionError(f"no removable good cell found on {lam}")
+
+
+# ---------------------------------------------------------------------------
+# The rim route to the sign twist: boundary-strip symbols.
+#
+# Strip boundary strips of length p (jumping to the next row after each
+# full segment) until the diagram is empty, recording (strip size, row
+# count) per layer; the twist keeps each size a and replaces the row count
+# r by a - r + (0 if p divides a else 1); the image is rebuilt layer by
+# layer by an exact search that inverts one strip.
+
+def _rim_runs(nu) -> list[int]:
+    # row i owns boundary columns max(nu[i+1], 1) .. nu[i]
+    r = len(nu)
+    return [nu[i] - max(nu[i + 1] if i + 1 < r else 0, 1) + 1
+            for i in range(r)]
+
+
+def _strip_levels(nu, p: int) -> list[int]:
+    """Nodes removed per row by one boundary pass: segments of p along the
+    boundary path, jumping to the next row after each full segment."""
+    counts = []
+    need = p
+    for run in _rim_runs(nu):
+        if run >= need:
+            counts.append(need)
+            need = p
+        else:
+            counts.append(run)
+            need -= run
+    return counts
+
+
+def _strip_p_rim(nu, p: int) -> tuple[tuple[int, ...], int]:
+    counts = _strip_levels(nu, p)
+    rows = [nu[i] - counts[i] for i in range(len(nu))]
+    mu = tuple(a for a in rows if a > 0)
+    assert len(mu) == sum(1 for a in rows if a > 0) and \
+        all(rows[i] >= rows[i + 1] for i in range(len(rows) - 1)), \
+        f"strip of {nu} left a non-partition {rows}"
+    return mu, sum(counts)
+
+
+def rim_symbol(lam, p: int) -> tuple[tuple[int, int], ...]:
+    """Pairs (strip size, row count) from iterated boundary stripping."""
+    if p < 2:
+        raise ValueError("stripping needs p >= 2")
+    out = []
+    cur = tuple(lam)
+    while cur:
+        mu, a = _strip_p_rim(cur, p)
+        out.append((a, len(cur)))
+        cur = mu
+    return tuple(out)
+
+
+def _add_p_rim(mu, a: int, r: int, p: int) -> tuple[int, ...]:
+    """The unique nu with r rows whose boundary strip has size a and leaves
+    mu; found by an exact search over per-row removal counts, then verified
+    by stripping forward.
+
+    The search runs bottom row up, carrying (length of the row below, need
+    entering the row below).  In each row the walk either completed a
+    segment (count = entering need, the row below started fresh at p) or
+    exhausted the row's boundary run mid-segment (possible only when the
+    base row length is exactly one short of the row below).  A short final
+    segment can occur only in the bottom row, and only on an empty base row.
+    The need entering the top row must come out as p.
+    """
+    if len(mu) > r or not r <= a <= r * p:
+        raise ValueError(f"no strip layer with size {a} on {r} rows over {mu}")
+    pad = list(mu) + [0] * (r - len(mu))
+    sols: list[tuple[int, ...]] = []
+
+    def settle(i: int, c: int, h: int, counts: list[int],
+               used: int) -> None:
+        if i == 0:
+            if h == p and used == a:
+                sols.append(tuple(counts))
+            return
+        up(i - 1, pad[i] + c, h, counts, used)
+
+    def up(i: int, nu_next: int, h_next: int, counts: list[int],
+           used: int) -> None:
+        budget = a - used
+        if not i + 1 <= budget <= (i + 1) * p:
+            return
+        floor_next = max(nu_next, 1) - 1
+        lo = max(1, nu_next - pad[i])
+        # segment completed in row i; the row below started fresh
+        if h_next == p and pad[i] >= floor_next:
+            for c in range(lo, p + 1):
+                settle(i, c, c, [c] + counts, used + c)
+        # row i's run exhausted mid-segment
+        if pad[i] == floor_next and h_next < p:
+            for c in range(lo, p - h_next + 1):
+                settle(i, c, c + h_next, [c] + counts, used + c)
+
+    bottom = r - 1
+    if pad[bottom] > 0:
+        pairs = [(c, c) for c in range(1, p + 1)]
+    else:
+        pairs = [(c, h) for c in range(1, p + 1)
+                 for h in range(c, p + 1)]
+    for c, h in pairs:
+        settle(bottom, c, h, [c], c)
+
+    nus = {tuple(pad[i] + c[i] for i in range(r)) for c in sols}
+    assert len(nus) == 1, \
+        f"strip layer ({a}, {r}) over {mu} has {len(nus)} solutions"
+    nu = nus.pop()
+    back, size = _strip_p_rim(nu, p)
+    assert back == mu and size == a and len(nu) == r
+    return nu
+
+
+def rim_mullineux(lam, p: int) -> tuple[int, ...]:
+    """Sign-twist image of a p-regular partition, p >= 3, through its rim
+    symbol: twist every row count, then rebuild strip by strip."""
+    twisted = tuple((a, a - rows + (0 if a % p == 0 else 1))
+                    for a, rows in rim_symbol(lam, p))
+    nu: tuple[int, ...] = ()
+    for a, rows in reversed(twisted):
+        nu = _add_p_rim(nu, a, rows, p)
+    assert rim_symbol(nu, p) == twisted
+    return nu

@@ -240,6 +240,18 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["mullineux", "--p", "3", "--partition", "2,1", "--cap", "5"],
+    ["bound", "--family", "A", "--rank", "2", "--n", "3", "--p", "3",
+     "--scale", "extended"],
+])
+def test_flags_a_subcommand_does_not_read_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # --- flag limits and exit codes ---------------------------------------------------
 
 @pytest.mark.parametrize("cap", ["-1", "0"])

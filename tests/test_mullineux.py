@@ -1,5 +1,7 @@
 """The sign-twist involution, pinned values and the two independent routes."""
 
+import random
+
 import pytest
 
 from repgrowth.dominance import HypothesisError
@@ -12,6 +14,7 @@ from oracles import (
     brute_partitions,
     brute_regular,
     ladder_mullineux,
+    rim_mullineux,
 )
 
 # Images of single-row partitions, row length 1..10 at p = 3 and 5..10 at
@@ -92,7 +95,34 @@ def test_rejects_bad_characteristic():
         mullineux((3, 1), 4)
 
 
-# --- the independent residue-ladder route -----------------------------------
+# --- the independent rim and residue-ladder routes ---------------------------
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_library_matches_rim_route_exhaustive(p):
+    for n in range(1, 19):
+        for lam in brute_regular(n, p):
+            assert mullineux(lam, p) == rim_mullineux(lam, p), lam
+
+
+def _random_regular(rnd, n, p):
+    while True:
+        parts = []
+        while sum(parts) < n:
+            parts.append(rnd.randint(1, n - sum(parts)))
+        lam = tuple(sorted(parts, reverse=True))
+        if is_p_regular(lam, p):
+            return lam
+
+
+def test_library_matches_rim_route_seeded():
+    """200 seeded regular partitions of sizes 20 to 40, past the
+    exhaustive range."""
+    rnd = random.Random(20)
+    for k in range(200):
+        p = (3, 5, 7, 11)[k % 4]
+        lam = _random_regular(rnd, rnd.randint(20, 40), p)
+        assert mullineux(lam, p) == rim_mullineux(lam, p), (lam, p)
+
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_rim_route_matches_ladder_route(p):
@@ -100,12 +130,12 @@ def test_rim_route_matches_ladder_route(p):
     different descriptions; they must produce the same involution."""
     for n in range(1, 13):
         for lam in brute_regular(n, p):
-            assert mullineux(lam, p) == ladder_mullineux(lam, p)
+            assert rim_mullineux(lam, p) == ladder_mullineux(lam, p)
 
 
 def test_ladder_convention_is_the_unique_match():
-    """Exactly one of the four signature conventions reproduces the symbol
-    route on the calibration range, and it is the one frozen in the oracle."""
+    """Exactly one of the four signature conventions reproduces the library
+    twist on the calibration range, and it is the one frozen in the oracle."""
     survivors = []
     for conv in LADDER_CONVENTIONS:
         ok = True

@@ -22,7 +22,6 @@ from repgrowth.partitions import (
     p_regular_partitions,
     partition_bound,
     partition_count,
-    rim_symbol,
     sym_rn_bound,
 )
 from repgrowth.intervals import enclosure
@@ -35,6 +34,7 @@ from oracles import (
     brute_partitions,
     brute_regular,
     brute_syt_count,
+    rim_symbol,
 )
 
 

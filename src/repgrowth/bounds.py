@@ -20,7 +20,8 @@ from . import intervals
 from .dominance import HypothesisError, saturated_weight_total
 from .intervals import (Certificate, DEFAULT_CEILING_BITS, DEFAULT_START_BITS,
                         certify_cmp, certify_less, exact, power, zeta_iv)
-from .rootdata import RootDatum, Weight, is_dominant, is_restricted, root_datum
+from .rootdata import (RootDatum, _check_family_rank, is_dominant,
+                       is_restricted)
 
 
 class BudgetError(RuntimeError):
@@ -217,19 +218,6 @@ def bound2_iv(r: int, n: int):
     return exact(2 ** r) * dv * (1 + iv.log(dv)) ** (r - 1)
 
 
-def bound2_value(r: int, n: int, bits: int = 256) -> BoundReport:
-    if r < 1 or n < 1:
-        raise HypothesisError("rank and dimension cap must be positive")
-    d = Fraction(1) + Fraction(n - 1, r + 1)
-    return BoundReport(
-        name="tuple-envelope",
-        inputs=_inputs(r=r, n=n, d=d),
-        value=_interval_value(lambda: bound2_iv(r, n), bits),
-        valid=True,
-        guard_detail=f"2^r*d*(1+log d)^(r-1) at d = {d}",
-    )
-
-
 # ---------------------------------------------------------------------------
 # The rank-vs-log-ratio inequality and the exponential envelopes.
 
@@ -256,25 +244,36 @@ def ratio_holds(r: int, n: int,
         start_bits=start_bits, ceiling_bits=ceiling_bits)
 
 
-def _pi2():
-    return 2 * iv.pi
-
-
 F_NAMES = ("f1", "f2", "f3", "f4", "f5")
+
+
+def exp_envelope(lead, inner):
+    """lead * exp(2*pi*sqrt(inner)) for rational lead and inner, evaluated
+    as lead * exp(pi*sqrt(4*inner)): scaling by 4 is exact."""
+    return exact(lead) * iv.exp(iv.pi * iv.sqrt(exact(4 * inner)))
 
 
 def f_interval(name: str, arg: int):
     """Exponential count envelopes, evaluated at the working precision.
 
-    f1..f3 take the rank, f4 the window parameter, f5 the dimension cap.
+    f1..f3 take the rank r, f4 the window parameter m, f5 the dimension
+    cap n; E(L, I) stands for L * exp(2*pi*sqrt(I)).
+
+        f1(r) = E((r+1)^4/8, r^2/6 + r/3 - 1/2)
+        f2(r) = E(L^2/2, I), with L = (r^2+11)/6 + r and
+                I = (r^2-1)/18 + r/3 for odd r, L = r^2/6 + 2r and
+                I = r^2/18 + (2r-2)/3 for even r
+        f3(r) = E(8r^2, (4r-2)/3)
+        f4(m) = E(2(m+1)^2, 2m/3)
+        f5(n) = 4 g exp(2*pi*sqrt(g/3)), with g = log2 n
     """
     if name == "f1":
         r = arg
         if r < 1:
             raise HypothesisError("f1 needs rank >= 1")
-        inner = Fraction(r * r, 6) + Fraction(r, 3) - Fraction(1, 2)
-        return exact(Fraction((r + 1) ** 4, 8)) * iv.exp(
-            _pi2() * iv.sqrt(exact(inner)))
+        return exp_envelope(Fraction((r + 1) ** 4, 8),
+                            Fraction(r * r, 6) + Fraction(r, 3)
+                            - Fraction(1, 2))
     if name == "f2":
         r = arg
         if r < 1:
@@ -285,37 +284,24 @@ def f_interval(name: str, arg: int):
         else:
             lead = Fraction(r * r, 6) + 2 * r
             inner = Fraction(r * r, 18) + Fraction(2 * r - 2, 3)
-        return exact(Fraction(1, 2)) * exact(lead) ** 2 * iv.exp(
-            _pi2() * iv.sqrt(exact(inner)))
+        return exp_envelope(lead ** 2 / 2, inner)
     if name == "f3":
         r = arg
         if r < 1:
             raise HypothesisError("f3 needs rank >= 1")
-        return exact(8 * r * r) * iv.exp(
-            _pi2() * iv.sqrt(exact(Fraction(4 * r - 2, 3))))
+        return exp_envelope(8 * r * r, Fraction(4 * r - 2, 3))
     if name == "f4":
         m = arg
         if m < 0:
             raise HypothesisError("f4 needs m >= 0")
-        return exact(2 * (m + 1) ** 2) * iv.exp(
-            _pi2() * iv.sqrt(exact(Fraction(2 * m, 3))))
+        return exp_envelope(2 * (m + 1) ** 2, Fraction(2 * m, 3))
     if name == "f5":
         n = arg
         if n < 2:
             raise HypothesisError("f5 needs n >= 2")
         lg = iv.log(iv.mpf(n)) / iv.log(iv.mpf(2))
-        return 4 * lg * iv.exp(_pi2() * iv.sqrt(lg / 3))
+        return 4 * lg * iv.exp(2 * iv.pi * iv.sqrt(lg / 3))
     raise HypothesisError(f"unknown envelope {name!r}; choose from {F_NAMES}")
-
-
-def f_function(name: str, arg: int, bits: int = 256) -> BoundReport:
-    return BoundReport(
-        name=f"envelope-{name}",
-        inputs=_inputs(name=name, arg=arg),
-        value=_interval_value(lambda: f_interval(name, arg), bits),
-        valid=True,
-        guard_detail="exponential envelope, interval enclosure",
-    )
 
 
 # Range thresholds used by the type-A dispatch and the suite checks.
@@ -357,90 +343,78 @@ def char2_counts(r: int, m: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# The per-family certified count bound.
+# The per-family certified count bound and the zeta-sum displays behind it.
 
-_MIN_DIM = {
-    ("E", 6): 27, ("E", 7): 56, ("E", 8): 248, ("F", 4): 25,
+# label -> (s, E, n0, double): the display of zeta_tail_check that carries
+# the family's exponent s from the degree floor n0 on.  A label of family
+# and rank takes precedence over the family alone.
+DISPLAYS = {
+    "C": (Fraction(2), Fraction(1, 4), 4, False),
+    "B": (Fraction(9, 4), "2^-s", 7, True),
+    "D": (Fraction(9, 4), "2^-s", 8, True),
+    "E6": (Fraction(5, 2), "2^-s", 27, False),
+    "E7": (Fraction(9, 4), "2^-s", 56, False),
+    "E8": (Fraction(9, 4), "2^-s", 248, False),
+    "F4": (Fraction(2), Fraction(1, 4), 25, False),
 }
-_MIN_DIM_FAMILY = {"B": 7, "D": 8, "C": 4}
 
 
-def _family_exponent(family: str, rank: int) -> Fraction:
-    if family in ("C", "F", "G"):
-        return Fraction(2)
-    if family in ("B", "D"):
-        return Fraction(9, 4)
-    if family == "E":
-        return Fraction(5, 2) if rank == 6 else Fraction(9, 4)
-    raise HypothesisError(f"no dispatch for family {family}")
+def a_large_iv(r: int, n: int):
+    """Interval value of n^(17/5)/r^3, the type-A bound for n >= (r+1)!."""
+    return power(n, Fraction(17, 5)) / exact(r ** 3)
 
 
 def rn_upper(family: str, rank: int, n: int, p: int,
              bits: int = 256) -> BoundReport:
     """Certified upper bound for the number of restricted irreducible
     modules of dimension at most n."""
-    datum = root_datum(family, rank)
+    _check_family_rank(family, rank)
     if n < 1:
         raise HypothesisError("dimension cap must be >= 1")
     if not _is_prime(p):
         raise HypothesisError(f"characteristic {p} must be prime")
-    base = dict(family=family, rank=rank, n=n, p=p)
+    inputs = _inputs(family=family, rank=rank, n=n, p=p)
+
+    def report(name: str, value, guard: str) -> BoundReport:
+        return BoundReport(name=name, inputs=inputs, value=value, valid=True,
+                           guard_detail=guard)
+
     if n == 1:
-        return BoundReport(name="trivial-one", inputs=_inputs(**base),
-                           value=ExactValue(1), valid=True,
-                           guard_detail="n = 1: only the trivial module")
+        return report("trivial-one", ExactValue(1),
+                      "n = 1: only the trivial module")
     if p == 2:
-        return BoundReport(
-            name="char2-linear", inputs=_inputs(**base),
-            value=ExactValue(n), valid=True,
-            guard_detail=("characteristic 2: count bounded by n; "
-                          "small-rank low-n cases rest on external tables"))
+        return report("char2-linear", ExactValue(n),
+                      "characteristic 2: count bounded by n; small-rank "
+                      "low-n cases rest on external tables")
     if family == "A":
         if rank == 5:
-            return BoundReport(
-                name="a5-pow", inputs=_inputs(**base),
-                value=_interval_value(lambda: power(n, Fraction(5, 2)), bits),
-                valid=True,
-                guard_detail=("rank-5 strengthening: n^2.5; n <= 2500 rests "
-                              "on external tables"))
+            return report(
+                "a5-pow",
+                _interval_value(lambda: power(n, Fraction(5, 2)), bits),
+                "rank-5 strengthening: n^2.5; n <= 2500 rests on external "
+                "tables")
         big = factorial(rank + 1)
         if n >= big:
-            return BoundReport(
-                name="a-large", inputs=_inputs(**base),
-                value=_interval_value(
-                    lambda: power(n, Fraction(17, 5)) / exact(rank ** 3),
-                    bits),
-                valid=True,
-                guard_detail=(f"large range n >= (r+1)! = {big}: "
-                              "n^3.4/r^3; low-rank low-n windows rest on "
-                              "external tables"))
-        mid = n >= d1(rank)
-        return BoundReport(
-            name="a-general", inputs=_inputs(**base),
-            value=_interval_value(lambda: power(n, Fraction(19, 5)), bits),
-            valid=True,
-            guard_detail=(f"{'mid' if mid else 'small'} range "
-                          f"(d1 = {d1(rank)}): n^3.8; rank <= 10 and "
-                          "table windows rest on external facts"))
-    s = _family_exponent(family, rank)
-    threshold = _MIN_DIM.get((family, rank)) or _MIN_DIM_FAMILY.get(family)
+            return report(
+                "a-large", _interval_value(lambda: a_large_iv(rank, n), bits),
+                f"large range n >= (r+1)! = {big}: n^3.4/r^3; low-rank "
+                "low-n windows rest on external tables")
+        return report(
+            "a-general",
+            _interval_value(lambda: power(n, Fraction(19, 5)), bits),
+            f"{'mid' if n >= d1(rank) else 'small'} range (d1 = {d1(rank)}"
+            "): n^3.8; rank <= 10 and table windows rest on external facts")
     if family == "G":
-        guard = "rank-2 argument: n^2; no dimension threshold consumed"
-    else:
-        mark = "met" if threshold is not None and n >= threshold else "not met"
-        guard = (f"display threshold n >= {threshold} "
-                 f"(external minimal-degree fact) {mark}; bound holds "
-                 "throughout by the recursion")
-    if s == 2:
-        value: ExactValue | IntervalValue = ExactValue(n * n)
-    else:
-        value = _interval_value(lambda: power(n, s), bits)
-    return BoundReport(name=f"family-pow-{s}", inputs=_inputs(**base),
-                       value=value, valid=True, guard_detail=guard)
+        return report("family-pow-2", ExactValue(n * n),
+                      "rank-2 argument: n^2; no dimension threshold consumed")
+    s, _, n0, _ = DISPLAYS.get(f"{family}{rank}") or DISPLAYS[family]
+    value = (ExactValue(n * n) if s == 2
+             else _interval_value(lambda: power(n, s), bits))
+    return report(f"family-pow-{s}", value,
+                  f"display threshold n >= {n0} (external minimal-degree "
+                  f"fact) {'met' if n >= n0 else 'not met'}; bound holds "
+                  "throughout by the recursion")
 
-
-# ---------------------------------------------------------------------------
-# The zeta-sum displays.
 
 def zeta_tail_check(s, extra, n0: int, double: bool = False,
                     start_bits: int = DEFAULT_START_BITS,

@@ -3,7 +3,7 @@
 Each check states one result as a row ``Check(id, claim, run)``, where
 ``run(bits, scale)`` returns ``(verdict, detail)`` and the verdict is
 ``pass``, ``fail``, ``unknown`` or ``external-assumption``.  Most runners
-come from a few shaped constructors: one certificate, one exact comparison,
+come from a few shaped constructors: one certificate, one exact certificate,
 a certified sweep, an equality pin, a table of pins and an external
 assumption.  Checks with their own logic are plain functions.  The suite of
 a check is read from its id prefix.
@@ -20,6 +20,8 @@ from typing import Callable
 from mpmath import iv
 
 from .bounds import (
+    DISPLAYS,
+    a_large_iv,
     bound2_iv,
     char2_counts,
     d1,
@@ -52,6 +54,10 @@ from .intervals import (
     power,
 )
 from .partitions import (
+    SYM_WINDOWS,
+    a_combination_cert,
+    b_iv,
+    b_less_cert,
     bound3_value,
     conjugate,
     hook_length_dim,
@@ -63,6 +69,7 @@ from .partitions import (
     p_regular_partitions,
     partition_bound,
     partition_count,
+    sym_rn_bound,
 )
 from .rootdata import root_datum
 from .witness import ENGINES, a5_good_family
@@ -107,10 +114,9 @@ def less(lhs, rhs, note: str = "", strict: bool = True) -> Runner:
                                                 ceiling_bits=bits), note)
 
 
-def exact_less(pair, note: str = "") -> Runner:
-    """Exact a < b for (a, b) = pair(); the note is appended on a pass."""
-    return certificate(lambda bits: exact_compare_cert(*pair()), note,
-                       on_pass=True)
+def exact_cert(make, note: str = "") -> Runner:
+    """The exact certificate make(); the note is appended on a pass."""
+    return certificate(lambda bits: make(), note, on_pass=True)
 
 
 def by_scale(desk, extended) -> Callable[[str], object]:
@@ -388,10 +394,9 @@ def _halfpower_vs_hooks(bits: int, scale: str) -> tuple[str, str]:
 def _power_vs_pr(bits: int, scale: str) -> tuple[str, str]:
     r_hi = 400 if scale == "extended" else 60
     for r in range(13, r_hi + 1):
-        lhs = (4 * partition_count(r)) ** 2
-        rhs = 2 ** (5 * ((r - 3) // 2))
-        if lhs >= rhs:
-            return "fail", f"r = {r}: {lhs} >= {rhs}"
+        cert, = sym_rn_bound(r, 2 ** ((r - 3) // 2), 5, "cover").certificates
+        if not cert.certified:
+            return "fail", f"r = {r}: {cert.lhs} >= {cert.rhs}"
     return "pass", (f"(4 p(r))^2 < n^5 at n = 2^((r-3)/2 rounded down) "
                     f"for 13 <= r <= {r_hi}")
 
@@ -417,8 +422,8 @@ def _display(cid: str, label: str, s: Fraction, extra, n0: int,
 def _window(cid: str, n_low: int, r_cap: int) -> Check:
     claim = (f"window floor {n_low}: (308 p({r_cap}))^2 < 625 * "
              f"{n_low}^5, the squared form of p({r_cap}) < 25 n^(5/2)/308")
-    return Check(cid, claim, exact_less(
-        lambda: ((308 * partition_count(r_cap)) ** 2, 625 * n_low ** 5),
+    return Check(cid, claim, exact_cert(
+        lambda: b_less_cert(partition_count(r_cap), n_low),
         "; p is monotone, so every rank under the cap follows"))
 
 
@@ -429,7 +434,8 @@ CHECKS: tuple[Check, ...] = (
     Check("a-010", "weighted 5-tuple count at cap 76 equals 2415231",
           pin(lambda: k_sum_exact(5, 76), 2415231)),
     Check("a-011", "2415231 < 2500^(5/2), squared form "
-          "2415231^2 < 2500^5", exact_less(lambda: (2415231 ** 2, 2500 ** 5))),
+          "2415231^2 < 2500^5", exact_cert(
+              lambda: exact_compare_cert(2415231 ** 2, 2500 ** 5))),
     Check("a-020", "good family at rank 5: 243 members with orbit "
           "total 174960, clearing the window cap 57750", _a5_family),
     Check("a-030", "f1(730) < d1(730)^(19/5)",
@@ -486,11 +492,9 @@ CHECKS: tuple[Check, ...] = (
     Check("a-080", "2^3 d (1+log d)^2 < 5*10^5 at n = 3787",
           less(lambda: bound2_iv(3, 3787), lambda: exact(5 * 10 ** 5))),
     Check("a-081", "n^(17/5)/27 > 200 at n = 24",
-          less(lambda: exact(200),
-               lambda: power(24, Fraction(17, 5)) / exact(27), _TABLE_BOUNDS)),
+          less(lambda: exact(200), lambda: a_large_iv(3, 24), _TABLE_BOUNDS)),
     Check("a-082", "n^(17/5)/64 > 10^5 at n = 120",
-          less(lambda: exact(10 ** 5),
-               lambda: power(120, Fraction(17, 5)) / exact(64),
+          less(lambda: exact(10 ** 5), lambda: a_large_iv(4, 120),
                _TABLE_BOUNDS)),
     Check("a-090", "witness engines: every produced chain re-verifies "
           "on an exhaustive low-weight sweep", _witness_sweep),
@@ -516,13 +520,8 @@ CHECKS: tuple[Check, ...] = (
     Check("c2-900", "ranks below 9 with n < 256 rest on published "
           "degree tables", _TABLES),
     # -- non-A families in odd characteristic
-    _display("n-010", "C", Fraction(2), Fraction(1, 4), 4, False),
-    _display("n-011", "B", Fraction(9, 4), "2^-s", 7, True),
-    _display("n-012", "D", Fraction(9, 4), "2^-s", 8, True),
-    _display("n-013", "E6", Fraction(5, 2), "2^-s", 27, False),
-    _display("n-014", "E7", Fraction(9, 4), "2^-s", 56, False),
-    _display("n-015", "E8", Fraction(9, 4), "2^-s", 248, False),
-    _display("n-016", "F4", Fraction(2), Fraction(1, 4), 25, False),
+    *(_display(f"n-01{i}", label, *row)
+      for i, (label, row) in enumerate(DISPLAYS.items())),
     Check("n-020", "rank-3 even orthogonal: 2(n+3)(1+log((n+3)/4))^2 "
           "< n^2 at n = 24",
           less(lambda: 2 * exact(27) * (1 + iv.log(exact(Fraction(27, 4))))
@@ -533,8 +532,9 @@ CHECKS: tuple[Check, ...] = (
                "; hence the two sides separate for n >= 24")),
     Check("n-900", "rank-3 even orthogonal counts for n <= 23 rest on "
           "published degree tables", _TABLES),
-    Check("n-901", "degree floors 4 (C), 7 (B), 8 (D), 27 (E6), "
-          "56 (E7), 248 (E8), 25 (F4) come from published tables",
+    Check("n-901", "degree floors " + ", ".join(
+              f"{n0} ({label})" for label, (_, _, n0, _) in DISPLAYS.items())
+          + " come from published tables",
           external("smallest nontrivial degrees are table facts")),
     Check("n-902", "family G: the quadratic count is asserted without "
           "a displayed recursion",
@@ -576,17 +576,14 @@ CHECKS: tuple[Check, ...] = (
     Check("s-011", "f5(10^44) < 10^22",
           less(lambda: f_interval("f5", 10 ** 44), lambda: exact(10 ** 22))),
     Check("s-020", "f5(n) < 25 n^(5/2)/308 at n = 1503",
-          less(lambda: f_interval("f5", 1503),
-               lambda: exact(Fraction(25, 308)) * power(1503, Fraction(5, 2)),
+          less(lambda: f_interval("f5", 1503), lambda: b_iv(1503),
                "; the left side grows slower than any power, so larger n "
                "only widen the gap")),
-    _window("s-030", 677, 60),
-    _window("s-031", 172, 39),
-    _window("s-032", 53, 21),
+    *(_window(f"s-03{i}", *window) for i, window in enumerate(SYM_WINDOWS)),
     Check("s-040", "(4 p(r))^2 < 2^(5 floor((r-3)/2)) on the rank "
           "sweep", _power_vs_pr),
     Check("s-050", "625*128 < 283^2, the exact combination step",
-          exact_less(lambda: (625 * 128, 283 ** 2),
+          exact_cert(a_combination_cert,
                      "; unpacks to 1 + 2^(7/2) < 308/25, the combination "
                      "step for one degree and its double")),
     Check("s-900", "modules of degree below r-2 are classified "

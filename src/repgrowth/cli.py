@@ -28,7 +28,6 @@ import mpmath
 from .bounds import (
     BoundReport,
     ExactValue,
-    IntervalValue,
     _is_prime,
     n_lambda,
     premet_lower,
@@ -42,7 +41,7 @@ from .dominance import (
     is_good,
     orbit_length,
 )
-from .partitions import m_p, mullineux
+from .partitions import mullineux
 from .rootdata import RootDataError, root_datum
 from .witness import ENGINES as _SINGLE_ENGINES, a5_good_family
 
@@ -209,11 +208,9 @@ def _margin(value, count: int) -> dict:
     """Bound minus exact count; lower endpoint is used for intervals."""
     if isinstance(value, ExactValue):
         return {"kind": "exact", "value": value.value - count}
-    if isinstance(value, IntervalValue):
-        with mpmath.workprec(64):
-            return {"kind": "interval",
-                    "value": mpmath.nstr(mpmath.mpf(value.lo) - count, 12)}
-    return {"kind": value.kind, "value": str(value)}
+    with mpmath.workprec(64):
+        return {"kind": "interval",
+                "value": mpmath.nstr(mpmath.mpf(value.lo) - count, 12)}
 
 
 def cmd_enumerate(args) -> int:
@@ -264,10 +261,10 @@ def cmd_mullineux(args) -> int:
     if back != tuple(lam):
         raise AssertionError("twist applied twice did not return the input")
     note = {0: "p = 0 acts by conjugation",
-            2: "p = 2 acts as the identity"}.get(args.p, "rim-symbol twist")
+            2: "p = 2 acts as the identity"}.get(args.p, "good-cell twist")
     _emit(args, {"p": args.p, "partition": list(lam), "image": list(img),
-                 "involution_check": "ok", "m_p": m_p(lam, args.p),
-                 "note": note})
+                 "involution_check": "ok",
+                 "m_p": max(lam[:1] + img[:1], default=0), "note": note})
     return 0
 
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from mpmath import iv
-
 from .bounds import (BoundReport, ExactValue, ExternalValue, Root2Power,
-                     _check_char, _inputs, _interval_value, f_interval)
+                     _check_char, _inputs, _interval_value, exp_envelope,
+                     f_interval)
 from .dominance import HypothesisError
 from .intervals import (Certificate, certify_cmp, exact, exact_compare_cert,
                         power)
@@ -59,8 +58,8 @@ def partition_count(n: int) -> int:
 
 
 def partition_envelope_iv(n: int):
-    """Interval value of exp(pi*sqrt(2n/3))."""
-    return iv.exp(iv.pi * iv.sqrt(exact(Fraction(2 * n, 3))))
+    """Interval value of exp(pi*sqrt(2n/3)) = exp(2*pi*sqrt(n/6))."""
+    return exp_envelope(1, Fraction(n, 6))
 
 
 def partition_bound(n: int, bits: int = 256) -> BoundReport:
@@ -128,8 +127,8 @@ def k_sum_bound(cap: int, bits: int = 256) -> BoundReport:
     maj = k_sum_majorant(cap)
 
     def rhs():
-        lead = exact(Fraction((cap + 1) * (cap + 2), 2))
-        return lead * iv.exp(2 * iv.pi * iv.sqrt(exact(Fraction(cap, 3))))
+        return exp_envelope(Fraction((cap + 1) * (cap + 2), 2),
+                            Fraction(cap, 3))
 
     strict = cap > 0
     cert = certify_cmp(lambda: exact(maj), rhs, strict=strict)
@@ -305,17 +304,33 @@ def b_iv(n: int):
     return exact(Fraction(25, 308)) * power(n, Fraction(5, 2))
 
 
-def _b_less_cert(value: int, n: int) -> Certificate:
-    # value < 25*n^2.5/308, squared to stay in integers
+def b_less_cert(value: int, n: int) -> Certificate:
+    """value < 25*n^2.5/308, squared to stay in integers."""
     return exact_compare_cert((308 * value) ** 2, 625 * n ** 5)
 
 
-def _a_combination_cert() -> Certificate:
-    # (1 + 2^3.5) < 308/25, squared form of 2^3.5 < 283/25
+def a_combination_cert() -> Certificate:
+    """(1 + 2^3.5) < 308/25, squared form of 2^3.5 < 283/25."""
     return exact_compare_cert(625 * 128, 283 ** 2)
 
 
-_SYM_WINDOWS = ((677, 60), (172, 39), (53, 21))
+# (n_low, r_cap): a dimension n >= n_low forces the rank r <= r_cap.
+SYM_WINDOWS = ((677, 60), (172, 39), (53, 21))
+
+# group -> (what lies below degree 11, name and reason of the combination
+# b(n) + 2 b(2n) reported above it)
+_SMALL_DEGREE = {
+    "cover": ("projective degree (external): at most the two "
+              "one-dimensional twists", "cover-reduction",
+              "n below 2^((r-3)/2): faithful spin representations are "
+              "excluded by an external reduction; the larger quotient bound "
+              "(alternating combination) is reported"),
+    "A": ("degree (external): at most the trivial module and one companion",
+          "alt-combination",
+          "restriction argument: count at n plus twice the count at 2n for "
+          "the symmetric group; the combined coefficient (1+2^3.5)/12.32 is "
+          "below 1"),
+}
 
 
 def sym_rn_bound(r: int, n: int, p: int, group: str = "S",
@@ -331,13 +346,17 @@ def sym_rn_bound(r: int, n: int, p: int, group: str = "S",
         raise HypothesisError("dimension cap must be >= 1")
     _check_char(p)
     inp = _inputs(r=r, n=n, p=p, group=group)
+
+    def report(name: str, value, guard: str, *certs) -> BoundReport:
+        return BoundReport(name=name, inputs=inp, value=value,
+                           valid=all(c.certified for c in certs),
+                           guard_detail=guard, certificates=certs)
+
     if r <= 12:
-        return BoundReport(
-            name="small-rank-tables", inputs=inp,
-            value=ExternalValue("5 <= r <= 12 checked against modular "
-                                "character tables"),
-            valid=True,
-            guard_detail="external table fact; no certificate produced")
+        return report("small-rank-tables",
+                      ExternalValue("5 <= r <= 12 checked against modular "
+                                    "character tables"),
+                      "external table fact; no certificate produced")
     if n == 1:
         return BoundReport(
             name="below-case-analysis", inputs=inp,
@@ -345,90 +364,46 @@ def sym_rn_bound(r: int, n: int, p: int, group: str = "S",
             valid=False,
             guard_detail="n = 1 sits below every branch of the argument")
 
-    if group == "cover":
-        thr = 2 ** ((r - 3) // 2)
-        if n >= thr:
-            val = 4 * partition_count(r)
-            cert = exact_compare_cert(val * val, n ** 5)
-            return BoundReport(
-                name="cover-class-count", inputs=inp,
-                value=ExactValue(val), valid=cert.certified,
-                guard_detail=(f"n >= 2^((r-3)/2) = {thr}: the class count "
-                              "4*p(r); certificate compares squares "
-                              "against n^5"),
-                certificates=(cert,))
-        if n < 11:
-            cert = exact_compare_cert(4, n ** 5)
-            return BoundReport(
-                name="below-min-degree", inputs=inp,
-                value=ExactValue(2), valid=cert.certified,
-                guard_detail=("n < 11 <= r - 2 <= minimal nontrivial "
-                              "projective degree (external): at most the "
-                              "two one-dimensional twists"),
-                certificates=(cert,))
-        cert = _a_combination_cert()
-        return BoundReport(
-            name="cover-reduction", inputs=inp,
-            value=_interval_value(lambda: b_iv(n) + 2 * b_iv(2 * n), bits),
-            valid=cert.certified,
-            guard_detail=("n below 2^((r-3)/2): faithful spin "
-                          "representations are excluded by an external "
-                          "reduction; the larger quotient bound "
-                          "(alternating combination) is reported"),
-            certificates=(cert,))
+    thr = 2 ** ((r - 3) // 2)
+    if group == "cover" and n >= thr:
+        val = 4 * partition_count(r)
+        return report("cover-class-count", ExactValue(val),
+                      f"n >= 2^((r-3)/2) = {thr}: the class count 4*p(r); "
+                      "certificate compares squares against n^5",
+                      exact_compare_cert(val * val, n ** 5))
 
     if group == "S":
         if n >= 1503:
-            cert = certify_cmp(lambda: f_interval("f5", n),
-                               lambda: b_iv(n), strict=True)
-            return BoundReport(
-                name="sym-sublinear", inputs=inp,
-                value=_interval_value(lambda: b_iv(n), bits),
-                valid=cert.certified,
-                guard_detail=("n >= 1503: the sublinear envelope stays "
-                              "below n^2.5/12.32"),
-                certificates=(cert,))
+            return report("sym-sublinear",
+                          _interval_value(lambda: b_iv(n), bits),
+                          "n >= 1503: the sublinear envelope stays below "
+                          "n^2.5/12.32",
+                          certify_cmp(lambda: f_interval("f5", n),
+                                      lambda: b_iv(n), strict=True))
         if 2 * n < r * r - 5 * r + 2:
-            cert = exact_compare_cert(16, n ** 5)
-            return BoundReport(
-                name="sym-low-dimension", inputs=inp,
-                value=ExactValue(4), valid=cert.certified,
-                guard_detail=("n < (r^2-5r+2)/2: external low-degree "
-                              "classification leaves at most 4 modules"),
-                certificates=(cert,))
-        for n_low, r_cap in _SYM_WINDOWS:
+            return report("sym-low-dimension", ExactValue(4),
+                          "n < (r^2-5r+2)/2: external low-degree "
+                          "classification leaves at most 4 modules",
+                          exact_compare_cert(16, n ** 5))
+        for n_low, r_cap in SYM_WINDOWS:
             if n >= n_low:
                 assert r <= r_cap, "window forces the rank cap"
                 val = partition_count(r)
-                chain = exact_compare_cert(val, partition_count(r_cap),
-                                           strict=False)
-                bcert = _b_less_cert(partition_count(r_cap), n_low)
-                return BoundReport(
-                    name=f"sym-window-{n_low}", inputs=inp,
-                    value=ExactValue(val),
-                    valid=chain.certified and bcert.certified,
-                    guard_detail=(f"window n >= {n_low} forces r <= {r_cap}"
-                                  f"; p({r_cap}) certified below the "
-                                  f"envelope at {n_low}, monotone in n"),
-                    certificates=(chain, bcert))
+                return report(
+                    f"sym-window-{n_low}", ExactValue(val),
+                    f"window n >= {n_low} forces r <= {r_cap}; p({r_cap}) "
+                    f"certified below the envelope at {n_low}, monotone in n",
+                    exact_compare_cert(val, partition_count(r_cap),
+                                       strict=False),
+                    b_less_cert(partition_count(r_cap), n_low))
         raise AssertionError("window dispatch must cover n >= 53")
 
-    # group == "A"
+    # A, or the cover below its threshold
+    below, name, reason = _SMALL_DEGREE[group]
     if n < 11:
-        cert = exact_compare_cert(4, n ** 5)
-        return BoundReport(
-            name="below-min-degree", inputs=inp,
-            value=ExactValue(2), valid=cert.certified,
-            guard_detail=("n < 11 <= r - 2 <= minimal nontrivial degree "
-                          "(external): at most the trivial module and one "
-                          "companion"),
-            certificates=(cert,))
-    cert = _a_combination_cert()
-    return BoundReport(
-        name="alt-combination", inputs=inp,
-        value=_interval_value(lambda: b_iv(n) + 2 * b_iv(2 * n), bits),
-        valid=cert.certified,
-        guard_detail=("restriction argument: count at n plus twice the "
-                      "count at 2n for the symmetric group; the combined "
-                      "coefficient (1+2^3.5)/12.32 is below 1"),
-        certificates=(cert,))
+        return report("below-min-degree", ExactValue(2),
+                      f"n < 11 <= r - 2 <= minimal nontrivial {below}",
+                      exact_compare_cert(4, n ** 5))
+    return report(name,
+                  _interval_value(lambda: b_iv(n) + 2 * b_iv(2 * n), bits),
+                  reason, a_combination_cert())

@@ -219,6 +219,35 @@ def direct_zeta_iv(s):
 
 
 # ---------------------------------------------------------------------------
+# The exponential envelopes as plain high-precision floats.
+
+ENVELOPE_BITS = 1500
+
+
+def envelope_reference(name: str, arg: int):
+    """f1..f4 of `bounds.f_interval`, or exp(pi sqrt(2n/3)) for name
+    "partition", from their formulas as an mpf at 1500 bits."""
+    with mpmath.workprec(ENVELOPE_BITS):
+        x = mpmath.mpf(arg)
+        if name == "partition":
+            return mpmath.exp(mpmath.pi * mpmath.sqrt(2 * x / 3))
+        if name == "f1":
+            lead, inner = (x + 1) ** 4 / 8, x * x / 6 + x / 3 - 0.5
+        elif name == "f2" and arg % 2:
+            lead = ((x * x + 11) / 6 + x) ** 2 / 2
+            inner = (x * x - 1) / 18 + x / 3
+        elif name == "f2":
+            lead = (x * x / 6 + 2 * x) ** 2 / 2
+            inner = x * x / 18 + (2 * x - 2) / 3
+        elif name == "f3":
+            lead, inner = 8 * x * x, (4 * x - 2) / 3
+        else:
+            assert name == "f4", name
+            lead, inner = 2 * (x + 1) ** 2, 2 * x / 3
+        return lead * mpmath.exp(2 * mpmath.pi * mpmath.sqrt(inner))
+
+
+# ---------------------------------------------------------------------------
 # Standard tableaux by corner recursion (no hook products).
 
 @lru_cache(maxsize=None)

@@ -9,14 +9,14 @@ from repgrowth.bounds import (
     BudgetError,
     ExactValue,
     IntervalValue,
+    DISPLAYS,
     Root2Power,
-    bound2_value,
+    bound2_iv,
     char2_counts,
     d1,
     d2,
     d3,
     d4,
-    f_function,
     f_interval,
     g_count,
     harmonic,
@@ -27,14 +27,19 @@ from repgrowth.bounds import (
     zeta_tail_check,
 )
 from repgrowth.dominance import HypothesisError
-from repgrowth.intervals import FALSE, TRUE
-from repgrowth.rootdata import root_datum
+from repgrowth.intervals import FALSE, TRUE, enclosure
+from repgrowth.rootdata import RootDataError, root_datum
 
 from oracles import brute_g_count
 
 
 def interval_holds(value: IntervalValue, point) -> bool:
     return float(value.lo) <= float(point) <= float(value.hi)
+
+
+def enclosure_holds(fn, bits: int, point) -> bool:
+    lo, hi = enclosure(fn, bits)
+    return float(lo) <= float(point) <= float(hi)
 
 
 # --- exact dimension lower bounds -------------------------------------------
@@ -111,13 +116,9 @@ def test_g_count_envelope_property(r, d):
     assert ok and count <= envelope
 
 
-def test_bound2_value_simple_point():
+def test_bound2_iv_simple_point():
     # r = 1, n = 5: d = 3, value is exactly 2*d = 6.
-    report = bound2_value(1, 5)
-    assert report.value.kind == "interval"
-    assert interval_holds(report.value, 6)
-    with pytest.raises(HypothesisError):
-        bound2_value(0, 5)
+    assert enclosure_holds(lambda: bound2_iv(1, 5), 256, 6)
 
 
 # --- ratio inequality --------------------------------------------------------
@@ -136,15 +137,12 @@ def test_ratio_holds_domain_guard():
 # --- exponential envelopes ---------------------------------------------------
 
 def test_f4_at_zero_is_two():
-    report = f_function("f4", 0)
-    assert interval_holds(report.value, 2)
+    assert enclosure_holds(lambda: f_interval("f4", 0), 256, 2)
 
 
-def test_f_function_report_shape():
-    report = f_function("f1", 10, bits=128)
-    assert report.value.kind == "interval"
-    assert report.value.prec_bits == 128
-    assert float(report.value.lo) > 0
+def test_f1_enclosure_at_128_bits():
+    lo, hi = enclosure(lambda: f_interval("f1", 10), 128)
+    assert 0 < float(lo) <= float(hi)
 
 
 def test_f_interval_guards():
@@ -256,6 +254,14 @@ def test_rn_upper_guards():
         rn_upper("A", 3, 10, 6)
     with pytest.raises(HypothesisError):
         rn_upper("A", 3, 0, 5)
+    with pytest.raises(RootDataError, match="unsupported root datum E5"):
+        rn_upper("E", 5, 10, 5)
+
+
+def test_rn_upper_builds_no_root_datum():
+    before = root_datum.cache_info().misses
+    rn_upper("B", 97, 5, 3)
+    assert root_datum.cache_info().misses == before
 
 
 # --- zeta displays --------------------------------------------------------------
@@ -269,6 +275,32 @@ ZETA_ROWS = [
     ("E8", Fraction(9, 4), "2^-s", 248, False),
     ("F4", 2, Fraction(1, 4), 25, False),
 ]
+
+
+# label -> a (family, rank) whose count bound rests on that display
+DISPLAY_DATA = {"C": ("C", 3), "B": ("B", 3), "D": ("D", 4), "E6": ("E", 6),
+                "E7": ("E", 7), "E8": ("E", 8), "F4": ("F", 4)}
+
+
+def test_display_table_matches_rows():
+    assert DISPLAYS == {label: tuple(row) for label, *row in ZETA_ROWS}
+
+
+@pytest.mark.parametrize("label,s,extra,n0,double", ZETA_ROWS)
+def test_rn_upper_reads_the_display(label, s, extra, n0, double):
+    family, rank = DISPLAY_DATA[label]
+    below = rn_upper(family, rank, n0 - 1, 5)
+    at = rn_upper(family, rank, n0, 5)
+    for report, n in ((below, n0 - 1), (at, n0)):
+        assert report.name == f"family-pow-{s}"
+        assert f"display threshold n >= {n0} " in report.guard_detail
+        if s == 2:
+            assert report.value == ExactValue(n * n)
+        else:
+            assert float(report.value.lo) == pytest.approx(n ** float(s),
+                                                           rel=1e-12)
+    assert "not met" in below.guard_detail
+    assert " met;" in at.guard_detail and "not met" not in at.guard_detail
 
 
 @pytest.mark.parametrize("label,s,extra,n0,double", ZETA_ROWS)

@@ -200,6 +200,30 @@ def test_mullineux_rejects_irregular(capsys):
     assert "part 2 repeats 3 times (p = 3)" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("p,partition,m", [
+    (5, "5,4,2,2,1", 5), (3, "2,1", 3), (0, "3,2", 3), (2, "4,1", 4),
+    (7, "", 0),
+])
+def test_mullineux_twists_twice_per_request(capsys, monkeypatch, p,
+                                            partition, m):
+    from repgrowth import cli, partitions
+
+    calls = []
+    twist = partitions.mullineux
+
+    def counted(lam, p):
+        calls.append(lam)
+        return twist(lam, p)
+
+    monkeypatch.setattr(partitions, "mullineux", counted)
+    monkeypatch.setattr(cli, "mullineux", counted)
+    code, out, _ = run(capsys, "mullineux", "--p", str(p),
+                       "--partition", partition)
+    assert code == 0
+    assert json.loads(out)["m_p"] == m
+    assert len(calls) == 2
+
+
 # --- verify ------------------------------------------------------------------------
 
 def test_verify_char2_suite(capsys):

@@ -1,5 +1,6 @@
-"""Zeta enclosures against the term-by-term oracle, one evaluation per rung
-in `contains`, and certificates formatted once."""
+"""Zeta enclosures against the term-by-term oracle, the exponential
+envelopes against plain high-precision floats, one evaluation per rung in
+`contains`, and certificates formatted once."""
 
 import re
 from decimal import Decimal
@@ -15,8 +16,9 @@ from repgrowth.bounds import f_interval, ratio_iv
 from repgrowth.checks import CHECKS
 from repgrowth.intervals import (TRUE, UNKNOWN, certify_cmp, contains, exact,
                                  zeta_iv)
+from repgrowth.partitions import partition_envelope_iv
 
-from oracles import direct_zeta_iv
+from oracles import direct_zeta_iv, envelope_reference
 
 REF_BITS = 1500
 LADDER = (64, 128, 256, 512, 1024)
@@ -53,6 +55,23 @@ def test_zeta_iv_encloses_and_is_no_wider_than_direct(s, prec):
         ref = mpmath.zeta(mpmath.mpf(s.numerator) / s.denominator)
         assert lo <= ref <= hi
         assert hi - lo <= old_hi - old_lo
+
+
+# f1 and f2 at odd and even ranks, f3, f4 and the partition envelope
+ENVELOPE_ARGS = (("f1", 1), ("f1", 10), ("f1", 729), ("f2", 1), ("f2", 19),
+                 ("f2", 20), ("f2", 1000), ("f3", 11), ("f3", 18), ("f4", 0),
+                 ("f4", 80), ("f4", 200), ("partition", 1),
+                 ("partition", 39), ("partition", 1000))
+
+
+@pytest.mark.parametrize("bits", LADDER)
+@pytest.mark.parametrize("name,arg", ENVELOPE_ARGS)
+def test_envelopes_enclose_the_reference(name, arg, bits):
+    if name == "partition":
+        lo, hi = _ends(_at(bits, lambda: partition_envelope_iv(arg)))
+    else:
+        lo, hi = _ends(_at(bits, lambda: f_interval(name, arg)))
+    assert lo <= envelope_reference(name, arg) <= hi
 
 
 def test_zeta_iv_rejects_s_at_most_one():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isqrt, prod
+from math import comb, factorial, isqrt, log10, prod
 
 from mpmath import iv
 
@@ -364,6 +364,15 @@ def a_large_iv(r: int, n: int):
     return power(n, Fraction(17, 5)) / exact(r ** 3)
 
 
+def _int_text(value: int, symbol: str) -> str:
+    """value in decimal up to 1000 bits; past that, symbol and digit count."""
+    if value.bit_length() <= 1000:
+        return str(value)
+    digits = int((value.bit_length() - 1) * log10(2)) + 1
+    digits += value >= 10 ** digits
+    return f"{symbol}, {digits} digits"
+
+
 def rn_upper(family: str, rank: int, n: int, p: int,
              bits: int = 256) -> BoundReport:
     """Certified upper bound for the number of restricted irreducible
@@ -397,13 +406,14 @@ def rn_upper(family: str, rank: int, n: int, p: int,
         if n >= big:
             return report(
                 "a-large", _interval_value(lambda: a_large_iv(rank, n), bits),
-                f"large range n >= (r+1)! = {big}: n^3.4/r^3; low-rank "
-                "low-n windows rest on external tables")
+                f"large range n >= (r+1)! = {_int_text(big, f'{rank + 1}!')}: "
+                "n^3.4/r^3; low-rank low-n windows rest on external tables")
         return report(
             "a-general",
             _interval_value(lambda: power(n, Fraction(19, 5)), bits),
-            f"{'mid' if n >= d1(rank) else 'small'} range (d1 = {d1(rank)}"
-            "): n^3.8; rank <= 10 and table windows rest on external facts")
+            f"{'mid' if n >= d1(rank) else 'small'} range (d1 = "
+            f"{_int_text(d1(rank), f'C({rank + 1}, {(rank + 1) // 2})')}): "
+            "n^3.8; rank <= 10 and table windows rest on external facts")
     if family == "G":
         return report("family-pow-2", ExactValue(n * n),
                       "rank-2 argument: n^2; no dimension threshold consumed")

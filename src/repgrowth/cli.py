@@ -15,6 +15,7 @@ Every numeric field carries a kind tag (``exact``, ``interval``, or
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import io
 import itertools
@@ -22,6 +23,7 @@ import json
 import sys
 from bisect import bisect_right
 from dataclasses import asdict
+from functools import cache
 
 import mpmath
 
@@ -307,6 +309,13 @@ _FLAGS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A shallow copy of the one parser tree built per process (parsing only
+    reads the tree), so an attribute a caller sets does not reach the next."""
+    return copy.copy(_parser_tree())
+
+
+@cache
+def _parser_tree() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repgrowth",
         description="certified counts of low-dimensional irreducible "

@@ -33,12 +33,13 @@ class WitnessChain:
     root_coeffs: tuple[int, ...]
 
     def verify(self, datum: RootDatum, source: Weight) -> bool:
-        if len(self.root_coeffs) != datum.rank:
+        coeffs = self.root_coeffs
+        if len(coeffs) != datum.rank:
             return False
-        if any(k < 0 or not isinstance(k, int) for k in self.root_coeffs):
-            return False
-        drop = datum.root_combination(self.root_coeffs)
-        return sub(source, drop) == self.target
+        for k in coeffs:
+            if not isinstance(k, int) or k < 0:
+                return False
+        return sub(source, datum.root_combination(coeffs)) == self.target
 
 
 def bracket(datum: RootDatum, w: Weight) -> int:

@@ -9,6 +9,7 @@ matrix product.  Node numbering follows the Bourbaki convention everywhere.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -79,6 +80,8 @@ class RootDatum:
     rank: int
     cartan: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int, int], ...]
+    # Row t of the Cartan matrix as its (j, entry) pairs with entry != 0.
+    rows: tuple[tuple[tuple[int, int], ...], ...]
 
     def __repr__(self) -> str:
         return f"RootDatum({self.family}{self.rank})"
@@ -114,17 +117,23 @@ class RootDatum:
         coeffs = tuple(coeffs)
         if len(coeffs) != self.rank:
             raise RootDataError("coefficient vector has wrong length")
-        return tuple(
-            sum(self.cartan[t][j] * coeffs[j] for j in range(self.rank))
-            for t in range(self.rank))
+        out = []
+        for row in self.rows:
+            total = 0
+            for j, c in row:
+                total += c * coeffs[j]
+            out.append(total)
+        return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def root_datum(family: str, rank: int) -> RootDatum:
     _check_family_rank(family, rank)
     edges = _edges(family, rank)
-    return RootDatum(family=family, rank=rank,
-                     cartan=_cartan(family, rank, edges), edges=edges)
+    cartan = _cartan(family, rank, edges)
+    return RootDatum(family=family, rank=rank, cartan=cartan, edges=edges,
+                     rows=tuple(tuple((j, c) for j, c in enumerate(row) if c)
+                                for row in cartan))
 
 
 @lru_cache(maxsize=None)
@@ -142,8 +151,7 @@ def positive_roots(datum: RootDatum) -> tuple[tuple[tuple[int, ...], Weight], ..
     frontier = list(simple)
     while frontier:
         c = frontier.pop()
-        for i in range(n):
-            pair = sum(datum.cartan[i][j] * c[j] for j in range(n))
+        for i, pair in enumerate(datum.root_combination(c)):
             s = c[:i] + (c[i] - pair,) + c[i + 1:]
             if s[i] >= 0 and s not in seen:
                 seen.add(s)
@@ -164,8 +172,8 @@ def is_restricted(w, p: int) -> bool:
 
 
 def add(u: Weight, v: Weight) -> Weight:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(operator.add, u, v))
 
 
 def sub(u: Weight, v: Weight) -> Weight:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(operator.sub, u, v))

@@ -13,8 +13,10 @@ k+2 for even r.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .dominance import HypothesisError, WitnessChain, bracket, is_good
-from .rootdata import RootDatum, Weight, is_dominant, root_datum, sub
+from .rootdata import RootDatum, Weight, add, is_dominant, root_datum, sub
 
 
 def _require_type_a(datum: RootDatum, w) -> Weight:
@@ -264,7 +266,7 @@ def a5_good_family(w) -> list[tuple[Weight, WitnessChain]]:
     Requires either a_3 >= 25 already, or bracket(w) >= 77; in the latter
     case repeated bracket-preserving raises feed the middle coefficient
     until it reaches 25, then the family mu - 5*beta - delta is emitted for
-    all delta with root coefficients in {0, 1, 2}.
+    all delta with root coefficients in {0, 1, 2}, lexicographically.
     """
     datum = root_datum("A", 5)
     w = _require_type_a(datum, w)
@@ -286,18 +288,12 @@ def a5_good_family(w) -> list[tuple[Weight, WitnessChain]]:
     gamma = sub(w, datum.root_combination(kvec))
     assert all(c >= 5 for c in gamma)
     family = []
-    for d1 in range(3):
-        for d2 in range(3):
-            for d3 in range(3):
-                for d4 in range(3):
-                    for d5 in range(3):
-                        delta = (d1, d2, d3, d4, d5)
-                        kv = tuple(k + d for k, d in zip(kvec, delta))
-                        member = sub(w, datum.root_combination(kv))
-                        assert is_good(member)
-                        chain = WitnessChain(target=member, root_coeffs=kv)
-                        assert chain.verify(datum, w)
-                        family.append((member, chain))
+    for delta in product(range(3), repeat=5):
+        member = sub(gamma, datum.root_combination(delta))
+        assert is_good(member)
+        chain = WitnessChain(target=member, root_coeffs=add(kvec, delta))
+        assert chain.verify(datum, w)
+        family.append((member, chain))
     assert len({mu for mu, _ in family}) == 243
     return family
 

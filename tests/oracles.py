@@ -127,6 +127,15 @@ def brute_orbit(datum, w) -> set[tuple[int, ...]]:
     return seen
 
 
+def dense_root_combination(datum, coeffs) -> tuple[int, ...]:
+    """sum_j coeffs[j]*alpha_{j+1} in weight coordinates, as the product
+    with the whole Cartan matrix, zero entries included."""
+    r = datum.rank
+    assert len(coeffs) == r
+    return tuple(sum(datum.cartan[t][j] * coeffs[j] for j in range(r))
+                 for t in range(r))
+
+
 def brute_dominants_below(datum, lam, box: int = 24) -> list[tuple[int, ...]]:
     """Dominant weights mu with lam - mu a nonnegative root combination,
     by searching the coefficient box.  Asserts the box was large enough."""
@@ -134,7 +143,7 @@ def brute_dominants_below(datum, lam, box: int = 24) -> list[tuple[int, ...]]:
     r = datum.rank
     found = []
     for cs in product(range(box + 1), repeat=r):
-        drop = datum.root_combination(cs)
+        drop = dense_root_combination(datum, cs)
         mu = tuple(lam[i] - drop[i] for i in range(r))
         if all(c >= 0 for c in mu):
             assert all(c < box for c in cs), "enlarge the search box"

@@ -1,6 +1,7 @@
 """Dimension bounds, envelopes, dispatch table, and zeta displays."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -221,6 +222,22 @@ def test_rn_upper_a_large_window():
     general = rn_upper("A", 3, 23, 5)
     assert general.name == "a-general"
 
+
+
+@pytest.mark.parametrize("rank", [*range(6, 13), 1000, 1004, 1010, 3000])
+def test_rn_upper_d1_in_full_up_to_1000_bits(rank):
+    guard = rn_upper("A", rank, 50, 5).guard_detail
+    full = d1(rank)
+    shown = (str(full) if full.bit_length() <= 1000 else
+             f"C({rank + 1}, {(rank + 1) // 2}), {len(str(full))} digits")
+    assert f"(d1 = {shown}): " in guard
+
+
+def test_rn_upper_a_large_factorial_by_symbol():
+    big = factorial(201)
+    report = rn_upper("A", 200, big, 5)
+    assert report.name == "a-large"
+    assert f"(r+1)! = 201!, {len(str(big))} digits: " in report.guard_detail
 
 def test_rn_upper_family_squares():
     report = rn_upper("C", 2, 3, 3)

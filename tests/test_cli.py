@@ -1,9 +1,16 @@
-"""End-to-end command line checks, run in process."""
+"""End-to-end command line checks, run in process (one also runs each
+request in a fresh process and compares)."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repgrowth
 from repgrowth.cli import main, parse_csv
 
 
@@ -76,6 +83,16 @@ def test_bound_rejects_composite_characteristic(capsys):
     error = json.loads(err)["error"]
     assert error["type"] == "hypothesis"
     assert "prime" in error["message"]
+
+
+def test_bound_large_rank_prints_d1_by_symbol(capsys):
+    # d1(14500) has 4,364 digits, past Python's default limit for str(int).
+    code, out, _ = run(capsys, "bound", "--family", "A", "--rank", "14500",
+                       "--n", "50", "--p", "5")
+    assert code == 0
+    data = json.loads(out)
+    assert data["name"] == "a-general"
+    assert "(d1 = C(14501, 7250), 4364 digits)" in data["guard_detail"]
 
 
 # --- witness ------------------------------------------------------------------
@@ -262,6 +279,46 @@ def test_usage_errors_exit_two(capsys):
         main(["witness", "unknown-engine", "--weight", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_parser_built_once_and_answers_as_a_fresh_process(capsys,
+                                                          monkeypatch):
+    from repgrowth import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "repgrowth":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at this width
+    cli._parser_tree.cache_clear()
+    # What one caller sets on its parser must not reach the next call.
+    cli.build_parser().parse_args = None
+    src = str(Path(repgrowth.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["bound", "--family", "A", "--rank", "3"],
+                 ["bound", "--family", "A", "--rank", "7", "--n", "100",
+                  "--p", "5"],
+                 ["mullineux", "--p", "5", "--partition", "5,4,2,2,1"],
+                 ["bound", "--family", "B", "--rank", "3", "--n", "40",
+                  "--p", "7", "--format", "csv"],
+                 ["mullineux", "--p", "3", "--partition", "2,1",
+                  "--format", "csv"]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        # bytes, so the CSV \r\n line ends reach the comparison as written
+        fresh = subprocess.run([sys.executable, "-m", "repgrowth", *argv],
+                               capture_output=True, env=env, timeout=120)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout.decode(),
+                                    fresh.stderr.decode())
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("argv", [

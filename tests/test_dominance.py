@@ -1,6 +1,7 @@
 """Dominance chains, Weyl orbit sizes, and saturated-set walks."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,8 @@ from repgrowth.dominance import (
 from repgrowth.rootdata import is_dominant, root_datum
 
 from oracles import (brute_dominants_below, brute_orbit,
-                     brute_saturated_total, brute_saturated_walk)
+                     brute_saturated_total, brute_saturated_walk,
+                     dense_root_combination)
 
 SMALL_DATA = [
     ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
@@ -107,6 +109,24 @@ def test_witness_chain_rejects_malformed():
     assert not WitnessChain((0, 0), (-1, 1)).verify(datum, (1, 1))
     assert not WitnessChain((1, 0), (1, 1)).verify(datum, (1, 1))
 
+
+
+@pytest.mark.parametrize("family,rank", [("A", 5), ("B", 3), ("G", 2)])
+def test_witness_chain_rejects_bad_chains(family, rank):
+    datum = root_datum(family, rank)
+    coeffs = tuple(range(1, rank + 1))
+    source = tuple(range(3, 3 + rank))
+    target = tuple(s - d for s, d in zip(
+        source, dense_root_combination(datum, coeffs)))
+    assert WitnessChain(target, coeffs).verify(datum, source)
+    # Fraction and float entries keep their integer values, so only the
+    # type test can turn them away.
+    bad = [coeffs[:-1], coeffs + (0,), (-1,) + coeffs[1:],
+           (Fraction(coeffs[0]),) + coeffs[1:], coeffs[:-1] + (float(rank),)]
+    for root_coeffs in bad:
+        assert not WitnessChain(target, root_coeffs).verify(datum, source)
+    wrong = (target[0] + 1,) + target[1:]
+    assert not WitnessChain(wrong, coeffs).verify(datum, source)
 
 # --- Weyl group orders ------------------------------------------------------
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repgrowth.rootdata import (
     RootDataError,
@@ -14,6 +14,8 @@ from repgrowth.rootdata import (
     root_datum,
     sub,
 )
+
+from oracles import dense_root_combination
 
 ALL_DATA = (
     [("A", r) for r in range(1, 9)]
@@ -222,6 +224,27 @@ def test_root_combination_is_linear(data):
     left = datum.root_combination(add(u, v))
     right = add(datum.root_combination(u), datum.root_combination(v))
     assert left == right
+
+
+@pytest.mark.parametrize("family,rank", ALL_DATA)
+@settings(max_examples=40)
+@given(st.data())
+def test_root_combination_matches_dense_product(family, rank, data):
+    # Negative coefficients included, so a sign slip or a dropped entry of
+    # the sparse rows cannot hide behind dominance.
+    datum = root_datum(family, rank)
+    coeffs = data.draw(st.lists(st.integers(-50, 50), min_size=rank,
+                                max_size=rank))
+    assert datum.root_combination(coeffs) == dense_root_combination(
+        datum, coeffs)
+
+
+@pytest.mark.parametrize("family,rank", ALL_DATA)
+def test_root_combination_rejects_wrong_length(family, rank):
+    datum = root_datum(family, rank)
+    for coeffs in ((1,) * (rank - 1), (1,) * (rank + 1)):
+        with pytest.raises(RootDataError, match="wrong length"):
+            datum.root_combination(coeffs)
 
 
 @pytest.mark.parametrize("family,rank", [

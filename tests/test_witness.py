@@ -1,5 +1,7 @@
 """Witness engines: frozen examples, hypothesis gates, exhaustive sweeps."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,8 @@ from repgrowth.witness import (
     middle2_witness,
     middle_witness,
 )
+
+from oracles import dense_root_combination
 
 
 def centre(r):
@@ -305,6 +309,26 @@ def test_a5_family_bracket_route():
     for mu, chain in family:
         assert is_good(mu)
         assert chain.verify(datum, w)
+
+
+@pytest.mark.parametrize("w,base", [
+    ((0, 0, 25, 0, 0), (0, 5, 15, 5, 0)),
+    ((20, 10, 1, 10, 20), None),
+])
+def test_a5_family_matches_dense_rebuild(w, base):
+    # Rebuild every member from scratch with the dense product: the chain
+    # coefficients are base + delta over {0, 1, 2}^5 in lexicographic order.
+    datum = root_datum("A", 5)
+    family = a5_good_family(w)
+    if base is None:
+        base = family[0][1].root_coeffs
+    expected = []
+    for delta in product(range(3), repeat=5):
+        coeffs = tuple(b + d for b, d in zip(base, delta))
+        drop = dense_root_combination(datum, coeffs)
+        expected.append((tuple(a - b for a, b in zip(w, drop)), coeffs))
+    assert [(mu, chain.root_coeffs) for mu, chain in family] == expected
+    assert all(chain.target == mu for mu, chain in family)
 
 
 def test_a5_family_hypothesis_message():

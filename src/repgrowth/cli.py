@@ -114,8 +114,10 @@ def _bits(args) -> int:
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    if not text.strip():
+        return ()  # a blank value reads as the empty tuple
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise HypothesisError(f"{what} must be comma-separated integers, "
                               f"got {text!r}")

@@ -8,7 +8,7 @@ integer arithmetic alone.
 
 from __future__ import annotations
 
-from collections import deque
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -128,11 +128,20 @@ def orbit_length(datum: RootDatum, w: Weight) -> int:
 # ---------------------------------------------------------------------------
 # Saturated set below a dominant weight.
 
+@lru_cache(maxsize=None)
+def _cover_table(datum: RootDatum) -> tuple[tuple, ...]:
+    """Positive roots as (coefficients, weight, need), need the positive
+    part of the weight: for dominant w, w - alpha is dominant exactly when
+    w >= need entry by entry."""
+    return tuple((c, alpha, tuple(max(a, 0) for a in alpha))
+                 for c, alpha in positive_roots(datum))
+
+
 def _saturated_walk(datum: RootDatum, lam: Weight, cap: int
-                    ) -> tuple[list[tuple[Weight, tuple[int, ...]]], int]:
+                    ) -> tuple[dict[Weight, tuple[int, ...]], int]:
     """Dominant members of the saturated set of lam, each with the
-    simple-root coefficients of lam - mu, sorted descending; plus the size
-    of the whole set (Weyl images included) as a sum of orbit lengths.
+    simple-root coefficients of lam - mu; plus the size of the whole set
+    (Weyl images included) as a sum of orbit lengths.
 
     Every dominant mu <= lam is reached from lam through dominant weights
     by subtracting one positive root at a time (Stembridge, "The partial
@@ -144,26 +153,28 @@ def _saturated_walk(datum: RootDatum, lam: Weight, cap: int
     lam = datum.check_weight(lam)
     if not is_dominant(lam):
         raise HypothesisError(f"weight {lam} is not dominant")
-    # w - alpha is dominant iff w covers alpha's positive coefficients.
-    roots = [(c, alpha, [(t, a) for t, a in enumerate(alpha) if a > 0])
-             for c, alpha in positive_roots(datum)]
+    table = _cover_table(datum)
+    orbit_of = {}  # zero positions -> orbit length: |W| over |W_zeros|
     coeffs_of = {lam: datum.zero()}
-    queue = deque([lam])
+    queue = [lam]
     total = 0
-    while queue:
-        w = queue.popleft()
-        total += orbit_length(datum, w)
+    for w in queue:
+        zeros = tuple(map(operator.not_, w))
+        if zeros not in orbit_of:
+            orbit_of[zeros] = weyl_order(datum) // _parabolic_order(
+                datum, frozenset(i for i, z in enumerate(zeros, 1) if z))
+        total += orbit_of[zeros]
         if total > cap:
             raise SaturationCapError(
                 f"saturated set of {lam} exceeds cap {cap}")
         coeffs = coeffs_of[w]
-        for c, alpha, needs in roots:
-            if all(w[t] >= a for t, a in needs):
+        for c, alpha, need in table:
+            if all(map(operator.ge, w, need)):
                 v = sub(w, alpha)
                 if v not in coeffs_of:
                     coeffs_of[v] = add(coeffs, c)
                     queue.append(v)
-    return sorted(coeffs_of.items(), reverse=True), total
+    return coeffs_of, total
 
 
 def saturated_dominant_set(datum: RootDatum, lam: Weight,
@@ -172,7 +183,7 @@ def saturated_dominant_set(datum: RootDatum, lam: Weight,
     descending-lexicographically (lam itself first)."""
     members, _ = _saturated_walk(datum, lam, cap)
     out = []
-    for mu, coeffs in members:
+    for mu, coeffs in sorted(members.items(), reverse=True):
         chain = WitnessChain(target=mu, root_coeffs=coeffs)
         assert chain.verify(datum, lam)
         out.append((mu, chain))

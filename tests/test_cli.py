@@ -153,6 +153,34 @@ def test_witness_weight_parse_error(capsys):
     assert json.loads(err)["error"]["type"] == "hypothesis"
 
 
+@pytest.mark.parametrize("argv", [
+    ("witness", "good", "--rank", "3", "--weight", "1,,2,1"),
+    ("witness", "good", "--rank", "3", "--weight", "1,2,1,"),
+    ("witness", "incr", "--rank", "3", "--m", "1", "--weight", ",1,2,1"),
+    ("mullineux", "--p", "5", "--partition", "3,,1"),
+    ("mullineux", "--p", "5", "--partition", "3, ,1"),
+    ("mullineux", "--p", "5", "--partition", ","),
+])
+def test_empty_entries_rejected(capsys, argv):
+    """An empty entry between commas is an error, not a dropped entry."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    flag, text = argv[-2:]
+    assert json.loads(err)["error"] == {
+        "type": "hypothesis",
+        "message": f"{flag} must be comma-separated integers, got {text!r}"}
+
+
+@pytest.mark.parametrize("blank", ["", "   "])
+def test_mullineux_blank_partition_is_empty(capsys, blank):
+    code, out, _ = run(capsys, "mullineux", "--p", "5", "--partition", blank)
+    assert code == 0
+    data = json.loads(out)
+    assert data["image"] == []
+    assert data["m_p"] == 0
+
+
 # --- enumerate ------------------------------------------------------------------
 
 def test_enumerate_rank_one_counts(capsys):

@@ -11,6 +11,7 @@ from repgrowth.dominance import (
     HypothesisError,
     SaturationCapError,
     WitnessChain,
+    _cover_table,
     bracket,
     dominance_witness,
     orbit_length,
@@ -277,10 +278,12 @@ def test_saturation_cap_below_one_rejected(cap):
         premet_lower(datum, (0, 0), 5, cap=cap)
 
 
-# Criterion 7's type-A box (coefficients 0-4) and small boxes elsewhere.
+# Criterion 7's type-A box (coefficients 0-4) and small boxes elsewhere;
+# top None walks the fundamental weights (E7 omega_4: 24,753 weights).
 WALK_BOXES = [
     ("A", 1, 4), ("A", 2, 4), ("A", 3, 4), ("B", 3, 3), ("C", 3, 3),
     ("D", 4, 2), ("G", 2, 5), ("B", 4, 1), ("F", 4, 1),
+    ("E", 6, None), ("E", 7, None),
 ]
 
 
@@ -290,13 +293,25 @@ def test_saturated_walk_matches_full_walk(family, rank, top):
     set: same dominant members, same chains, and orbit sums that count
     the whole set."""
     datum = root_datum(family, rank)
-    for lam in _box(rank, top):
+    weights = (_box(rank, top) if top is not None else
+               [tuple(int(i == j) for j in range(rank)) for i in range(rank)])
+    for lam in weights:
         dominants, size = brute_saturated_walk(datum, lam)
         members = saturated_dominant_set(datum, lam)
         assert [(mu, chain.root_coeffs) for mu, chain in members] == dominants
         assert sum(orbit_length(datum, mu) for mu, _ in members) == size
         assert saturated_weight_total(datum, lam) == size
         assert premet_lower(datum, lam, 7) == size
+
+
+def test_cover_table_built_once_per_datum():
+    datum = root_datum("F", 4)
+    premet_lower(datum, (1, 0, 0, 0), 5)
+    before = _cover_table.cache_info().misses
+    for lam in [(0, 1, 0, 0), (1, 1, 0, 0), (2, 0, 1, 0)]:
+        premet_lower(datum, lam, 5)
+        saturated_dominant_set(datum, lam)
+    assert _cover_table.cache_info().misses == before
 
 
 @settings(max_examples=60, deadline=None)

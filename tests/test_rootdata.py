@@ -1,10 +1,14 @@
 """Structural checks on the root-system tables."""
 
+import itertools
+import operator
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repgrowth.dominance import _cover_table
 from repgrowth.rootdata import (
     RootDataError,
     add,
@@ -245,6 +249,28 @@ def test_root_combination_rejects_wrong_length(family, rank):
     for coeffs in ((1,) * (rank - 1), (1,) * (rank + 1)):
         with pytest.raises(RootDataError, match="wrong length"):
             datum.root_combination(coeffs)
+
+
+@pytest.mark.parametrize("family,rank", ALL_DATA)
+def test_cover_table_is_exact(family, rank):
+    """For dominant w, w >= need entry by entry exactly when w - alpha is
+    dominant: a box for ranks <= 4, seeded weights above."""
+    datum = root_datum(family, rank)
+    table = _cover_table(datum)
+    assert [(c, alpha) for c, alpha, _ in table] == list(positive_roots(datum))
+    if rank <= 4:
+        weights = list(itertools.product(range(5), repeat=rank))
+    else:
+        rnd = random.Random(f"{family}{rank}")
+        weights = [tuple(rnd.randrange(4) for _ in range(rank))
+                   for _ in range(400)]
+    seen = set()
+    for w in weights:
+        for c, alpha, need in table:
+            covered = all(map(operator.ge, w, need))
+            assert covered == is_dominant(sub(w, alpha)), (w, c)
+            seen.add(covered)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("family,rank", [

@@ -227,6 +227,23 @@ def direct_zeta_iv(s):
     return total
 
 
+def fraction_euler_maclaurin_tail(s, m: int, terms: int):
+    """`intervals._euler_maclaurin_tail` as a running Fraction sum, one
+    reduction per correction: the exact (T, R) it must return."""
+    s = Fraction(s)
+    a, b = s.numerator, s.denominator
+    total = 1 / (s - 1) - Fraction(1, 2 * m)
+    # s(s+1)...(s+2j-2) / ((2j)! m^2j) as num/den, here at j = 1
+    num, den = a, 2 * m * m * b
+    for j in range(1, terms + 2):
+        term = Fraction(*mpmath.bernfrac(2 * j)) * Fraction(num, den)
+        if j > terms:
+            return total, abs(term)
+        total += term
+        num *= (a + (2 * j - 1) * b) * (a + 2 * j * b)
+        den *= (2 * j + 1) * (2 * j + 2) * m * m * b * b
+
+
 # ---------------------------------------------------------------------------
 # The exponential envelopes as plain high-precision floats.
 

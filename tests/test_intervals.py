@@ -1,11 +1,13 @@
-"""Zeta enclosures against the term-by-term oracle, the exponential
-envelopes against plain high-precision floats, one evaluation per rung in
-`contains`, and certificates formatted once."""
+"""Zeta enclosures against the term-by-term oracle, the exact tail against
+the running Fraction sum, powers by integer power and square roots against
+exp and log, the exponential envelopes against plain high-precision floats,
+one evaluation per rung in `contains`, and certificates formatted once."""
 
 import re
 from decimal import Decimal
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import factorial, isqrt
 
 import mpmath
 import pytest
@@ -14,11 +16,12 @@ from mpmath import iv
 from repgrowth import intervals
 from repgrowth.bounds import f_interval, ratio_iv
 from repgrowth.checks import CHECKS
-from repgrowth.intervals import (TRUE, UNKNOWN, certify_cmp, contains, exact,
-                                 zeta_iv)
+from repgrowth.intervals import (TRUE, UNKNOWN, _euler_maclaurin_tail,
+                                 certify_cmp, contains, exact, power, zeta_iv)
 from repgrowth.partitions import partition_envelope_iv
 
-from oracles import direct_zeta_iv, envelope_reference
+from oracles import (_iv_power, direct_zeta_iv, envelope_reference,
+                     fraction_euler_maclaurin_tail)
 
 REF_BITS = 1500
 LADDER = (64, 128, 256, 512, 1024)
@@ -79,6 +82,71 @@ def test_zeta_iv_rejects_s_at_most_one():
         zeta_iv(Fraction(1))
 
 
+def test_zeta_iv_encloses_at_a_large_numerator():
+    s = Fraction(4001, 4)
+    lo, hi = _ends(_at(1024, lambda: zeta_iv(s)))
+    with mpmath.workprec(REF_BITS):
+        assert lo <= mpmath.zeta(mpmath.mpf(s.numerator) / s.denominator) <= hi
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+@pytest.mark.parametrize("bits", LADDER)
+def test_zeta_iv_takes_an_exp_only_off_the_root_route(bits, monkeypatch):
+    calls = []
+    exp = iv.exp
+
+    def counted(x):
+        calls.append(x)
+        return exp(x)
+
+    monkeypatch.setattr(iv, "exp", counted)
+    for s in (Fraction(2), Fraction(9, 4), Fraction(5, 2), Fraction(3),
+              Fraction(7, 2)):
+        _at(bits, lambda: zeta_iv(s))
+    assert calls == []
+    _at(bits, lambda: zeta_iv(Fraction(11, 10)))
+    # one per prime n <= M and one for M^(1-s)
+    M = max(16, bits // 8)
+    assert len(calls) == sum(map(_is_prime, range(M + 1))) + 1
+
+
+# --- the exact Euler-Maclaurin tail ---------------------------------------
+
+@pytest.mark.parametrize("prec", ZETA_PRECS)
+@pytest.mark.parametrize("s", ZETA_ARGS, ids=str)
+def test_tail_equals_the_fraction_sum_on_the_ladder(s, prec):
+    M, J = max(16, prec // 8), prec // 13 + 2
+    assert (_euler_maclaurin_tail(s, M, J)
+            == fraction_euler_maclaurin_tail(s, M, J))
+
+
+@pytest.mark.parametrize("m", (16, 128))
+@pytest.mark.parametrize("s", ZETA_ARGS, ids=str)
+def test_tail_equals_the_fraction_sum_at_every_order(s, m):
+    for terms in range(1, 101):
+        assert (_euler_maclaurin_tail(s, m, terms)
+                == fraction_euler_maclaurin_tail(s, m, terms)), terms
+
+
+# --- power ----------------------------------------------------------------
+
+@pytest.mark.parametrize("sign", (1, -1), ids=("a>0", "a<0"))
+@pytest.mark.parametrize("den", (1, 2, 4))
+def test_power_by_roots_encloses_and_is_no_wider_than_exp_log(den, sign):
+    for base, num, bits in product((2, 3, 97, 57750, 10 ** 6),
+                                   (1, 3, 5, 9, 19, 101), LADDER):
+        e = Fraction(sign * num, den)
+        lo, hi = _ends(_at(bits, lambda: power(base, e)))
+        old_lo, old_hi = _ends(_at(bits, lambda: _iv_power(base, e)))
+        with mpmath.workprec(REF_BITS):
+            ref = mpmath.mpf(base) ** (mpmath.mpf(e.numerator) / den)
+            assert lo <= ref <= hi, (base, e, bits)
+            assert hi - lo <= old_hi - old_lo, (base, e, bits)
+
+
 # Printed lhs endpoints of checks n-010 ... n-016 at 64 bits when zeta was
 # enclosed term by term (`oracles.direct_zeta_iv`).  The prime-sieved sum
 # with the rational tail must print an enclosure inside each of them.
@@ -102,6 +170,44 @@ def test_display_lhs_lies_inside_the_direct_enclosure(cid):
     old_lo, old_hi = DIRECT_LHS[cid]
     assert Decimal(old_lo) <= Decimal(new_lo) <= Decimal(new_hi) \
         <= Decimal(old_hi)
+
+
+# Printed endpoints of the nine checks whose enclosures moved when `power`
+# gained the integer-power-and-roots route, as the exp/log route printed them
+# (lhs, then rhs).  Each new enclosure must lie inside the old one.
+EXP_LOG_ENDS = {
+    "a-070": (("3297986376.9924495811574", "3297986376.9924495832529"),
+              ("801456529393.1018537879", "801456529393.10185658932")),
+    "n-010": (("0.89493406684822643338759", "0.8949340668482264377244"),
+              ("0.93749999999999999994579", "0.93750000000000000005421")),
+    "n-011": (("0.97897855885281038151131", "0.97897855885281038985967"),
+              ("0.98745330300099460474209", "0.98745330300099460485051")),
+    "n-012": (("0.97897855885281038151131", "0.97897855885281038985967"),
+              ("0.9907093194140412416521", "0.99070931941404124170631")),
+    "n-013": (("0.51826395254755405815703", "0.5182639525475540617349"),
+              ("0.99973600810736642623957", "0.99973600810736642629378")),
+    "n-014": (("0.67043596997207713491986", "0.67043596997207713882299"),
+              ("0.99988343264577343353456", "0.99988343264577343358877")),
+    "n-015": (("0.67043596997207713491986", "0.67043596997207713882299"),
+              ("0.99999590283250905186187", "0.99999590283250905191608")),
+    "n-016": (("0.89493406684822643338759", "0.8949340668482264377244"),
+              ("0.99839999999999999997754", "0.99840000000000000003175")),
+    "s-020": (("5540018.1082078298263696", "5540018.1082078298536544"),
+              ("7108643.6444688124047389", "7108643.644468812418836")),
+}
+
+
+@pytest.mark.parametrize("cid", sorted(EXP_LOG_ENDS))
+def test_display_lies_inside_the_exp_log_enclosure(cid):
+    check = next(c for c in CHECKS if c.id == cid)
+    verdict, detail = check.run(256, "desk")
+    assert verdict == "pass" and "(64 bits)" in detail
+    ends = re.match(r"lhs = \[([^,]+), ([^\]]+)\], rhs = \[([^,]+), "
+                    r"([^\]]+)\]", detail).groups()
+    for (old_lo, old_hi), new_lo, new_hi in zip(EXP_LOG_ENDS[cid], ends[::2],
+                                                ends[1::2]):
+        assert Decimal(old_lo) <= Decimal(new_lo) <= Decimal(new_hi) \
+            <= Decimal(old_hi)
 
 
 # --- contains -----------------------------------------------------------------

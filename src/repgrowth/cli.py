@@ -43,13 +43,15 @@ from .dominance import (
     is_good,
     orbit_length,
 )
-from .partitions import mullineux
+from .partitions import check_partition, mullineux
 from .rootdata import RootDataError, root_datum
 from .witness import ENGINES as _SINGLE_ENGINES, a5_good_family
 
 PREC_DEFAULT = 256
 PREC_CEILING = 1024
 CAP_DEFAULT = 10 ** 7
+# Most cells the mullineux command twists; README gives the measured cost.
+TWIST_CELLS_MAX = 10 ** 4
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +261,10 @@ def cmd_enumerate(args) -> int:
 # mullineux
 
 def cmd_mullineux(args) -> int:
-    lam = _parse_ints(args.partition, "--partition")
+    lam = check_partition(_parse_ints(args.partition, "--partition"))
+    if sum(lam) > TWIST_CELLS_MAX:
+        raise ValueError(f"partition of {sum(lam)} cells is over the twist "
+                         f"budget of {TWIST_CELLS_MAX} cells")
     img = mullineux(lam, args.p)
     back = mullineux(img, args.p)
     if back != tuple(lam):
@@ -369,7 +374,8 @@ def _parser_tree() -> argparse.ArgumentParser:
                     "apply the sign-twist involution")
     p_mul.add_argument("--p", type=int, required=True)
     p_mul.add_argument("--partition", required=True,
-                       help="comma-separated parts")
+                       help="comma-separated parts, at most "
+                            f"{TWIST_CELLS_MAX} cells in all")
 
     return parser
 

@@ -49,8 +49,13 @@ def bracket(datum: RootDatum, w: Weight) -> int:
     w = datum.check_weight(w)
     if not is_dominant(w):
         raise HypothesisError(f"weight {w} is not dominant")
-    r = datum.rank
-    return sum(min(i, r + 1 - i) * a for i, a in enumerate(w, start=1))
+    return _bracket(datum.rank, w)
+
+
+def _bracket(r: int, w: Weight) -> int:
+    """bracket of a checked weight, against min(i, r+1-i) = 1, 2, ..., 1."""
+    h = (r + 1) // 2
+    return sum(map(operator.mul, (*range(1, h + 1), *range(r - h, 0, -1)), w))
 
 
 @lru_cache(maxsize=None)

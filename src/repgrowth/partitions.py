@@ -1,12 +1,13 @@
 """Partition combinatorics and the symmetric/alternating growth arithmetic.
 
-The sign-twist involution on p-regular partitions removes good cells one at
-a time, recording each residue i, down to the empty diagram, then adds good
-cells of the residues -i mod p in reverse order.
+The sign-twist involution on p-regular partitions removes all good cells of
+one residue i at a time down to the empty diagram, then adds as many good
+cells of residue -i mod p, in reverse order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import factorial
 
@@ -188,82 +189,83 @@ def p_regular_partitions(n: int, p: int):
 
 
 def conjugate(lam) -> Partition:
-    lam = check_partition(lam)
-    if not lam:
-        return ()
+    return _conjugate(check_partition(lam))
+
+
+def _conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for a in lam if a >= j)
-                 for j in range(1, lam[0] + 1))
+                 for j in range(1, (lam[0] if lam else 0) + 1))
 
 
 # ---------------------------------------------------------------------------
-# The sign-twist involution by good cells.
+# The sign-twist involution by residue blocks of good cells.
 
-def _good_cell(lam, i: int, p: int, delta: int) -> Partition | None:
-    """lam with its good cell of residue i removed (delta = -1) or added
-    (delta = +1); None when there is no such cell.
-
-    Cell (row, col), 0-based, has residue (col - row) mod p.  The
-    i-signature reads the addable (+) and removable (-) cells of residue i
-    from the bottom row up, and each - followed by a + cancels.  Removal
-    takes the first surviving -, addition the last surviving +.
-    """
-    parts = list(lam) + [0, 0]
-    plus: list[int] = []  # rows of surviving +, bottom up
-    minus: list[int] = []  # rows of - not yet cancelled, bottom up
-    for row in range(len(lam), -1, -1):
-        length = parts[row]
-        if length > parts[row + 1] and (length - 1 - row) % p == i:
+def _signature(neg: list[int], i: int, p: int) -> tuple[list, list]:
+    """Rows of the surviving removable (-) and addable (+) cells of residue
+    i, bottom up.  neg: the parts negated, so ascending, then zeros.  Cell
+    (row, col), 0-based, has residue (col - row) mod p.  A block of equal
+    parts has its - in its bottom row and its + in its top row."""
+    plus, minus = [], []  # minus: not yet cancelled
+    row, below = len(neg) - 1, 0
+    while row >= 0:
+        top = bisect_left(neg, neg[row], 0, row)
+        length = -neg[row]
+        if length > below and (length - 1 - row) % p == i:
             minus.append(row)
-        elif (row == 0 or parts[row - 1] > length) and (length - row) % p == i:
+        if (length - top) % p == i:  # read bottom up, - then + cancel
             if minus:
                 minus.pop()
             else:
-                plus.append(row)
-    found = minus[:1] if delta == -1 else plus[-1:]
-    if not found:
-        return None
-    parts[found[0]] += delta
-    return tuple(a for a in parts if a)
+                plus.append(top)
+        row, below = top - 1, length
+    return minus, plus
 
 
 def mullineux(lam, p: int) -> Partition:
     """The sign-twist involution on p-regular partitions; conjugation at
-    p = 0, identity at p = 2.
+    p = 0, identity at p = 2.  Otherwise it is the crystal automorphism
+    i -> -i (Kleshchev, J. reine angew. Math. 459, 1995; Ford and Kleshchev,
+    Math. Z. 226, 1997): any path of good-cell removals to the empty
+    partition, replayed with negated residues, gives the image.  A step
+    removes all good cells of the residue i of the topmost removable cell,
+    which ends the first r < p equal rows: the only + above it ends row 0,
+    has residue i + r, and so cannot cancel it."""
+    return _twist(check_partition(lam), p)
 
-    Otherwise remove good cells down to the empty partition, recording
-    their residues, then add good cells of the negated residues in reverse
-    order (Kleshchev's branching rule; Ford and Kleshchev, "A proof of the
-    Mullineux conjecture", Math. Z. 226, 1997)."""
-    lam = check_partition(lam)
-    if not is_p_regular(lam, p):
-        raise HypothesisError(
-            f"part {_first_repeat(lam, p)} repeats {p} times (p = {p})")
+
+def _twist(lam: Partition, p: int) -> Partition:
+    """mullineux on a partition already checked."""
+    _check_char(p)
+    if p and (part := _first_repeat(lam, p)) is not None:
+        raise HypothesisError(f"part {part} repeats {p} times (p = {p})")
     if p == 0:
-        return conjugate(lam)
+        return _conjugate(lam)
     if p == 2:
         return lam
+    neg = [-a for a in lam] + [0]
     path = []
-    while lam:
-        for i in range(p):
-            smaller = _good_cell(lam, i, p, -1)
-            if smaller is not None:
-                break
-        assert smaller is not None, f"{lam} has no good cell"
-        path.append(i)
-        lam = smaller
-    for i in reversed(path):
-        lam = _good_cell(lam, -i % p, p, +1)
-        assert lam is not None, f"no good cell of residue {-i % p} to add"
-    return lam
+    while neg[0]:
+        i = (-neg[0] - bisect_right(neg, neg[0])) % p
+        minus, _ = _signature(neg, i, p)
+        assert minus, f"{lam} has no good cell"
+        for row in minus:
+            neg[row] += 1
+        path.append((i, len(minus)))
+    for i, count in reversed(path):
+        _, plus = _signature(neg, -i % p, p)
+        assert len(plus) >= count, f"no good cell of residue {-i % p} to add"
+        for row in plus[-count:]:
+            neg[row] -= 1
+        if neg[-1]:
+            neg.append(0)
+    return tuple(-a for a in neg if a)
 
 
 def m_p(lam, p: int) -> int:
     """max of the first part and the sign-twist image's first part (0 for
     the empty partition); HypothesisError unless lam is p-regular."""
     lam = check_partition(lam)
-    if not lam:
-        return 0
-    return max(lam[0], mullineux(lam, p)[0])
+    return max(lam[:1] + _twist(lam, p)[:1], default=0)
 
 
 def bound3_value(lam, p: int) -> BoundReport:
@@ -272,7 +274,7 @@ def bound3_value(lam, p: int) -> BoundReport:
     n = sum(lam)
     if n < 5:
         raise HypothesisError("the half-power bound needs |partition| >= 5")
-    m = m_p(lam, p)
+    m = max(lam[0], _twist(lam, p)[0])
     return BoundReport(
         name="half-power-lower",
         inputs=_inputs(partition=",".join(map(str, lam)), p=p),

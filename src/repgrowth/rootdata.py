@@ -12,6 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 Weight = tuple[int, ...]
 
@@ -98,7 +99,7 @@ class RootDatum:
 
     def check_weight(self, w) -> Weight:
         w = tuple(w)
-        if len(w) != self.rank or not all(isinstance(c, int) for c in w):
+        if len(w) != self.rank or not all(map(isinstance, w, repeat(int))):
             raise RootDataError(
                 f"weight {w!r} is not an integer {self.rank}-tuple")
         return w
@@ -161,7 +162,7 @@ def positive_roots(datum: RootDatum) -> tuple[tuple[tuple[int, ...], Weight], ..
 
 
 def is_dominant(w) -> bool:
-    return all(c >= 0 for c in w)
+    return min(w, default=0) >= 0
 
 
 def is_restricted(w, p: int) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .dominance import HypothesisError, WitnessChain, bracket, is_good
+from .dominance import HypothesisError, WitnessChain, _bracket, is_good
 from .rootdata import RootDatum, Weight, add, is_dominant, root_datum, sub
 
 
@@ -104,7 +104,7 @@ def incr_witness(datum: RootDatum, w, m: int) -> tuple[Weight, WitnessChain]:
     _incr_step(a, kvec, m)
     mu, chain = _finish(datum, w, a, kvec)
     assert mu[m] == w[m] + 1 and mu[m + 1:] == w[m + 1:]
-    assert bracket(datum, mu) == bracket(datum, w)
+    assert _bracket(r, mu) == _bracket(r, w)
     return mu, chain
 
 
@@ -183,20 +183,21 @@ def m_good_witness(datum: RootDatum, w, m: int) -> tuple[Weight, WitnessChain]:
     """Witness positive on the centred window of half-width m, obtained from
     the bracket-mass hypothesis alone."""
     w = _require_type_a(datum, w)
-    k = _centre(datum.rank)
+    r, k = datum.rank, _centre(datum.rank)
     if not 1 <= m <= k:
         raise HypothesisError(f"window parameter m={m} outside 1..{k}")
+    br = _bracket(r, w)
+    need = _m_good_threshold(r, m)
+    if br < need:
+        raise HypothesisError(
+            f"hypothesis bracket ≥ {need} fails: bracket = {br}")
     return _m_good_apply(datum, w, m)
 
 
 def _m_good_apply(datum: RootDatum, w: Weight,
                   m: int) -> tuple[Weight, WitnessChain]:
+    """The m-good witness for w; its bracket reaches the m-good threshold."""
     r, k = datum.rank, _centre(datum.rank)
-    br = bracket(datum, w)
-    need = _m_good_threshold(r, m)
-    if br < need:
-        raise HypothesisError(
-            f"hypothesis bracket ≥ {need} fails: bracket = {br}")
     a = list(w)
     kvec = [0] * r
     centre_need = 2 * m + 1 if r % 2 else 2 * m + 3
@@ -217,7 +218,7 @@ def middle2_witness(datum: RootDatum, w) -> tuple[Weight, WitnessChain]:
     the bracket statistic.  Needs bracket >= 2k+1."""
     w = _require_type_a(datum, w)
     r, k = datum.rank, _centre(datum.rank)
-    br = bracket(datum, w)
+    br = _bracket(r, w)
     if br < 2 * k + 1:
         raise HypothesisError(
             f"hypothesis bracket ≥ 2k+1 fails: bracket = {br} < {2 * k + 1}")
@@ -233,7 +234,7 @@ def middle2_witness(datum: RootDatum, w) -> tuple[Weight, WitnessChain]:
         _reversed_incr_step(a, kvec, k)
     mu, chain = _finish(datum, w, a, kvec)
     assert any(mu[t - 1] > 0 for t in targets)
-    assert bracket(datum, mu) == br
+    assert _bracket(r, mu) == br
     return mu, chain
 
 
@@ -242,7 +243,7 @@ def good_witness(datum: RootDatum, w) -> tuple[Weight, WitnessChain]:
     2*bracket >= r^2 + 2r - 2."""
     w = _require_type_a(datum, w)
     r, k = datum.rank, _centre(datum.rank)
-    br = bracket(datum, w)
+    br = _bracket(r, w)
     if 2 * br < r * r + 2 * r - 2:
         raise HypothesisError(
             f"hypothesis 2·bracket ≥ r²+2r−2 fails: "
@@ -273,10 +274,10 @@ def a5_good_family(w) -> list[tuple[Weight, WitnessChain]]:
     a = list(w)
     kvec = [0] * 5
     if a[2] < 25:
-        if bracket(datum, w) < 77:
+        if _bracket(5, w) < 77:
             raise HypothesisError(
                 "hypothesis bracket ≥ 77 (or a_3 ≥ 25) fails: "
-                f"bracket = {bracket(datum, w)}, a_3 = {a[2]}")
+                f"bracket = {_bracket(5, w)}, a_3 = {a[2]}")
         while a[2] < 25:
             if a[0] + 2 * a[1] >= 3:
                 _incr_step(a, kvec, 2)

@@ -245,6 +245,28 @@ def test_mullineux_rejects_irregular(capsys):
     assert "part 2 repeats 3 times (p = 3)" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("partition", ["1000000000", "9999,2"])
+def test_mullineux_refuses_partitions_over_the_budget(capsys, partition):
+    from repgrowth.cli import TWIST_CELLS_MAX
+
+    cells = sum(map(int, partition.split(",")))
+    code, out, err = run(capsys, "mullineux", "--p", "5", "--partition",
+                         partition)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "input",
+        "message": f"partition of {cells} cells is over the twist budget "
+                   f"of {TWIST_CELLS_MAX} cells"}
+
+
+def test_mullineux_twists_a_row_at_the_budget(capsys):
+    code, out, _ = run(capsys, "mullineux", "--p", "5", "--partition",
+                       "10000")
+    assert code == 0
+    assert json.loads(out)["image"] == [2500] * 4
+
+
 @pytest.mark.parametrize("p,partition,m", [
     (5, "5,4,2,2,1", 5), (3, "2,1", 3), (0, "3,2", 3), (2, "4,1", 4),
     (7, "", 0),

@@ -9,7 +9,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repgrowth.cli import main
@@ -73,6 +73,7 @@ def argvs(draw):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
+@example(["mullineux", "--p", "5", "--partition", "1000000000"])
 def test_main_ends_in_a_documented_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

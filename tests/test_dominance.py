@@ -42,6 +42,13 @@ def test_bracket_pins():
     assert bracket(root_datum("A", 2), (1, 1)) == 2
 
 
+def test_bracket_weights_every_rank():
+    for r in range(1, 13):
+        w = tuple(range(1, r + 1))
+        assert bracket(root_datum("A", r), w) == sum(
+            min(i, r + 1 - i) * i for i in range(1, r + 1))
+
+
 def test_bracket_requires_type_a():
     with pytest.raises(HypothesisError):
         bracket(root_datum("B", 2), (1, 1))

@@ -1,12 +1,14 @@
 """The sign-twist involution, pinned values and the two independent routes."""
 
 import random
+import sys
 
 import pytest
 
+from repgrowth import partitions
 from repgrowth.dominance import HypothesisError
-from repgrowth.partitions import (conjugate, is_p_regular, mullineux,
-                                  p_regular_partitions)
+from repgrowth.partitions import (bound3_value, conjugate, is_p_regular, m_p,
+                                  mullineux, p_regular_partitions)
 
 from oracles import (
     LADDER_CONVENTION,
@@ -95,13 +97,104 @@ def test_rejects_bad_characteristic():
         mullineux((3, 1), 4)
 
 
+def test_m_p_checks_the_characteristic_of_the_empty_partition():
+    with pytest.raises(HypothesisError, match="characteristic 4 is neither"):
+        m_p((), 4)
+    assert m_p((), 3) == 0
+
+
+# Exception type and message at each public twist entry.  A malformed
+# partition is reported first, then the characteristic, then regularity.
+ENTRY_ERRORS = [
+    ((1, 2), 3, "parts must be weakly decreasing: (1, 2)"),
+    ((3, -1, 1), 3, "parts must be positive: (3, -1, 1)"),
+    ((4, 2, 2, 2), 3, "part 2 repeats 3 times (p = 3)"),
+    ((5, 3, 3, 3, 3, 3), 5, "part 3 repeats 5 times (p = 5)"),
+    ((4, 1, 1), 4, "characteristic 4 is neither 0 nor prime"),
+    ((1, 1, 1, 1, 1, 1), 6, "characteristic 6 is neither 0 nor prime"),
+    ((6, 1), 1, "characteristic 1 is neither 0 nor prime"),
+]
+
+
+@pytest.mark.parametrize("entry", [mullineux, m_p, bound3_value])
+@pytest.mark.parametrize("lam,p,message", ENTRY_ERRORS)
+def test_twist_entry_errors_pinned(entry, lam, p, message):
+    with pytest.raises(HypothesisError) as info:
+        entry(lam, p)
+    assert type(info.value) is HypothesisError
+    assert str(info.value) == message
+
+
+def test_bound3_reports_size_before_characteristic():
+    for lam, p in (((3, 1), 4), ((), 4), ((2, 1), 3)):
+        with pytest.raises(HypothesisError) as info:
+            bound3_value(lam, p)
+        assert str(info.value) == "the half-power bound needs |partition| >= 5"
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 7])
+def test_each_twist_entry_checks_its_partition_once(monkeypatch, p):
+    seen = []
+    check = partitions.check_partition
+
+    def counted(lam):
+        seen.append(lam)
+        return check(lam)
+
+    monkeypatch.setattr(partitions, "check_partition", counted)
+    for entry in (mullineux, m_p, bound3_value):
+        seen.clear()
+        entry((5, 3, 1), p)
+        assert len(seen) == 1, entry.__name__
+
+
+def test_staircase_twist_takes_residue_blocks(monkeypatch):
+    """The 60-row staircase at p = 7 has 1830 cells, so one cell per step
+    would scan at least 2 * 1830 signatures; residue blocks need 468."""
+    scans = []
+    signature = partitions._signature
+
+    def counted(neg, i, p):
+        scans.append(i)
+        return signature(neg, i, p)
+
+    monkeypatch.setattr(partitions, "_signature", counted)
+    stair = tuple(range(60, 0, -1))
+    image = mullineux(stair, 7)
+    assert len(scans) <= 500
+    assert sum(image) == 1830 and mullineux(image, 7) == stair
+
+
 # --- the independent rim and residue-ladder routes ---------------------------
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_library_matches_rim_route_exhaustive(p):
     for n in range(1, 19):
         for lam in brute_regular(n, p):
             assert mullineux(lam, p) == rim_mullineux(lam, p), lam
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_library_matches_ladder_route_exhaustive(p):
+    """The ladder route removes one good cell per step, the library a
+    whole residue block."""
+    for n in range(1, 19):
+        for lam in brute_regular(n, p):
+            assert mullineux(lam, p) == ladder_mullineux(lam, p), lam
+
+
+@pytest.mark.parametrize("lam,p", [
+    (tuple(range(45, 0, -1)), 7),                    # staircase, 1035 cells
+    ((1201,), 5),                                    # one row
+    ((50,) * 10 + (40,) * 10 + (30,) * 10, 11),      # three blocks, 1200 cells
+])
+def test_library_matches_ladder_route_past_a_thousand_cells(lam, p):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2 * sum(lam))  # one ladder frame per cell
+    try:
+        assert mullineux(lam, p) == ladder_mullineux(lam, p)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _random_regular(rnd, n, p):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repgrowth.dominance import HypothesisError, bracket, dominance_witness, is_good
-from repgrowth.rootdata import root_datum
+from repgrowth.rootdata import RootDataError, root_datum
 from repgrowth.witness import (
     a5_good_family,
     good_witness,
@@ -172,6 +172,56 @@ def test_engines_require_dominant():
     datum = root_datum("A", 3)
     with pytest.raises(HypothesisError, match="not dominant"):
         middle2_witness(datum, (1, -1, 3))
+
+
+# Exception type and message at each public witness entry: the weight's
+# length and entries are checked first, then dominance; the family first
+# of all.
+ENTRIES = {
+    "incr": lambda datum, w: incr_witness(datum, w, 1),
+    "middle": lambda datum, w: middle_witness(datum, w, 1),
+    "m-good": lambda datum, w: m_good_witness(datum, w, 1),
+    "middle2": middle2_witness,
+    "good": good_witness,
+    "bracket": bracket,
+}
+ENTRY_ERRORS = [
+    ("A", (1, -1, 0, 2), HypothesisError,
+     "weight (1, -1, 0, 2) is not dominant"),
+    ("B", (1, 1, 1, 1), HypothesisError, "{what} defined for type A only"),
+    ("B", (1, -1), HypothesisError, "{what} defined for type A only"),
+    ("A", (1, 1, 1), RootDataError,
+     "weight (1, 1, 1) is not an integer 4-tuple"),
+    ("A", (1, 1, "x", 1), RootDataError,
+     "weight (1, 1, 'x', 1) is not an integer 4-tuple"),
+    ("A", (1.0, 1, 1, 1), RootDataError,
+     "weight (1.0, 1, 1, 1) is not an integer 4-tuple"),
+]
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+@pytest.mark.parametrize("family,w,error,message", ENTRY_ERRORS)
+def test_witness_entry_errors_pinned(name, family, w, error, message):
+    what = ("bracket statistic is" if name == "bracket"
+            else "witness engines are")
+    with pytest.raises(error) as info:
+        ENTRIES[name](root_datum(family, 4), w)
+    assert type(info.value) is error
+    assert str(info.value) == message.format(what=what)
+
+
+@pytest.mark.parametrize("w,error,message", [
+    ((1, -1, 0, 2, 0), HypothesisError,
+     "weight (1, -1, 0, 2, 0) is not dominant"),
+    ((1, 1, 1), RootDataError, "weight (1, 1, 1) is not an integer 5-tuple"),
+    ((1,) * 6, RootDataError,
+     "weight (1, 1, 1, 1, 1, 1) is not an integer 5-tuple"),
+])
+def test_a5_family_entry_errors_pinned(w, error, message):
+    with pytest.raises(error) as info:
+        a5_good_family(w)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 # --- exhaustive sweeps ------------------------------------------------------

@@ -17,11 +17,10 @@ from math import comb, factorial, isqrt, log10, prod
 from mpmath import iv
 
 from . import intervals
-from .dominance import HypothesisError, saturated_weight_total
+from .dominance import HypothesisError, check_dominant, saturated_weight_total
 from .intervals import (Certificate, DEFAULT_CEILING_BITS, DEFAULT_START_BITS,
                         certify_cmp, certify_less, exact, power, zeta_iv)
-from .rootdata import (RootDatum, _check_family_rank, is_dominant,
-                       is_restricted)
+from .rootdata import RootDatum, _check_family_rank, is_restricted
 
 
 class BudgetError(RuntimeError):
@@ -114,11 +113,8 @@ def n_lambda(datum: RootDatum, w) -> int:
     """Doubled-coefficient product lower bound for the module dimension."""
     if datum.family != "A":
         raise HypothesisError("product bound is stated for type A only")
-    w = datum.check_weight(w)
-    if not is_dominant(w):
-        raise HypothesisError(f"weight {w} is not dominant")
-    r = datum.rank
-    return 1 + (r + 1) * (prod(1 + a // 2 for a in w) - 1)
+    w = check_dominant(datum, w)
+    return 1 + (datum.rank + 1) * (prod(1 + a // 2 for a in w) - 1)
 
 
 def _is_prime(p: int) -> bool:

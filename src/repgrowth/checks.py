@@ -270,15 +270,17 @@ def _lower_consistency(bits: int, scale: str) -> tuple[str, str]:
 
 
 def _orbit_size(datum, w) -> int:
-    """Orbit of a dominant weight by closure under the simple reflections,
-    each applied only where the coefficient is positive."""
+    """Orbit of a dominant weight by closure under the simple reflections
+    s_j(u) = u - u_j alpha_j, each applied only where u_j is positive."""
+    n = range(datum.rank)
+    alphas = [datum.root_combination([int(i == j) for i in n]) for j in n]
     seen = {w}
     frontier = [w]
     while frontier:
         u = frontier.pop()
         for j, c in enumerate(u):
             if c > 0:
-                v = tuple(x - c * row[j] for x, row in zip(u, datum.cartan))
+                v = tuple(x - c * a for x, a in zip(u, alphas[j]))
                 if v not in seen:
                     seen.add(v)
                     frontier.append(v)

@@ -44,14 +44,17 @@ from .dominance import (
     orbit_length,
 )
 from .partitions import check_partition, mullineux
-from .rootdata import RootDataError, root_datum
+from .rootdata import FAMILIES, RootDataError, root_datum
 from .witness import ENGINES as _SINGLE_ENGINES, a5_good_family
 
 PREC_DEFAULT = 256
 PREC_CEILING = 1024
 CAP_DEFAULT = 10 ** 7
-# Most cells the mullineux command twists; README gives the measured cost.
+# Most cells mullineux twists, most restricted weights enumerate walks (by
+# --bound), highest rank witness takes; README gives the measured costs.
 TWIST_CELLS_MAX = 10 ** 4
+BOX_MAX = {"nlambda": 4 * 10 ** 5, "premet": 500}
+WITNESS_RANK_MAX = 300
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +191,9 @@ def cmd_witness(args) -> int:
     fn, takes_m = _SINGLE_ENGINES[args.engine]
     if args.rank is None:
         raise HypothesisError("--rank is required")
+    if args.rank > WITNESS_RANK_MAX:
+        raise ValueError(f"rank {args.rank} is over the witness budget of "
+                         f"rank {WITNESS_RANK_MAX}")
     datum = root_datum("A", args.rank)
     if takes_m:
         if args.m is None:
@@ -220,11 +226,16 @@ def _margin(value, count: int) -> dict:
 
 
 def cmd_enumerate(args) -> int:
-    datum = root_datum(args.family, args.rank)
+    top = BOX_MAX[args.bound]
+    # p ** rank is over the budget once rank passes its bit length
+    if args.p > 1 and args.p ** min(args.rank, top.bit_length()) > top:
+        raise ValueError(f"box of {args.p}^{args.rank} restricted weights is "
+                         f"over the {args.bound} budget of {top} weights")
     if args.p < 2 or not _is_prime(args.p):
         raise HypothesisError(
             "enumeration needs a prime characteristic; the restricted "
             "coefficient box is finite only then")
+    datum = root_datum(args.family, args.rank)
     if args.n_max < 0:
         raise HypothesisError("--n-max must be >= 0")
     if args.cap < 1:
@@ -340,16 +351,15 @@ def _parser_tree() -> argparse.ArgumentParser:
     p_bound = command("bound", cmd_bound,
                       "certified upper bound for the number of restricted "
                       "irreducibles of dimension at most n", "--prec")
-    p_bound.add_argument("--family", required=True,
-                         choices=("A", "B", "C", "D", "E", "F", "G"))
+    p_bound.add_argument("--family", required=True, choices=FAMILIES)
     p_bound.add_argument("--rank", type=int, required=True)
     p_bound.add_argument("--n", type=int, required=True)
     p_bound.add_argument("--p", type=int, required=True)
 
     p_wit = command("witness", cmd_witness, "run a dominance witness engine")
-    p_wit.add_argument("engine", choices=("incr", "middle", "m-good",
-                                          "middle2", "good", "a5"))
-    p_wit.add_argument("--rank", type=int, default=None)
+    p_wit.add_argument("engine", choices=(*_SINGLE_ENGINES, "a5"))
+    p_wit.add_argument("--rank", type=int, default=None,
+                       help=f"at most {WITNESS_RANK_MAX}")
     p_wit.add_argument("--weight", required=True,
                        help="comma-separated coefficients")
     p_wit.add_argument("--m", type=int, default=None)
@@ -357,10 +367,12 @@ def _parser_tree() -> argparse.ArgumentParser:
     p_enum = command("enumerate", cmd_enumerate,
                      "tabulate exact lower-bound counts against the "
                      "certified upper bound", "--prec", "--cap")
-    p_enum.add_argument("--family", required=True,
-                        choices=("A", "B", "C", "D", "E", "F", "G"))
+    p_enum.add_argument("--family", required=True, choices=FAMILIES)
     p_enum.add_argument("--rank", type=int, required=True)
-    p_enum.add_argument("--p", type=int, required=True)
+    p_enum.add_argument("--p", type=int, required=True,
+                        help="the box of p^rank restricted weights walked "
+                             f"holds at most {BOX_MAX['nlambda']} for nlambda "
+                             f"and {BOX_MAX['premet']} for premet")
     p_enum.add_argument("--n-max", dest="n_max", type=int, required=True)
     p_enum.add_argument("--bound", choices=("nlambda", "premet"),
                         default="nlambda")

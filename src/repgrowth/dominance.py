@@ -42,14 +42,19 @@ class WitnessChain:
         return sub(source, datum.root_combination(coeffs)) == self.target
 
 
+def check_dominant(datum: RootDatum, w) -> Weight:
+    """w as a checked weight of datum; HypothesisError unless dominant."""
+    w = datum.check_weight(w)
+    if not is_dominant(w):
+        raise HypothesisError(f"weight {w} is not dominant")
+    return w
+
+
 def bracket(datum: RootDatum, w: Weight) -> int:
     """Coefficient sum weighted by min(i, r+1-i); type A, dominant input."""
     if datum.family != "A":
         raise HypothesisError("bracket statistic is defined for type A only")
-    w = datum.check_weight(w)
-    if not is_dominant(w):
-        raise HypothesisError(f"weight {w} is not dominant")
-    return _bracket(datum.rank, w)
+    return _bracket(datum.rank, check_dominant(datum, w))
 
 
 def _bracket(r: int, w: Weight) -> int:
@@ -61,8 +66,9 @@ def _bracket(r: int, w: Weight) -> int:
 @lru_cache(maxsize=None)
 def _cartan_inverse(datum: RootDatum) -> tuple[tuple[Fraction, ...], ...]:
     n = datum.rank
-    aug = [[Fraction(datum.cartan[i][j]) for j in range(n)]
-           + [Fraction(i == j) for j in range(n)] for i in range(n)]
+    aug = [[Fraction(row.get(j, 0)) for j in range(n)]
+           + [Fraction(i == j) for j in range(n)]
+           for i, row in enumerate(map(dict, datum.rows))]
     for col in range(n):
         piv = next(row for row in range(col, n) if aug[row][col] != 0)
         aug[col], aug[piv] = aug[piv], aug[col]
@@ -103,9 +109,7 @@ def weyl_order(datum: RootDatum) -> int:
 
 def weyl_stabilizer_order(datum: RootDatum, w: Weight) -> int:
     """Order of the stabilizer: the parabolic over {i : coefficient i = 0}."""
-    w = datum.check_weight(w)
-    if not is_dominant(w):
-        raise HypothesisError(f"weight {w} is not dominant")
+    w = check_dominant(datum, w)
     return _parabolic_order(
         datum, frozenset(i + 1 for i, c in enumerate(w) if c == 0))
 
@@ -155,9 +159,7 @@ def _saturated_walk(datum: RootDatum, lam: Weight, cap: int
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    lam = datum.check_weight(lam)
-    if not is_dominant(lam):
-        raise HypothesisError(f"weight {lam} is not dominant")
+    lam = check_dominant(datum, lam)
     table = _cover_table(datum)
     orbit_of = {}  # zero positions -> orbit length: |W| over |W_zeros|
     coeffs_of = {lam: datum.zero()}

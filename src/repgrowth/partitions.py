@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import repeat
 from math import factorial
 
 from .bounds import (BoundReport, ExactValue, ExternalValue, Root2Power,
@@ -22,7 +23,9 @@ Partition = tuple[int, ...]
 
 
 def check_partition(lam) -> Partition:
-    lam = tuple(int(x) for x in lam)
+    lam = tuple(lam)
+    if not all(map(isinstance, lam, repeat(int))):
+        raise HypothesisError(f"parts must be integers: {lam!r}")
     if any(a <= 0 for a in lam):
         raise HypothesisError(f"parts must be positive: {lam}")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
@@ -96,15 +99,8 @@ def _k_table(r: int, cap: int) -> list[int]:
     return dp
 
 
-def k_count(r: int, s: int) -> int:
-    """Tuples (x_1..x_r) of nonnegative integers with
-    sum min(i, r+1-i)*x_i = s."""
-    if r < 1 or s < 0:
-        raise HypothesisError("need r >= 1 and s >= 0")
-    return _k_table(r, s)[s]
-
-
 def k_sum_exact(r: int, cap: int) -> int:
+    """Tuples x in N^r with sum min(i, r+1-i)*x_i <= cap."""
     if r < 1 or cap < 0:
         raise HypothesisError("need r >= 1 and cap >= 0")
     return sum(_k_table(r, cap))
@@ -223,7 +219,8 @@ def _signature(neg: list[int], i: int, p: int) -> tuple[list, list]:
 
 def mullineux(lam, p: int) -> Partition:
     """The sign-twist involution on p-regular partitions; conjugation at
-    p = 0, identity at p = 2.  Otherwise it is the crystal automorphism
+    p = 0 and at p > |lam|, where the group algebra is semisimple, and the
+    identity at p = 2.  Otherwise it is the crystal automorphism
     i -> -i (Kleshchev, J. reine angew. Math. 459, 1995; Ford and Kleshchev,
     Math. Z. 226, 1997): any path of good-cell removals to the empty
     partition, replayed with negated residues, gives the image.  A step
@@ -238,7 +235,7 @@ def _twist(lam: Partition, p: int) -> Partition:
     _check_char(p)
     if p and (part := _first_repeat(lam, p)) is not None:
         raise HypothesisError(f"part {part} repeats {p} times (p = {p})")
-    if p == 0:
+    if p == 0 or p > sum(lam):
         return _conjugate(lam)
     if p == 2:
         return lam

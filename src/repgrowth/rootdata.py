@@ -1,10 +1,13 @@
 """Root-system tables for the simple families, in the fundamental-weight basis.
 
 A weight is a plain tuple of integers: its coefficients against the
-fundamental weights.  The Cartan matrix is stored so that column j holds the
-fundamental-weight coefficients of the simple root alpha_{j+1}; converting a
-nonnegative root combination to weight coordinates is then a single integer
-matrix product.  Node numbering follows the Bourbaki convention everywhere.
+fundamental weights.  A root datum keeps its Cartan matrix (a_tj) only as
+sparse rows: row t lists the pairs (j, a_tj) with a_tj != 0, and column j
+holds the fundamental-weight coefficients of the simple root alpha_{j+1}, so
+converting a root combination to weight coordinates sums at most four
+products per coordinate.  The rows are filled in time linear in the rank
+from one list of Dynkin bonds, each stated once with its orientation.  Node
+numbering follows the Bourbaki convention everywhere.
 """
 
 from __future__ import annotations
@@ -37,50 +40,29 @@ def _check_family_rank(family: str, rank: int) -> None:
         raise RootDataError(f"unsupported root datum {family}{rank}")
 
 
-def _edges(family: str, rank: int) -> tuple[tuple[int, int, int], ...]:
-    """Dynkin diagram as (i, j, bond multiplicity), 1-based, i < j."""
-    path = [(i, i + 1, 1) for i in range(1, rank)]
-    if family == "A":
-        return tuple(path)
-    if family in ("B", "C"):
-        path[-1] = (rank - 1, rank, 2)
-        return tuple(path)
-    if family == "D":
-        stem = [(i, i + 1, 1) for i in range(1, rank - 2)]
-        return tuple(stem + [(rank - 2, rank - 1, 1), (rank - 2, rank, 1)])
-    if family == "E":
-        stem = [(1, 3, 1), (3, 4, 1), (2, 4, 1)]
-        return tuple(stem + [(i, i + 1, 1) for i in range(4, rank)])
-    if family == "F":
-        return ((1, 2, 1), (2, 3, 2), (3, 4, 1))
-    return ((1, 2, 3),)  # G2
-
-
-def _cartan(family: str, rank: int,
-            edges: tuple[tuple[int, int, int], ...]) -> tuple[tuple[int, ...], ...]:
-    m = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
-    for i, j, _ in edges:
-        m[i - 1][j - 1] = -1
-        m[j - 1][i - 1] = -1
-    # Asymmetric entries at multiple bonds: the column of a long root picks up
-    # the bond multiplicity in the row of the adjacent short root.
+def _bonds(family: str, rank: int) -> list[tuple[int, int, int]]:
+    """Dynkin bonds (i, j, m), 0-based nodes, m the bond multiplicity; when
+    m > 1, alpha_{j+1} is the short end."""
+    path = [(i, i + 1, 1) for i in range(rank - 1)]
     if family == "B":
-        m[rank - 1][rank - 2] = -2  # alpha_r short
+        path[-1] = (rank - 2, rank - 1, 2)  # alpha_r short
     elif family == "C":
-        m[rank - 2][rank - 1] = -2  # alpha_r long
+        path[-1] = (rank - 1, rank - 2, 2)  # alpha_r long
+    elif family == "D":
+        path[-1] = (rank - 3, rank - 1, 1)  # the fork at alpha_{r-2}
+    elif family == "E":
+        path[:2] = [(0, 2, 1), (1, 3, 1)]   # alpha_2 hangs off alpha_4
     elif family == "F":
-        m[2][1] = -2                # alpha_3 short, alpha_2 long
+        path[1] = (1, 2, 2)                 # alpha_3 short, alpha_2 long
     elif family == "G":
-        m[0][1] = -3                # alpha_1 short, alpha_2 long
-    return tuple(tuple(row) for row in m)
+        path[0] = (1, 0, 3)                 # alpha_1 short
+    return path
 
 
 @dataclass(frozen=True)
 class RootDatum:
     family: str
     rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int, int], ...]
     # Row t of the Cartan matrix as its (j, entry) pairs with entry != 0.
     rows: tuple[tuple[tuple[int, int], ...], ...]
 
@@ -92,11 +74,6 @@ class RootDatum:
         # nested tables on every cache lookup would be wasted work.
         return hash((self.family, self.rank))
 
-    @property
-    def highest_root_coeffs(self) -> tuple[int, ...]:
-        """Coefficients of the highest root: the unique root of top height."""
-        return positive_roots(self)[-1][0]
-
     def check_weight(self, w) -> Weight:
         w = tuple(w)
         if len(w) != self.rank or not all(map(isinstance, w, repeat(int))):
@@ -106,12 +83,6 @@ class RootDatum:
 
     def zero(self) -> Weight:
         return (0,) * self.rank
-
-    def simple_root(self, i: int) -> Weight:
-        """alpha_i in fundamental-weight coordinates (1-based i)."""
-        if not 1 <= i <= self.rank:
-            raise RootDataError(f"simple root index {i} out of range")
-        return tuple(self.cartan[t][i - 1] for t in range(self.rank))
 
     def root_combination(self, coeffs) -> Weight:
         """sum_i coeffs[i]*alpha_{i+1} as a weight tuple."""
@@ -130,11 +101,11 @@ class RootDatum:
 @lru_cache(maxsize=None)
 def root_datum(family: str, rank: int) -> RootDatum:
     _check_family_rank(family, rank)
-    edges = _edges(family, rank)
-    cartan = _cartan(family, rank, edges)
-    return RootDatum(family=family, rank=rank, cartan=cartan, edges=edges,
-                     rows=tuple(tuple((j, c) for j, c in enumerate(row) if c)
-                                for row in cartan))
+    rows = [{t: 2} for t in range(rank)]
+    for i, j, m in _bonds(family, rank):
+        rows[i][j], rows[j][i] = -1, -m
+    return RootDatum(family=family, rank=rank,
+                     rows=tuple(tuple(sorted(row.items())) for row in rows))
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +113,7 @@ def positive_roots(datum: RootDatum) -> tuple[tuple[tuple[int, ...], Weight], ..
     """Positive roots as (simple-root coefficients, weight) pairs, by height.
 
     Closes the simple roots under the simple reflections
-    s_i(c) = c - (sum_j cartan[i][j]*c_j) e_i; a simple reflection sends
+    s_i(c) = c - (sum_j a_ij*c_j) e_i; a simple reflection sends
     every positive root but alpha_i to a positive root, and every positive
     root is reached from a simple one that way.
     """

@@ -15,17 +15,15 @@ from __future__ import annotations
 
 from itertools import product
 
-from .dominance import HypothesisError, WitnessChain, _bracket, is_good
+from .dominance import (HypothesisError, WitnessChain, _bracket,
+                        check_dominant, is_good)
 from .rootdata import RootDatum, Weight, add, is_dominant, root_datum, sub
 
 
 def _require_type_a(datum: RootDatum, w) -> Weight:
     if datum.family != "A":
         raise HypothesisError("witness engines are defined for type A only")
-    w = datum.check_weight(w)
-    if not is_dominant(w):
-        raise HypothesisError(f"weight {w} is not dominant")
-    return w
+    return check_dominant(datum, w)
 
 
 def _centre(r: int) -> int:

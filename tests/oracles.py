@@ -109,17 +109,62 @@ def brute_g_count(r: int, d) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Reflection combinatorics straight from the Cartan matrix.
+# The Cartan matrix from root lengths, and reflections straight from it.
+
+def _dynkin(family: str, rank: int) -> tuple[list[set[int]], list[int]]:
+    """Bourbaki's Dynkin diagram as neighbour sets of the nodes 1..rank
+    (index 0 unused) and the squared length of each simple root, long
+    roots at 2 (at 6 in G2), with index 0 unused too."""
+    links = [(i, i + 1) for i in range(1, rank)]
+    if family == "D":
+        links = [(i, i + 1) for i in range(1, rank - 1)] + [(rank - 2, rank)]
+    elif family == "E":
+        links = ([(1, 3), (3, 4), (2, 4)]
+                 + [(i, i + 1) for i in range(4, rank)])
+    neighbours = [set() for _ in range(rank + 1)]
+    for i, j in links:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    lengths = {"B": [2] * (rank - 1) + [1],
+               "C": [1] * (rank - 1) + [2],
+               "F": [2, 2, 1, 1],
+               "G": [2, 6]}.get(family, [2] * rank)
+    return neighbours, [0] + lengths
+
+
+@lru_cache(maxsize=None)
+def cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
+    """Dense Cartan matrix, entry [t][j] = <alpha_{j+1}, alpha_{t+1}^vee>
+    = 2(alpha_{j+1}, alpha_{t+1}) / (alpha_{t+1}, alpha_{t+1}): column j
+    holds alpha_{j+1} in fundamental-weight coordinates.  Joined simple
+    roots meet at the obtuse angle with (alpha, beta) = -max(|alpha|^2,
+    |beta|^2) / 2, so the longer root's length over the shorter one's is
+    the bond multiplicity."""
+    neighbours, length = _dynkin(family, rank)
+
+    def entry(t: int, j: int) -> int:
+        if t == j:
+            return 2
+        if j not in neighbours[t]:
+            return 0
+        q = Fraction(-max(length[t], length[j]), length[t])
+        assert q.denominator == 1
+        return int(q)
+
+    return tuple(tuple(entry(t, j) for j in range(1, rank + 1))
+                 for t in range(1, rank + 1))
+
 
 def brute_orbit(datum, w) -> set[tuple[int, ...]]:
     """Full reflection orbit by closure under the simple reflections."""
+    cartan = cartan_matrix(datum.family, datum.rank)
     w = tuple(w)
     seen = {w}
     frontier = [w]
     while frontier:
         u = frontier.pop()
         for j in range(datum.rank):
-            v = tuple(u[i] - u[j] * datum.cartan[i][j]
+            v = tuple(u[i] - u[j] * cartan[i][j]
                       for i in range(datum.rank))
             if v not in seen:
                 seen.add(v)
@@ -129,10 +174,12 @@ def brute_orbit(datum, w) -> set[tuple[int, ...]]:
 
 def dense_root_combination(datum, coeffs) -> tuple[int, ...]:
     """sum_j coeffs[j]*alpha_{j+1} in weight coordinates, as the product
-    with the whole Cartan matrix, zero entries included."""
+    with the whole Cartan matrix of `cartan_matrix`, zero entries
+    included."""
+    cartan = cartan_matrix(datum.family, datum.rank)
     r = datum.rank
     assert len(coeffs) == r
-    return tuple(sum(datum.cartan[t][j] * coeffs[j] for j in range(r))
+    return tuple(sum(cartan[t][j] * coeffs[j] for j in range(r))
                  for t in range(r))
 
 
@@ -166,6 +213,7 @@ def brute_saturated_walk(datum, lam):
     Returns the dominant members with their coefficients, sorted
     descending, and the size of the whole set.
     """
+    cartan = cartan_matrix(datum.family, datum.rank)
     lam = tuple(lam)
     r = datum.rank
     coeffs_of = {lam: (0,) * r}
@@ -175,7 +223,7 @@ def brute_saturated_walk(datum, lam):
         for i in range(r):
             v, coeffs = w, coeffs_of[w]
             for _ in range(w[i]):
-                v = tuple(v[t] - datum.cartan[t][i] for t in range(r))
+                v = tuple(v[t] - cartan[t][i] for t in range(r))
                 coeffs = coeffs[:i] + (coeffs[i] + 1,) + coeffs[i + 1:]
                 if v not in coeffs_of:
                     coeffs_of[v] = coeffs

@@ -20,6 +20,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _never_build_datum(monkeypatch):
+    """Make building a root datum fail the test: a refusal must come first."""
+    from repgrowth import cli
+
+    def refuse(family, rank):
+        raise AssertionError(f"root datum {family}{rank} built")
+    monkeypatch.setattr(cli, "root_datum", refuse)
+
+
 # --- bound -------------------------------------------------------------------
 
 def test_bound_trivial_one(capsys):
@@ -146,6 +155,28 @@ def test_witness_a5(capsys):
     assert data["all_verified"] is True
 
 
+@pytest.mark.parametrize("rank", ["301", "1000000000000000000000"])
+def test_witness_refuses_ranks_over_the_budget(capsys, monkeypatch, rank):
+    from repgrowth.cli import WITNESS_RANK_MAX
+
+    assert WITNESS_RANK_MAX == 300
+    _never_build_datum(monkeypatch)
+    code, out, err = run(capsys, "witness", "good", "--rank", rank,
+                         "--weight", "1")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "input",
+        "message": f"rank {rank} is over the witness budget of rank 300"}
+
+
+def test_witness_runs_at_the_rank_budget(capsys):
+    code, out, _ = run(capsys, "witness", "middle2", "--rank", "300",
+                       "--weight", ",".join(["1"] * 300))
+    assert code == 0
+    assert json.loads(out)["witness"] == [1] * 300
+
+
 def test_witness_weight_parse_error(capsys):
     code, _, err = run(capsys, "witness", "good", "--rank", "3",
                        "--weight", "1,x,3")
@@ -216,6 +247,47 @@ def test_enumerate_premet_route(capsys):
 def test_enumerate_requires_prime(capsys):
     code, _, err = run(capsys, "enumerate", "--family", "A", "--rank", "1",
                        "--p", "4", "--n-max", "3")
+    assert code == 1
+    assert json.loads(err)["error"]["type"] == "hypothesis"
+
+
+@pytest.mark.parametrize("bound,family,rank,p,box", [
+    ("nlambda", "A", "1000000000000000000000", "5", "5^1000000000000000000000"),
+    ("nlambda", "A", "19", "2", "2^19"),
+    ("nlambda", "A", "1", "1000000000000000003", "1000000000000000003^1"),
+    ("premet", "G", "2", "23", "23^2"),
+    ("premet", "E", "1000000", "7", "7^1000000"),
+])
+def test_enumerate_refuses_boxes_over_the_budget(capsys, monkeypatch, bound,
+                                                 family, rank, p, box):
+    from repgrowth.cli import BOX_MAX
+
+    _never_build_datum(monkeypatch)
+    code, out, err = run(capsys, "enumerate", "--family", family, "--rank",
+                         rank, "--p", p, "--n-max", "3", "--bound", bound)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "input",
+        "message": f"box of {box} restricted weights is over the {bound} "
+                   f"budget of {BOX_MAX[bound]} weights"}
+
+
+def test_enumerate_walks_a_premet_box_at_the_budget(capsys):
+    from repgrowth.cli import BOX_MAX
+
+    assert BOX_MAX["premet"] >= 499
+    code, out, _ = run(capsys, "enumerate", "--family", "A", "--rank", "1",
+                       "--p", "499", "--n-max", "2", "--bound", "premet")
+    assert code == 0
+    assert [row["count"] for row in json.loads(out)["rows"]] == [1, 2]
+
+
+def test_enumerate_checks_the_characteristic_before_the_datum(capsys,
+                                                             monkeypatch):
+    _never_build_datum(monkeypatch)
+    code, _, err = run(capsys, "enumerate", "--family", "A", "--rank",
+                       "1000000000000000000000", "--p", "1", "--n-max", "3")
     assert code == 1
     assert json.loads(err)["error"]["type"] == "hypothesis"
 

@@ -74,6 +74,14 @@ def argvs(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
 @example(["mullineux", "--p", "5", "--partition", "1000000000"])
+@example(["enumerate", "--family", "A", "--rank", "10" * 12, "--p", "7",
+          "--n-max", "3"])
+@example(["enumerate", "--family", "G", "--rank", "2", "--p", "23",
+          "--n-max", "3", "--bound", "premet"])
+@example(["enumerate", "--family", "D", "--rank", "10" * 12, "--p", "0",
+          "--n-max", "3"])
+@example(["witness", "good", "--rank", "10" * 12, "--weight", "1"])
+@example(["witness", "incr", "--rank", "301", "--m", "1", "--weight", "1"])
 def test_main_ends_in_a_documented_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -174,10 +174,10 @@ def test_library_matches_rim_route_exhaustive(p):
             assert mullineux(lam, p) == rim_mullineux(lam, p), lam
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
 def test_library_matches_ladder_route_exhaustive(p):
     """The ladder route removes one good cell per step, the library a
-    whole residue block."""
+    whole residue block, or none at p > n, where it conjugates."""
     for n in range(1, 19):
         for lam in brute_regular(n, p):
             assert mullineux(lam, p) == ladder_mullineux(lam, p), lam

@@ -14,11 +14,11 @@ from repgrowth.partitions import (
     conjugate,
     hook_length_dim,
     is_p_regular,
-    k_count,
     k_sum_bound,
     k_sum_exact,
     k_sum_majorant,
     m_p,
+    mullineux,
     p_regular_partitions,
     partition_bound,
     partition_count,
@@ -67,10 +67,11 @@ def test_partition_envelope_certified(n):
 
 # --- weighted compositions ------------------------------------------------------
 
-def test_k_count_matches_brute():
+def test_k_sum_exact_matches_summed_brute_counts():
     for r in range(1, 6):
-        for s in range(26):
-            assert k_count(r, s) == brute_k_count(r, s)
+        counts = [brute_k_count(r, s) for s in range(26)]
+        for cap in range(26):
+            assert k_sum_exact(r, cap) == sum(counts[:cap + 1])
 
 
 def test_k_sum_exact_pin():
@@ -104,9 +105,9 @@ def test_k_sum_bound_boundary_cap():
     assert "non-strictly" in report.guard_detail
 
 
-def test_k_count_guards():
+def test_k_sum_exact_guards():
     with pytest.raises(HypothesisError):
-        k_count(0, 3)
+        k_sum_exact(0, 3)
     with pytest.raises(HypothesisError):
         k_sum_exact(2, -1)
 
@@ -137,6 +138,15 @@ def test_check_partition_guards():
         check_partition((2, 3))
     with pytest.raises(HypothesisError):
         check_partition((1, 0))
+
+
+@pytest.mark.parametrize("lam", [(2.5, 1), ("3", True), (3.0,), (2, None)])
+def test_check_partition_rejects_non_integer_parts(lam):
+    """Parts are never truncated or coerced: every caller refuses."""
+    for call in (check_partition, hook_length_dim, conjugate,
+                 lambda lam: m_p(lam, 3), lambda lam: mullineux(lam, 3)):
+        with pytest.raises(HypothesisError, match="parts must be integers"):
+            call(lam)
 
 
 # --- conjugation ---------------------------------------------------------------

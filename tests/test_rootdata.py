@@ -3,6 +3,7 @@
 import itertools
 import operator
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repgrowth.dominance import _cover_table
 from repgrowth.rootdata import (
     RootDataError,
+    RootDatum,
     add,
     is_dominant,
     is_restricted,
@@ -19,7 +21,7 @@ from repgrowth.rootdata import (
     sub,
 )
 
-from oracles import dense_root_combination
+from oracles import cartan_matrix, dense_root_combination
 
 ALL_DATA = (
     [("A", r) for r in range(1, 9)]
@@ -65,18 +67,40 @@ def expected_determinant(family: str, rank: int) -> int:
     return 1  # F4, G2
 
 
+def dense(datum) -> list[list[int]]:
+    """The Cartan matrix read off the datum's sparse rows."""
+    m = [[0] * datum.rank for _ in range(datum.rank)]
+    for t, row in enumerate(datum.rows):
+        for j, c in row:
+            m[t][j] = c
+    return m
+
+
+def test_datum_keeps_only_sparse_rows():
+    assert [f.name for f in fields(RootDatum)] == ["family", "rank", "rows"]
+
+
+@pytest.mark.parametrize("family,rank", ALL_DATA)
+def test_rows_match_oracle_cartan(family, rank):
+    datum = root_datum(family, rank)
+    assert tuple(map(tuple, dense(datum))) == cartan_matrix(family, rank)
+    for row in datum.rows:
+        assert [j for j, _ in row] == sorted({j for j, _ in row})
+        assert all(c != 0 for _, c in row)
+
+
 @pytest.mark.parametrize("family,rank", ALL_DATA)
 def test_cartan_determinant(family, rank):
     datum = root_datum(family, rank)
-    assert det_fraction(datum.cartan) == expected_determinant(family, rank)
+    assert det_fraction(dense(datum)) == expected_determinant(family, rank)
 
 
 @pytest.mark.parametrize("family,rank", ALL_DATA)
 def test_cartan_entry_signs(family, rank):
-    datum = root_datum(family, rank)
+    m = dense(root_datum(family, rank))
     for i in range(rank):
         for j in range(rank):
-            entry = datum.cartan[i][j]
+            entry = m[i][j]
             if i == j:
                 assert entry == 2
             else:
@@ -84,31 +108,34 @@ def test_cartan_entry_signs(family, rank):
 
 
 @pytest.mark.parametrize("family,rank", ALL_DATA)
-def test_bond_products_match_edges(family, rank):
-    """Off-diagonal products recover the bond multiplicities."""
-    datum = root_datum(family, rank)
-    by_pair = {(i, j): mult for i, j, mult in datum.edges}
-    for i in range(1, rank + 1):
-        for j in range(i + 1, rank + 1):
-            product = datum.cartan[i - 1][j - 1] * datum.cartan[j - 1][i - 1]
-            assert product == by_pair.get((i, j), 0)
+def test_bond_products_match_diagram(family, rank):
+    """Off-diagonal entries vanish in pairs, and their products are the
+    bond multiplicities: one bond fewer than nodes, all simple but the one
+    double bond of B, C and F and the triple bond of G."""
+    m = dense(root_datum(family, rank))
+    products = []
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            assert (m[i][j] == 0) == (m[j][i] == 0)
+            if m[i][j]:
+                products.append(m[i][j] * m[j][i])
+    top = {"B": [2], "C": [2], "F": [2], "G": [3]}.get(family, [])
+    assert sorted(products) == [1] * (rank - 1 - len(top)) + top
 
 
 @pytest.mark.parametrize("family,rank", ALL_DATA)
 def test_diagram_degree_profile(family, rank):
-    datum = root_datum(family, rank)
-    degree = [0] * (rank + 1)
-    for i, j, _ in datum.edges:
-        degree[i] += 1
-        degree[j] += 1
-    forks = sum(1 for d in degree[1:] if d >= 3)
+    m = dense(root_datum(family, rank))
+    degree = [sum(1 for j in range(rank) if j != i and m[i][j])
+              for i in range(rank)]
+    forks = sum(1 for d in degree if d >= 3)
     if family in ("E",) or (family == "D" and rank >= 4):
         assert forks == 1
     else:
         # Paths throughout; D3 carries the relabelled A3 diagram.
         assert forks == 0
         expected = [0] if rank == 1 else [1, 1] + [2] * (rank - 2)
-        assert sorted(degree[1:]) == expected
+        assert sorted(degree) == expected
 
 
 HIGHEST_PINS = {
@@ -135,14 +162,14 @@ def expected_highest_root(family: str, rank: int) -> tuple[int, ...]:
 
 @pytest.mark.parametrize("family,rank", ALL_DATA)
 def test_highest_root_pins(family, rank):
-    assert (root_datum(family, rank).highest_root_coeffs
+    assert (positive_roots(root_datum(family, rank))[-1][0]
             == expected_highest_root(family, rank))
 
 
 @pytest.mark.parametrize("family,rank", ALL_DATA)
 def test_highest_root_is_dominant(family, rank):
     datum = root_datum(family, rank)
-    theta = datum.root_combination(datum.highest_root_coeffs)
+    theta = datum.root_combination(positive_roots(datum)[-1][0])
     assert is_dominant(theta)
     support = sum(1 for c in theta if c != 0)
     if family == "A" and rank >= 2:
@@ -177,7 +204,7 @@ def test_positive_roots_top_is_highest_root(family, rank):
     datum = root_datum(family, rank)
     roots = [c for c, _ in positive_roots(datum)]
     top = max(sum(c) for c in roots)
-    assert [c for c in roots if sum(c) == top] == [datum.highest_root_coeffs]
+    assert [c for c in roots if sum(c) == top] == [roots[-1]]
 
 
 @pytest.mark.parametrize("family,rank", ALL_DATA)
@@ -202,20 +229,14 @@ def test_check_weight_rejects_non_integers():
         datum.check_weight((1.5, 0))
 
 
-def test_simple_root_index_bounds():
-    datum = root_datum("B", 3)
-    with pytest.raises(RootDataError):
-        datum.simple_root(0)
-    with pytest.raises(RootDataError):
-        datum.simple_root(4)
-
-
 @pytest.mark.parametrize("family,rank", ALL_DATA)
 def test_root_combination_matches_simple_roots(family, rank):
+    """alpha_{i+1} is column i of the oracle's Cartan matrix."""
     datum = root_datum(family, rank)
+    cartan = cartan_matrix(family, rank)
     for i in range(rank):
         unit = tuple(int(t == i) for t in range(rank))
-        assert datum.root_combination(unit) == datum.simple_root(i + 1)
+        assert datum.root_combination(unit) == tuple(row[i] for row in cartan)
 
 
 @given(st.data())

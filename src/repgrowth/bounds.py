@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isqrt, log10, prod
+from math import comb, factorial, log10, prod
 
 from mpmath import iv
 
@@ -21,10 +21,6 @@ from .dominance import HypothesisError, check_dominant, saturated_weight_total
 from .intervals import (Certificate, DEFAULT_CEILING_BITS, DEFAULT_START_BITS,
                         certify_cmp, certify_less, exact, power, zeta_iv)
 from .rootdata import RootDatum, _check_family_rank, is_restricted
-
-
-class BudgetError(RuntimeError):
-    """Enumeration exceeded its configured budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +113,23 @@ def n_lambda(datum: RootDatum, w) -> int:
     return 1 + (datum.rank + 1) * (prod(1 + a // 2 for a in w) - 1)
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# PRIME_CEILING = psi_13 (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_CEILING = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f <= isqrt(p):
-        if p % f == 0:
+    """Deterministic primality for p < PRIME_CEILING; ValueError above."""
+    if p >= PRIME_CEILING:
+        raise ValueError(f"primality is decided only below {PRIME_CEILING}")
+    if p < 2 or any(p % q == 0 for q in _MR_BASES):
+        return p in _MR_BASES
+    r = ((p - 1) & (1 - p)).bit_length() - 1   # p - 1 = d 2^r, d odd
+    for q in _MR_BASES:
+        x = pow(q, (p - 1) >> r, p)
+        if x != 1 and all(pow(x, 1 << i, p) != p - 1 for i in range(r)):
             return False
-        f += 2
     return True
 
 
@@ -150,61 +151,6 @@ def premet_lower(datum: RootDatum, w, p: int, cap: int = 10 ** 7) -> int:
     if not is_restricted(w, p):
         raise HypothesisError(f"weight {w} is not {p}-restricted")
     return saturated_weight_total(datum, w, cap)
-
-
-# ---------------------------------------------------------------------------
-# Harmonic / product-tuple counting.
-
-def harmonic(d) -> tuple[Fraction, Certificate | None]:
-    """Exact truncated harmonic sum h(d); for d >= 2 also a certificate
-    that h(d) < 1 + log d."""
-    d = Fraction(d)
-    if d < 1:
-        raise HypothesisError("harmonic sum needs d >= 1")
-    top = int(d)
-    value = sum((Fraction(1, k) for k in range(1, top + 1)), Fraction(0))
-    cert = None
-    if d >= 2:
-        cert = certify_less(lambda: exact(value),
-                            lambda: 1 + iv.log(exact(d)))
-    return value, cert
-
-
-def g_count(r: int, d, budget: int = 10 ** 7) -> tuple[int, Fraction, bool]:
-    """Number of r-tuples of positive integers with product <= d, plus the
-    exact envelope d*h(d)^(r-1) and whether the count stays below it."""
-    if r < 1:
-        raise HypothesisError("tuple length must be >= 1")
-    d = Fraction(d)
-    if d < 1:
-        raise HypothesisError("product cap must be >= 1")
-    memo: dict[tuple[int, int], int] = {}
-    steps = 0
-
-    def rec(rr: int, top: int) -> int:
-        nonlocal steps
-        if rr == 1:
-            return top
-        key = (rr, top)
-        if key in memo:
-            return memo[key]
-        acc = 0
-        j = 1
-        while j <= top:
-            q = top // j
-            j_last = top // q
-            steps += 1
-            if steps > budget:
-                raise BudgetError(f"tuple count exceeded budget {budget}")
-            acc += (j_last - j + 1) * rec(rr - 1, q)
-            j = j_last + 1
-        memo[key] = acc
-        return acc
-
-    count = rec(r, int(d))
-    hval, _ = harmonic(d)
-    envelope = d * hval ** (r - 1)
-    return count, envelope, count <= envelope
 
 
 def bound2_iv(r: int, n: int):
@@ -319,10 +265,6 @@ def d3(r: int) -> int:
     q, rem = divmod(factorial(r + 1), factorial(k - 1) ** 2)
     assert rem == 0
     return q
-
-
-def d4(m: int) -> int:
-    return 2 ** (m + 1)
 
 
 # ---------------------------------------------------------------------------

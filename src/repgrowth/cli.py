@@ -28,6 +28,7 @@ from functools import cache
 import mpmath
 
 from .bounds import (
+    PRIME_CEILING,
     BoundReport,
     ExactValue,
     _is_prime,
@@ -51,9 +52,11 @@ PREC_DEFAULT = 256
 PREC_CEILING = 1024
 CAP_DEFAULT = 10 ** 7
 # Most cells mullineux twists, most restricted weights enumerate walks (by
-# --bound), highest rank witness takes; README gives the measured costs.
+# --bound), most rows it bounds, highest rank witness takes; README gives
+# the measured costs.
 TWIST_CELLS_MAX = 10 ** 4
 BOX_MAX = {"nlambda": 4 * 10 ** 5, "premet": 500}
+ROWS_MAX = 3000
 WITNESS_RANK_MAX = 300
 
 
@@ -231,6 +234,9 @@ def cmd_enumerate(args) -> int:
     if args.p > 1 and args.p ** min(args.rank, top.bit_length()) > top:
         raise ValueError(f"box of {args.p}^{args.rank} restricted weights is "
                          f"over the {args.bound} budget of {top} weights")
+    if args.n_max > ROWS_MAX:
+        raise ValueError(f"--n-max {args.n_max} is over the budget of "
+                         f"{ROWS_MAX} rows")
     if args.p < 2 or not _is_prime(args.p):
         raise HypothesisError(
             "enumeration needs a prime characteristic; the restricted "
@@ -354,7 +360,8 @@ def _parser_tree() -> argparse.ArgumentParser:
     p_bound.add_argument("--family", required=True, choices=FAMILIES)
     p_bound.add_argument("--rank", type=int, required=True)
     p_bound.add_argument("--n", type=int, required=True)
-    p_bound.add_argument("--p", type=int, required=True)
+    p_bound.add_argument("--p", type=int, required=True,
+                         help=f"a prime below {PRIME_CEILING}")
 
     p_wit = command("witness", cmd_witness, "run a dominance witness engine")
     p_wit.add_argument("engine", choices=(*_SINGLE_ENGINES, "a5"))
@@ -370,10 +377,12 @@ def _parser_tree() -> argparse.ArgumentParser:
     p_enum.add_argument("--family", required=True, choices=FAMILIES)
     p_enum.add_argument("--rank", type=int, required=True)
     p_enum.add_argument("--p", type=int, required=True,
-                        help="the box of p^rank restricted weights walked "
-                             f"holds at most {BOX_MAX['nlambda']} for nlambda "
-                             f"and {BOX_MAX['premet']} for premet")
-    p_enum.add_argument("--n-max", dest="n_max", type=int, required=True)
+                        help=f"a prime below {PRIME_CEILING}; the box of "
+                             "p^rank restricted weights walked holds at most "
+                             f"{BOX_MAX['nlambda']} for nlambda and "
+                             f"{BOX_MAX['premet']} for premet")
+    p_enum.add_argument("--n-max", dest="n_max", type=int, required=True,
+                        help=f"at most {ROWS_MAX} rows")
     p_enum.add_argument("--bound", choices=("nlambda", "premet"),
                         default="nlambda")
 
@@ -384,7 +393,8 @@ def _parser_tree() -> argparse.ArgumentParser:
 
     p_mul = command("mullineux", cmd_mullineux,
                     "apply the sign-twist involution")
-    p_mul.add_argument("--p", type=int, required=True)
+    p_mul.add_argument("--p", type=int, required=True,
+                       help=f"0 or a prime below {PRIME_CEILING}")
     p_mul.add_argument("--partition", required=True,
                        help="comma-separated parts, at most "
                             f"{TWIST_CELLS_MAX} cells in all")

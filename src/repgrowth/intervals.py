@@ -5,6 +5,9 @@ precision until the comparison separates; an ambiguous enclosure is never
 resolved by a midpoint guess.  Verdicts are three-way: certified true,
 certified false, or unknown at the precision ceiling.  Raising precision only
 shrinks enclosures, so a certified verdict can never flip.
+
+Dyadic powers and zeta sums are computed on integers scaled by 2^k, each
+step rounded in the safe direction, and become one interval at the end.
 """
 
 from __future__ import annotations
@@ -12,10 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt, lcm
+from math import ceil, comb, floor, isqrt, lcm
 
 import mpmath
 from mpmath import iv
+from mpmath.libmp import (from_man_exp, mpf_shift, round_ceiling,
+                          round_floor, to_int)
 
 DEFAULT_START_BITS = 64
 DEFAULT_CEILING_BITS = 1024
@@ -95,10 +100,6 @@ def certify_less(lhs, rhs, **kw) -> Certificate:
     return certify_cmp(lhs, rhs, strict=True, **kw)
 
 
-def certify_leq(lhs, rhs, **kw) -> Certificate:
-    return certify_cmp(lhs, rhs, strict=False, **kw)
-
-
 def enclosure(fn, bits: int) -> tuple[str, str]:
     """Evaluate fn at the given precision; return decimal endpoint strings."""
     saved = iv.prec
@@ -139,28 +140,44 @@ def contains(fn, lo: Fraction, hi: Fraction,
 # ---------------------------------------------------------------------------
 # Building blocks evaluated at the ambient working precision.
 
+def _fixed_power(base: int, expo: Fraction, k: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^k base^expo <= hi, hi - lo <= 1 and hi == lo
+    just when that is an integer, for a positive int base and expo = a/b,
+    b in {1, 2, 4}: lo is log2(b) nested isqrt of floor(2^(kb) base^a), as
+    the floor of the root of the floor is the floor of the root."""
+    a, b = expo.numerator, expo.denominator
+    num, den = (base ** a, 1) if a >= 0 else (1, base ** -a)
+    num, den = num << max(k * b, 0), den << max(-k * b, 0)
+    lo = num // den
+    for _ in range(b.bit_length() - 1):
+        lo = isqrt(lo)
+    return lo, lo + (lo ** b * den != num)
+
+
+def _interval(lo: int, hi: int, k: int, bits: int) -> "iv.mpf":
+    """[lo 2^-k, hi 2^-k] rounded outward to bits of precision."""
+    return iv.make_mpf((from_man_exp(lo, -k, bits, round_floor),
+                        from_man_exp(hi, -k, bits, round_ceiling)))
+
+
 def power(base, expo) -> "iv.mpf":
     """base**expo for a positive base given as int/Fraction, rational expo.
 
-    A positive int base with expo = a/b, b in {1, 2, 4}, is mpmath's
-    outward-rounded integer power base**a (its reciprocal when a < 0)
-    followed by log2(b) square roots, at POWER_GUARD_BITS above the working
-    precision so the enclosure is no wider than exp(expo log base).  Every
-    other input is that exp and log.
+    A positive int base with expo = a/b, b in {1, 2, 4}, is `_fixed_power`
+    scaled to POWER_GUARD_BITS above the working precision and made an
+    interval at that precision, so the enclosure is no wider than
+    exp(expo log base) and is a point when the power is.  Every other input
+    is that exp and log.
     """
     expo = Fraction(expo)
-    roots = {1: 0, 2: 1, 4: 2}.get(expo.denominator)
-    if roots is None or not isinstance(base, int) or base <= 0:
+    a, b = expo.numerator, expo.denominator
+    if b not in (1, 2, 4) or not isinstance(base, int) or base <= 0:
         return iv.exp(exact(expo) * iv.log(exact(base)))
-    saved = iv.prec
-    try:
-        iv.prec = saved + POWER_GUARD_BITS
-        x = iv.mpf(base) ** expo.numerator
-        for _ in range(roots):
-            x = iv.sqrt(x)
-        return x
-    finally:
-        iv.prec = saved
+    # floor(log2 base^(a/b)) from the bit length of base^|a|
+    n = base ** abs(a)
+    top = (n.bit_length() - 1) // b if a >= 0 else -(n - 1).bit_length() // b
+    bits = iv.prec + POWER_GUARD_BITS
+    return _interval(*_fixed_power(base, expo, bits - top), bits - top, bits)
 
 
 @lru_cache(maxsize=None)
@@ -219,32 +236,57 @@ def _euler_maclaurin_tail(s: Fraction, m: int, terms: int):
     return total, Fraction(abs(last.numerator) * num, last.denominator * den)
 
 
+def _scaled_power(base: int, expo: Fraction, k: int) -> tuple[int, int]:
+    """Integers bracketing 2^k base^expo: `_fixed_power` where it applies,
+    else the `power` enclosure read outward."""
+    if expo.denominator in (1, 2, 4):
+        return _fixed_power(base, expo, k)
+    a, b = power(base, expo)._mpi_
+    return (to_int(mpf_shift(a, k), round_floor),
+            to_int(mpf_shift(b, k), round_ceiling))
+
+
+def _dirichlet_terms(s: Fraction, m: int, k: int):
+    """Lists lo, hi with lo[n] <= 2^k n^-s <= hi[n] for 1 <= n <= m: a power
+    per prime, and composites as products, n^-s being multiplicative."""
+    spf = _smallest_prime_factors(m)
+    lo, hi = [0, 1 << k], [0, 1 << k]
+    for n in range(2, m + 1):
+        p = spf[n]
+        if p == n:
+            low, high = _scaled_power(n, -s, k)
+        else:
+            low = lo[p] * lo[n // p] >> k
+            high = -(-hi[p] * hi[n // p] >> k)
+        lo.append(low)
+        hi.append(high)
+    return lo, hi
+
+
 def zeta_iv(s: Fraction):
     """Riemann zeta at rational s > 1, enclosed at the working precision.
 
     Truncated Dirichlet sum with Euler-Maclaurin corrections; the remainder
     is enclosed by the magnitude of the first omitted correction term, which
-    bounds the truncation error for real s > 1.  n -> n^-s is completely
-    multiplicative, so only primes cost a `power`; the correction series is
-    an exact rational scaled by the single power M^(1-s).  At s = a/b with
-    b in {1, 2, 4} no power takes an exp or a log.
+    bounds the truncation error for real s > 1.  Each term and the tail
+    M^(1-s) (T +- R), T and R exact, is bracketed by integers at scale 2^K,
+    and the sum becomes one interval.
     """
     s = Fraction(s)
     if s <= 1:
         raise ValueError("zeta enclosure requires s > 1")
     prec = iv.prec
     M = max(16, prec // 8)
-    spf = _smallest_prime_factors(M)
-    pw = [None, iv.mpf(1)]      # pw[n] encloses n^-s
-    total = iv.mpf(1)
-    for n in range(2, M + 1):
-        p = spf[n]
-        pw.append(power(n, -s) if p == n else pw[p] * pw[n // p])
-        total += pw[n]
+    K = prec + POWER_GUARD_BITS + M.bit_length()
+    lo, hi = _dirichlet_terms(s, M, K)
     # Correction order.  At s = 9/4 the enclosure is about 2^-58, 2^-83,
     # 2^-159, 2^-310 and 2^-608 wide at 64, 128, 256, 512 and 1024 bits, so
     # above 64 bits the remainder R, not the working precision, sets it.
     J = prec // 13 + 2
     t, r = _euler_maclaurin_tail(s, M, J)
-    bound = exact(r).b
-    return total + power(M, 1 - s) * (exact(t) + iv.mpf((-bound, bound)))
+    # M^(1-s) > 0 times T -/+ R, whose sign is not assumed
+    m_lo, m_hi = _scaled_power(M, 1 - s, K)
+    t_lo, t_hi = floor((t - r) * (1 << K)), ceil((t + r) * (1 << K))
+    tail_lo = min(m_lo * t_lo, m_hi * t_lo) >> K
+    tail_hi = -(-max(m_lo * t_hi, m_hi * t_hi) >> K)
+    return _interval(sum(lo) + tail_lo, sum(hi) + tail_hi, K, prec)

@@ -16,6 +16,9 @@ from math import factorial
 import mpmath
 from mpmath import iv
 
+from repgrowth.dominance import HypothesisError
+from repgrowth.intervals import Certificate, certify_less, exact
+
 
 # ---------------------------------------------------------------------------
 # Partitions.
@@ -106,6 +109,66 @@ def brute_g_count(r: int, d) -> int:
         return total
 
     return rec(0, top if top >= 1 else 0)
+
+
+# ---------------------------------------------------------------------------
+# Product-tuple counting.  No package code calls it, so it lives here; an
+# N_sat count by tuples (ROADMAP) would give it a caller again.
+
+class BudgetError(RuntimeError):
+    """Enumeration exceeded its configured budget."""
+
+
+def harmonic(d) -> tuple[Fraction, Certificate | None]:
+    """Exact truncated harmonic sum h(d); for d >= 2 also a certificate
+    that h(d) < 1 + log d."""
+    d = Fraction(d)
+    if d < 1:
+        raise HypothesisError("harmonic sum needs d >= 1")
+    top = int(d)
+    value = sum((Fraction(1, k) for k in range(1, top + 1)), Fraction(0))
+    cert = None
+    if d >= 2:
+        cert = certify_less(lambda: exact(value),
+                            lambda: 1 + iv.log(exact(d)))
+    return value, cert
+
+
+def g_count(r: int, d, budget: int = 10 ** 7) -> tuple[int, Fraction, bool]:
+    """Number of r-tuples of positive integers with product <= d, plus the
+    exact envelope d*h(d)^(r-1) and whether the count stays below it."""
+    if r < 1:
+        raise HypothesisError("tuple length must be >= 1")
+    d = Fraction(d)
+    if d < 1:
+        raise HypothesisError("product cap must be >= 1")
+    memo: dict[tuple[int, int], int] = {}
+    steps = 0
+
+    def rec(rr: int, top: int) -> int:
+        nonlocal steps
+        if rr == 1:
+            return top
+        key = (rr, top)
+        if key in memo:
+            return memo[key]
+        acc = 0
+        j = 1
+        while j <= top:
+            q = top // j
+            j_last = top // q
+            steps += 1
+            if steps > budget:
+                raise BudgetError(f"tuple count exceeded budget {budget}")
+            acc += (j_last - j + 1) * rec(rr - 1, q)
+            j = j_last + 1
+        memo[key] = acc
+        return acc
+
+    count = rec(r, int(d))
+    hval, _ = harmonic(d)
+    envelope = d * hval ** (r - 1)
+    return count, envelope, count <= envelope
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,24 @@
 """Dimension bounds, envelopes, dispatch table, and zeta displays."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repgrowth import bounds
 from repgrowth.bounds import (
-    BudgetError,
     ExactValue,
     IntervalValue,
     DISPLAYS,
+    PRIME_CEILING,
     Root2Power,
     bound2_iv,
     char2_counts,
     d1,
     d2,
     d3,
-    d4,
     f_interval,
-    g_count,
-    harmonic,
     n_lambda,
     premet_lower,
     ratio_holds,
@@ -31,7 +29,7 @@ from repgrowth.dominance import HypothesisError
 from repgrowth.intervals import FALSE, TRUE, enclosure
 from repgrowth.rootdata import RootDataError, root_datum
 
-from oracles import brute_g_count
+from oracles import BudgetError, brute_g_count, g_count, harmonic
 
 
 def interval_holds(value: IntervalValue, point) -> bool:
@@ -78,6 +76,36 @@ def test_premet_lower_excluded_characteristics(family, rank, p):
 def test_premet_lower_rejects_composite_characteristic():
     with pytest.raises(HypothesisError, match="neither 0 nor prime"):
         premet_lower(root_datum("A", 2), (1, 1), 4)
+
+
+# --- primality ------------------------------------------------------------------
+
+def test_is_prime_matches_trial_division_below_1e5():
+    for n in range(-3, 10 ** 5):
+        assert bounds._is_prime(n) == (
+            n > 1 and all(n % d for d in range(2, isqrt(n) + 1))), n
+
+
+# Strong pseudoprimes to every base before the last one named: the first
+# for 2, 3, 5, 7; psi_11 = psi_9 for 2 ... 31; psi_12 for 2 ... 37.
+@pytest.mark.parametrize("n,bases", [(3215031751, 4),
+                                     (3825123056546413051, 11),
+                                     (318665857834031151167461, 12)])
+def test_is_prime_exposes_the_strong_pseudoprimes(n, bases, monkeypatch):
+    assert not bounds._is_prime(n)
+    monkeypatch.setattr(bounds, "_MR_BASES", bounds._MR_BASES[:bases])
+    assert bounds._is_prime(n)
+
+
+def test_is_prime_decides_large_numbers_and_refuses_the_ceiling():
+    assert bounds._is_prime(10 ** 18 + 3) and bounds._is_prime(2 ** 61 - 1)
+    # Cole: 2^67 - 1 = 193707721 * 761838257287
+    assert 193707721 * 761838257287 == 2 ** 67 - 1
+    assert not bounds._is_prime(2 ** 67 - 1)
+    assert not bounds._is_prime((10 ** 18 + 3) * 1000003)
+    assert PRIME_CEILING == 3317044064679887385961981
+    with pytest.raises(ValueError, match="only below"):
+        bounds._is_prime(PRIME_CEILING)
 
 
 def test_premet_lower_requires_restricted():
@@ -161,7 +189,6 @@ def test_threshold_pins():
     assert d2(5) == 1
     assert d2(19) == 21 ** 6
     assert d3(11) == 831600
-    assert d4(5) == 64
     with pytest.raises(HypothesisError):
         d3(2)
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -290,6 +291,58 @@ def test_enumerate_checks_the_characteristic_before_the_datum(capsys,
                        "1000000000000000000000", "--p", "1", "--n-max", "3")
     assert code == 1
     assert json.loads(err)["error"]["type"] == "hypothesis"
+
+
+def test_enumerate_refuses_rows_over_the_budget(capsys, monkeypatch):
+    from repgrowth import cli
+
+    def refuse(*args, **kw):
+        raise AssertionError("a row was bounded")
+    _never_build_datum(monkeypatch)
+    monkeypatch.setattr(cli, "rn_upper", refuse)
+    assert cli.ROWS_MAX >= 30
+    code, out, err = run(capsys, "enumerate", "--family", "A", "--rank", "1",
+                         "--p", "3", "--n-max", str(cli.ROWS_MAX + 1))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "type": "input", "message": f"--n-max {cli.ROWS_MAX + 1} is over "
+                                    f"the budget of {cli.ROWS_MAX} rows"}
+
+
+# --- a large prime characteristic ----------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--family", "A", "--rank", "1", "--n", "5"),
+    ("mullineux", "--partition", "1"),
+], ids=("bound", "mullineux"))
+def test_a_large_prime_characteristic_answers_quickly(capsys, argv):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv, "--p", "1000000000000000003")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--family", "A", "--rank", "1", "--n", "5"),
+    ("mullineux", "--partition", "1"),
+], ids=("bound", "mullineux"))
+def test_a_characteristic_past_the_primality_ceiling_is_refused(capsys, argv):
+    from repgrowth.bounds import PRIME_CEILING
+
+    code, out, err = run(capsys, *argv, "--p", str(PRIME_CEILING))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "type": "input",
+        "message": f"primality is decided only below {PRIME_CEILING}"}
+
+
+@pytest.mark.parametrize("command", ("bound", "enumerate", "mullineux"))
+def test_p_help_states_the_primality_ceiling(capsys, command):
+    from repgrowth.bounds import PRIME_CEILING
+
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert f"below {PRIME_CEILING}" in " ".join(capsys.readouterr().out.split())
 
 
 # --- mullineux --------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Zeta enclosures against the term-by-term oracle, the exact tail against
-the running Fraction sum, powers by integer power and square roots against
-exp and log, the exponential envelopes against plain high-precision floats,
-one evaluation per rung in `contains`, and certificates formatted once."""
+the running Fraction sum, fixed-point powers and Dirichlet terms against
+exact integer inequalities, powers against exp and log, the exponential
+envelopes against plain high-precision floats, one evaluation per rung in
+`contains`, and certificates formatted once."""
 
 import re
 from decimal import Decimal
@@ -16,8 +17,10 @@ from mpmath import iv
 from repgrowth import intervals
 from repgrowth.bounds import f_interval, ratio_iv
 from repgrowth.checks import CHECKS
-from repgrowth.intervals import (TRUE, UNKNOWN, _euler_maclaurin_tail,
-                                 certify_cmp, contains, exact, power, zeta_iv)
+from repgrowth.intervals import (POWER_GUARD_BITS, TRUE, UNKNOWN,
+                                 _dirichlet_terms, _euler_maclaurin_tail,
+                                 _fixed_power, certify_cmp, contains, exact,
+                                 power, zeta_iv)
 from repgrowth.partitions import partition_envelope_iv
 
 from oracles import (_iv_power, direct_zeta_iv, envelope_reference,
@@ -113,6 +116,66 @@ def test_zeta_iv_takes_an_exp_only_off_the_root_route(bits, monkeypatch):
     assert len(calls) == sum(map(_is_prime, range(M + 1))) + 1
 
 
+@pytest.mark.parametrize("s", ZETA_ARGS[:5], ids=str)
+def test_dyadic_routes_take_no_root_power_or_exp(s, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("interval sqrt, exp or integer power called")
+
+    for name in ("sqrt", "exp"):
+        monkeypatch.setattr(iv, name, refuse)
+    monkeypatch.setattr(type(iv.mpf(2)), "__pow__", refuse)
+    for bits in LADDER:
+        _at(bits, lambda: (zeta_iv(s), power(57750, s), power(7, -s)))
+
+
+@pytest.mark.parametrize("prec", ZETA_PRECS)
+@pytest.mark.parametrize("s", ZETA_ARGS, ids=str)
+def test_dirichlet_terms_bracket_each_scaled_power(s, prec):
+    M = max(16, prec // 8)
+    K = prec + POWER_GUARD_BITS + M.bit_length()
+    lo, hi = _at(prec, lambda: _dirichlet_terms(s, M, K))
+    a, b = s.numerator, s.denominator
+    for n in range(1, M + 1):
+        if b in (1, 2, 4):
+            # lo <= 2^K n^(-a/b) <= hi, raised to the b-th power
+            assert lo[n] ** b * n ** a <= 1 << K * b <= hi[n] ** b * n ** a
+        else:
+            with mpmath.workprec(REF_BITS):
+                assert lo[n] <= mpmath.ldexp(mpmath.mpf(n) ** -(
+                    mpmath.mpf(a) / b), K) <= hi[n], n
+
+
+def _scaled(base, a, b, k):
+    """2^(kb) base^a as a fraction num/den of integers."""
+    num = base ** max(a, 0) << max(k * b, 0)
+    return num, base ** max(-a, 0) << max(-k * b, 0)
+
+
+@pytest.mark.parametrize("k", (-16, 0, 72, 1048))
+@pytest.mark.parametrize("b", (1, 2, 4))
+def test_fixed_power_is_the_floor_of_the_root(b, k):
+    for base, m in product(range(1, 201), range(1, 21)):
+        for a in (m, -m):
+            lo, hi = _fixed_power(base, Fraction(a, b), k)
+            num, den = _scaled(base, a, b, k)
+            assert lo ** b * den <= num < (lo + 1) ** b * den, (base, a)
+            assert hi - lo == (lo ** b * den != num), (base, a)
+
+
+def test_power_is_a_point_exactly_when_it_is_dyadic():
+    for base, e, value in ((4, Fraction(-2), Fraction(1, 16)),
+                           (16, Fraction(9, 4), Fraction(512)),
+                           (9, Fraction(5, 2), Fraction(243)),
+                           (256, Fraction(-3, 4), Fraction(1, 64))):
+        lo, hi = _ends(_at(64, lambda: power(base, e)))
+        with mpmath.workprec(REF_BITS):
+            assert lo == hi == mpmath.mpf(value.numerator) / value.denominator
+    for base, e in ((2, Fraction(1, 2)), (3, Fraction(-1, 4)),
+                    (57750, Fraction(5, 2)), (81, Fraction(-3, 4))):
+        lo, hi = _ends(_at(64, lambda: power(base, e)))
+        assert lo < hi
+
+
 # --- the exact Euler-Maclaurin tail ---------------------------------------
 
 @pytest.mark.parametrize("prec", ZETA_PRECS)
@@ -161,15 +224,36 @@ DIRECT_LHS = {
 }
 
 
-@pytest.mark.parametrize("cid", sorted(DIRECT_LHS))
-def test_display_lhs_lies_inside_the_direct_enclosure(cid):
+# The same endpoints when the sieved sum added interval powers one by one;
+# the fixed-point sum must print an enclosure inside each of them too.
+SIEVED_LHS = {
+    "n-010": ("0.89493406684822643392969", "0.89493406684822643729071"),
+    "n-011": ("0.97897855885281038205341", "0.97897855885281038980546"),
+    "n-012": ("0.97897855885281038205341", "0.97897855885281038980546"),
+    "n-013": ("0.51826395254755405821124", "0.5182639525475540617349"),
+    "n-014": ("0.67043596997207713519091", "0.67043596997207713882299"),
+    "n-015": ("0.67043596997207713519091", "0.67043596997207713882299"),
+    "n-016": ("0.89493406684822643392969", "0.89493406684822643729071"),
+}
+
+
+def _lhs_lies_inside(cid, old_lo, old_hi):
     check = next(c for c in CHECKS if c.id == cid)
     verdict, detail = check.run(256, "desk")
     assert verdict == "pass" and "(64 bits)" in detail
     new_lo, new_hi = re.match(r"lhs = \[([^,]+), ([^\]]+)\]", detail).groups()
-    old_lo, old_hi = DIRECT_LHS[cid]
     assert Decimal(old_lo) <= Decimal(new_lo) <= Decimal(new_hi) \
         <= Decimal(old_hi)
+
+
+@pytest.mark.parametrize("cid", sorted(DIRECT_LHS))
+def test_display_lhs_lies_inside_the_direct_enclosure(cid):
+    _lhs_lies_inside(cid, *DIRECT_LHS[cid])
+
+
+@pytest.mark.parametrize("cid", sorted(SIEVED_LHS))
+def test_display_lhs_lies_inside_the_sieved_enclosure(cid):
+    _lhs_lies_inside(cid, *SIEVED_LHS[cid])
 
 
 # Printed endpoints of the nine checks whose enclosures moved when `power`

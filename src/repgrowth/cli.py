@@ -52,11 +52,13 @@ PREC_DEFAULT = 256
 PREC_CEILING = 1024
 CAP_DEFAULT = 10 ** 7
 # Most cells mullineux twists, most restricted weights enumerate walks (by
-# --bound), most rows it bounds, highest rank witness takes; README gives
-# the measured costs.
+# --bound), most rows it bounds, most digits of the dimension cap bound
+# takes (an exact n^2 must stay printable), highest rank witness takes;
+# README gives the measured costs.
 TWIST_CELLS_MAX = 10 ** 4
 BOX_MAX = {"nlambda": 4 * 10 ** 5, "premet": 500}
 ROWS_MAX = 3000
+N_DIGITS_MAX = 2000
 WITNESS_RANK_MAX = 300
 
 
@@ -135,6 +137,8 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 # bound
 
 def cmd_bound(args) -> int:
+    if args.n > 10 ** N_DIGITS_MAX:
+        raise ValueError(f"--n is over the budget of 10^{N_DIGITS_MAX}")
     rep = rn_upper(args.family, args.rank, args.n, args.p, bits=_bits(args))
     payload = record(rep)
     row = {"name": rep.name, **payload["inputs"], "valid": rep.valid,
@@ -359,7 +363,8 @@ def _parser_tree() -> argparse.ArgumentParser:
                       "irreducibles of dimension at most n", "--prec")
     p_bound.add_argument("--family", required=True, choices=FAMILIES)
     p_bound.add_argument("--rank", type=int, required=True)
-    p_bound.add_argument("--n", type=int, required=True)
+    p_bound.add_argument("--n", type=int, required=True,
+                         help=f"at most 10^{N_DIGITS_MAX}")
     p_bound.add_argument("--p", type=int, required=True,
                          help=f"a prime below {PRIME_CEILING}")
 

@@ -19,8 +19,8 @@ from math import ceil, comb, floor, isqrt, lcm
 
 import mpmath
 from mpmath import iv
-from mpmath.libmp import (from_man_exp, mpf_shift, round_ceiling,
-                          round_floor, to_int)
+from mpmath.libmp import (from_man_exp, from_rational, mpf_shift,
+                          round_ceiling, round_floor, to_int)
 
 DEFAULT_START_BITS = 64
 DEFAULT_CEILING_BITS = 1024
@@ -42,11 +42,14 @@ class Certificate:
 
 
 def exact(q):
-    """Enclose an int or Fraction at the current working precision."""
+    """Enclose an int or Fraction at the current working precision, a
+    Fraction by one correctly rounded division per endpoint."""
     if isinstance(q, int):
         return iv.mpf(q)
     q = Fraction(q)
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+    n, d = q.numerator, q.denominator
+    return iv.make_mpf((from_rational(n, d, iv.prec, round_floor),
+                        from_rational(n, d, iv.prec, round_ceiling)))
 
 
 def exact_compare_cert(lhs, rhs, strict: bool = True) -> Certificate:
@@ -118,8 +121,11 @@ def contains(fn, lo: Fraction, hi: Fraction,
              ceiling_bits: int = DEFAULT_CEILING_BITS) -> Certificate:
     """Certificate that the value of fn lies in the open interval (lo, hi).
 
-    fn runs once per precision tried: the upper comparison reuses the
-    enclosure from the rung that decided the lower one.
+    The ladder starts at the lowest rung that can certify the band, so true
+    and unknown certificates equal the full ladder's; a false one may be
+    decided at that rung instead of a lower one.  fn runs once per precision
+    tried: the upper comparison reuses the enclosure from the rung that
+    decided the lower one.
     """
     values = {}
 
@@ -128,8 +134,18 @@ def contains(fn, lo: Fraction, hi: Fraction,
             values[iv.prec] = fn()
         return values[iv.prec]
 
+    ceiling = max(8, int(ceiling_bits))
+    bits = min(max(8, int(start_bits)), ceiling)
+    # A true verdict at b bits needs distinct b-bit floats x < z in [lo, hi]
+    # (exact(lo)'s upper end and an end above it).  Floats at magnitude m
+    # are more than m 2^-b apart, and |x|, |z| >= M - w for M = max(|lo|,
+    # |hi|) and w = hi - lo, so w > (M - w) 2^-b.  A rung with w 2^(b+1)
+    # <= M rules that out and is skipped.
+    width, top = hi - lo, max(abs(lo), abs(hi))
+    while width > 0 and bits < ceiling and width * 2 ** (bits + 1) <= top:
+        bits = min(2 * bits, ceiling)
     low = certify_cmp(lambda: exact(lo), value, strict=True,
-                      start_bits=start_bits, ceiling_bits=ceiling_bits)
+                      start_bits=bits, ceiling_bits=ceiling_bits)
     if low.verdict != TRUE:
         return low
     return certify_cmp(value, lambda: exact(hi), strict=True,

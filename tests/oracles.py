@@ -299,13 +299,16 @@ def brute_saturated_walk(datum, lam):
 # ---------------------------------------------------------------------------
 # Riemann zeta term by term.
 
-def _iv_exact(q):
+def divided_exact(q):
+    """q enclosed as an interval division of its outward-rounded numerator
+    and denominator, as `intervals.exact` enclosed a Fraction before it
+    rounded each endpoint once."""
     q = Fraction(q)
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
 def _iv_power(base, expo):
-    return iv.exp(_iv_exact(expo) * iv.log(_iv_exact(base)))
+    return iv.exp(divided_exact(expo) * iv.log(divided_exact(base)))
 
 
 def direct_zeta_iv(s):
@@ -315,7 +318,7 @@ def direct_zeta_iv(s):
     bounding the remainder.  Same M and J as `intervals.zeta_iv`."""
     s = Fraction(s)
     prec = iv.prec
-    sv = _iv_exact(s)
+    sv = divided_exact(s)
     M = max(16, prec // 8)
     total = iv.mpf(0)
     for n in range(1, M + 1):
@@ -326,7 +329,7 @@ def direct_zeta_iv(s):
     J = prec // 13 + 2
     rise = sv
     for j in range(1, J + 2):
-        coef = (_iv_exact(Fraction(*mpmath.bernfrac(2 * j)))
+        coef = (divided_exact(Fraction(*mpmath.bernfrac(2 * j)))
                 / iv.mpf(factorial(2 * j)))
         term = coef * rise * iv.exp((1 - sv - 2 * j) * logM)
         if j <= J:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import repgrowth
-from repgrowth.cli import main, parse_csv
+from repgrowth.cli import N_DIGITS_MAX, main, parse_csv
 
 
 def run(capsys, *argv):
@@ -103,6 +103,44 @@ def test_bound_large_rank_prints_d1_by_symbol(capsys):
     data = json.loads(out)
     assert data["name"] == "a-general"
     assert "(d1 = C(14501, 7250), 4364 digits)" in data["guard_detail"]
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+@pytest.mark.parametrize("family,rank", (("C", "2"), ("G", "2"), ("F", "4")))
+def test_bound_prints_the_exact_square_at_the_n_budget(capsys, family, rank,
+                                                       fmt):
+    n = 10 ** N_DIGITS_MAX
+    code, out, err = run(capsys, "bound", "--family", family, "--rank", rank,
+                         "--n", str(n), "--p", "3", "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert json.loads(out)["value"] == {"kind": "exact", "value": n * n}
+    else:
+        row, = parse_csv(out)
+        assert (row["value_kind"], row["value"]) == ("exact", str(n * n))
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+@pytest.mark.parametrize("n", (str(10 ** N_DIGITS_MAX + 1), "9" * 2200),
+                         ids=("one-over", "2200-nines"))
+def test_bound_refuses_n_over_the_budget(capsys, monkeypatch, n, fmt):
+    from repgrowth import cli
+
+    def refuse(*args, **kw):
+        raise AssertionError("a bound was computed")
+    monkeypatch.setattr(cli, "rn_upper", refuse)
+    code, out, err = run(capsys, "bound", "--family", "C", "--rank", "2",
+                         "--n", n, "--p", "3", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "type": "input",
+        "message": f"--n is over the budget of 10^{N_DIGITS_MAX}"}
+
+
+def test_n_help_states_the_budget(capsys):
+    with pytest.raises(SystemExit):
+        main(["bound", "--help"])
+    assert f"at most 10^{N_DIGITS_MAX}" in capsys.readouterr().out
 
 
 # --- witness ------------------------------------------------------------------

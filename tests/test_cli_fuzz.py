@@ -82,6 +82,8 @@ def argvs(draw):
           "--n-max", "3"])
 @example(["witness", "good", "--rank", "10" * 12, "--weight", "1"])
 @example(["witness", "incr", "--rank", "301", "--m", "1", "--weight", "1"])
+@example(["bound", "--family", "C", "--rank", "2", "--n", "9" * 2200, "--p",
+          "3", "--format", "csv"])
 def test_main_ends_in_a_documented_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

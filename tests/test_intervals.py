@@ -1,30 +1,34 @@
 """Zeta enclosures against the term-by-term oracle, the exact tail against
 the running Fraction sum, fixed-point powers and Dirichlet terms against
 exact integer inequalities, powers against exp and log, the exponential
-envelopes against plain high-precision floats, one evaluation per rung in
-`contains`, and certificates formatted once."""
+envelopes against plain high-precision floats, exact rationals against the
+interval division, `contains` against the full precision ladder with one
+evaluation per rung from the band's rung, and certificates formatted once."""
 
 import re
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from math import factorial, isqrt
+from math import ceil, factorial, floor, isqrt
 
 import mpmath
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from mpmath import iv
 
 from repgrowth import intervals
 from repgrowth.bounds import f_interval, ratio_iv
 from repgrowth.checks import CHECKS
-from repgrowth.intervals import (POWER_GUARD_BITS, TRUE, UNKNOWN,
+from repgrowth.intervals import (FALSE, POWER_GUARD_BITS, TRUE, UNKNOWN,
                                  _dirichlet_terms, _euler_maclaurin_tail,
                                  _fixed_power, certify_cmp, contains, exact,
                                  power, zeta_iv)
 from repgrowth.partitions import partition_envelope_iv
 
-from oracles import (_iv_power, direct_zeta_iv, envelope_reference,
-                     fraction_euler_maclaurin_tail)
+from oracles import (_iv_power, direct_zeta_iv, divided_exact,
+                     envelope_reference, fraction_euler_maclaurin_tail)
 
 REF_BITS = 1500
 LADDER = (64, 128, 256, 512, 1024)
@@ -294,44 +298,111 @@ def test_display_lies_inside_the_exp_log_enclosure(cid):
             <= Decimal(old_hi)
 
 
+# --- exact ------------------------------------------------------------------
+
+def _fraction(raw) -> Fraction:
+    """A raw mpf as an exact Fraction."""
+    sign, man, e, _ = raw
+    return (-1) ** sign * man * Fraction(2) ** e
+
+
+def _nearest_floats(q: Fraction, bits: int):
+    """The nearest bits-bit floats at or below q and at or above it."""
+    if q == 0:
+        return q, q
+    m = abs(q)
+    e = m.numerator.bit_length() - m.denominator.bit_length()
+    e -= Fraction(2) ** e > m  # now 2^e <= m < 2^(e+1)
+    scale = Fraction(2) ** (bits - 1 - e)
+    down, up = floor(m * scale) / scale, ceil(m * scale) / scale
+    return (down, up) if q > 0 else (-up, -down)
+
+
+def _representable(q: Fraction, bits: int) -> bool:
+    """q is a bits-bit float: a dyadic whose odd part has at most bits
+    bits."""
+    n, d = abs(q.numerator), q.denominator
+    odd = n >> max((n & -n).bit_length() - 1, 0)
+    return d & (d - 1) == 0 and odd.bit_length() <= bits
+
+
+PARTS = st.integers(1, 10 ** 300) | st.integers(1, 2 ** 20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 300, 10 ** 300) | st.integers(-2 ** 20, 2 ** 20),
+       PARTS | st.integers(0, 1100).map(lambda k: 2 ** k))
+def test_exact_rounds_each_end_once(n, d):
+    q = Fraction(n, d)
+    for bits in (16, 24, 32, 64, 128, 256, 512, 1024):
+        lo, hi = map(_fraction, _at(bits, lambda: exact(q))._mpi_)
+        old_lo, old_hi = map(_fraction,
+                             _at(bits, lambda: divided_exact(q))._mpi_)
+        assert lo <= q <= hi
+        assert old_lo <= lo <= hi <= old_hi
+        assert (lo, hi) == _nearest_floats(q, bits)
+        assert (lo == hi) == _representable(q, bits)
+
+
 # --- contains -----------------------------------------------------------------
 
-def _contains_by_two_comparisons(fn, lo, hi):
-    """The value in (lo, hi) as two independent certify_cmp calls."""
-    low = certify_cmp(lambda: exact(lo), fn, strict=True)
+def _contains_by_two_comparisons(fn, lo, hi, start_bits=64,
+                                 ceiling_bits=1024):
+    """The value in (lo, hi) as two independent certify_cmp calls, the
+    lower one climbing the ladder from start_bits."""
+    low = certify_cmp(lambda: exact(lo), fn, strict=True,
+                      start_bits=start_bits, ceiling_bits=ceiling_bits)
     if low.verdict != TRUE:
         return low
     return certify_cmp(fn, lambda: exact(hi), strict=True,
-                       start_bits=low.prec_bits)
+                       start_bits=low.prec_bits, ceiling_bits=ceiling_bits)
 
 
-def _bracket(fn, below: int, above: int):
-    """(value - 10^-below, value + 10^-above), value read at 2048 bits."""
+def _band_rung(lo, hi, ceiling_bits=1024):
+    """Lowest rung b of the ladder from 64 with (hi - lo) 2^(b+1) >
+    max(|lo|, |hi|), or 64 for an empty band."""
+    b = min(64, ceiling_bits)
+    while (hi > lo and b < ceiling_bits
+           and (hi - lo) * 2 ** (b + 1) <= max(abs(lo), abs(hi))):
+        b = min(2 * b, ceiling_bits)
+    return b
+
+
+def _value(fn) -> Fraction:
+    """The midpoint of fn read at 2048 bits."""
     with mpmath.workprec(REF_BITS):
         man, e = mpmath.mpf(_at(2048, lambda: fn().mid)).man_exp
-    value = Fraction(man) * Fraction(2) ** e
-    return value - Fraction(1, 10 ** below), value + Fraction(1, 10 ** above)
+    return Fraction(man) * Fraction(2) ** e
 
 
-# (name, value, digits below, digits above, rung of the lower comparison,
-# rung of the certificate); below < 0 puts lo above the value.
+def _tenth(k: int) -> Fraction:
+    return Fraction(10) ** -k
+
+
+# (name, value, lo - value, hi - value, rung of the lower comparison on the
+# full ladder, rung of the certificate): "zeta-outside" is an empty band
+# above the value, decided where the full ladder decides it, and
+# "far-outside" a narrow band far above it, decided at the band's rung.
 READOUTS = (
-    ("ratio", lambda: ratio_iv(10, factorial(11)), 12, 30, 64, 128),
-    ("envelope", lambda: f_interval("f1", 20), 100, 12, 512, 512),
-    ("zeta", lambda: zeta_iv(Fraction(9, 4)), 12, 100, 64, 1024),
-    ("zeta-outside", lambda: zeta_iv(Fraction(2)), -1, 12, 64, 64),
+    ("ratio", lambda: ratio_iv(10, factorial(11)), -_tenth(12), _tenth(30),
+     64, 128),
+    ("envelope", lambda: f_interval("f1", 20), -_tenth(100), _tenth(12),
+     512, 512),
+    ("zeta", lambda: zeta_iv(Fraction(9, 4)), -_tenth(12), _tenth(100),
+     64, 1024),
+    ("zeta-outside", lambda: zeta_iv(Fraction(2)), 1 - _tenth(12),
+     _tenth(12), 64, 64),
+    ("far-outside", lambda: zeta_iv(Fraction(2)), Fraction(1),
+     1 + _tenth(100), 64, 512),
 )
 
 
-@pytest.mark.parametrize("name,fn,below,above,low_bits,bits", READOUTS,
+@pytest.mark.parametrize("name,fn,lo_gap,hi_gap,low_bits,bits", READOUTS,
                          ids=[r[0] for r in READOUTS])
-def test_contains_evaluates_once_per_rung(name, fn, below, above, low_bits,
+def test_contains_evaluates_once_per_rung(name, fn, lo_gap, hi_gap, low_bits,
                                           bits):
-    if below < 0:
-        value, hi = _bracket(fn, 12, above)
-        lo = value + 1
-    else:
-        lo, hi = _bracket(fn, below, above)
+    value = _value(fn)
+    lo, hi = value + lo_gap, value + hi_gap
     seen = []
 
     def counted():
@@ -339,10 +410,92 @@ def test_contains_evaluates_once_per_rung(name, fn, below, above, low_bits,
         return fn()
 
     cert = contains(counted, lo, hi)
-    assert sorted(seen) == [b for b in LADDER if b <= bits]
-    assert cert == _contains_by_two_comparisons(fn, lo, hi)
+    rung = _band_rung(lo, hi)
+    assert sorted(seen) == [b for b in LADDER if rung <= b <= bits]
+    assert cert == _contains_by_two_comparisons(fn, lo, hi, start_bits=rung)
     assert cert.prec_bits == bits
     assert certify_cmp(lambda: exact(lo), fn).prec_bits == low_bits
+    assert cert.verdict == (FALSE if name.endswith("outside") else TRUE)
+
+
+def test_contains_starts_at_the_band_rung():
+    """Bands 2^-(b+3) to 2^(3-b) wide around zeta(2), for each rung b: the
+    first rung tried is the one the formula gives."""
+    def fn():
+        return zeta_iv(Fraction(2))
+
+    value = _value(fn)
+    for b, d in product(LADDER, range(-3, 4)):
+        half = Fraction(2) ** (d - b - 1)
+        lo, hi = value - half, value + half
+        seen = []
+        contains(lambda: seen.append(iv.prec) or fn(), lo, hi)
+        assert seen[0] == _band_rung(lo, hi), (b, d)
+
+
+# Values for the readout contract: ratio, envelope and zeta readouts, and
+# dyadic points (a point enclosure at every rung).
+CONTRACT_VALUES = (
+    *(lambda r=r: ratio_iv(r, factorial(r + 1)) for r in (3, 10, 60)),
+    *(lambda a=a: f_interval(*a) for a in (("f1", 20), ("f2", 19),
+                                           ("f3", 11), ("f4", 80),
+                                           ("f5", 10 ** 6))),
+    *(lambda s=s: zeta_iv(s) for s in ZETA_ARGS[:5]),
+    *(lambda k=k: exact(2 ** k) for k in (0, 7, 64, 200)),
+    lambda: exact(Fraction(3, 8)),
+)
+
+
+@lru_cache(maxsize=None)
+def _contract_value(index: int) -> Fraction:
+    return _value(CONTRACT_VALUES[index])
+
+
+@st.composite
+def readouts(draw):
+    """(value index, negated, lo - value, hi - value, ceiling): mostly bands
+    around the value of as many digits as the ceiling can read, else of up
+    to 300 digits or about 2^-b wide for a rung b, or off the value, empty,
+    across 0 or ending on it."""
+    ceiling = draw(st.sampled_from((16, 24, 64, 1024)))
+    sizes = ((st.integers(1, min(300, ceiling * 3 // 10))
+              | st.integers(-3, 300) | st.integers(-3, 0)).map(_tenth)
+             | st.builds(lambda b, d: Fraction(2) ** (d - b),
+                         st.sampled_from(LADDER), st.integers(-3, 3)))
+
+    def gap(signs):
+        return draw(st.sampled_from(signs)) * draw(sizes)
+
+    return (draw(st.sampled_from(range(len(CONTRACT_VALUES)))),
+            draw(st.booleans()), gap((-1, -1, -1, 1, 0)),
+            gap((1, 1, 1, -1, 0)), ceiling)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(readouts())
+def test_contains_certifies_as_the_full_ladder(readout):
+    index, negate, lo_gap, hi_gap, ceiling = readout
+    sign = -1 if negate else 1
+
+    def fn():
+        return sign * CONTRACT_VALUES[index]()
+
+    value = sign * _contract_value(index)
+    lo, hi = value + lo_gap, value + hi_gap
+    seen = []
+
+    def counted():
+        seen.append(iv.prec)
+        return fn()
+
+    cert = contains(counted, lo, hi, ceiling_bits=ceiling)
+    full = _contains_by_two_comparisons(fn, lo, hi, ceiling_bits=ceiling)
+    assert min(seen) == _band_rung(lo, hi, ceiling)
+    if full.verdict == FALSE:
+        assert cert.verdict == FALSE
+    else:
+        assert cert == full
 
 
 # --- certify_cmp formatting -----------------------------------------------
@@ -356,7 +509,7 @@ def test_certify_cmp_formats_only_the_deciding_evaluation(monkeypatch):
         return show(x)
 
     monkeypatch.setattr(intervals, "_show", counted)
-    lo, _ = _bracket(lambda: zeta_iv(Fraction(2)), 60, 0)
+    lo = _value(lambda: zeta_iv(Fraction(2))) - _tenth(60)
     cert = certify_cmp(lambda: exact(lo), lambda: zeta_iv(Fraction(2)))
     assert (cert.verdict, shown) == (TRUE, [512, 512])
     shown.clear()

@@ -18,8 +18,8 @@ from mpmath import iv
 
 from . import intervals
 from .dominance import HypothesisError, check_dominant, saturated_weight_total
-from .intervals import (Certificate, DEFAULT_CEILING_BITS, DEFAULT_START_BITS,
-                        certify_cmp, certify_less, exact, power, zeta_iv)
+from .intervals import (Certificate, DEFAULT_CEILING_BITS, certify_cmp,
+                        certify_less, exact, power, zeta_iv)
 from .rootdata import RootDatum, _check_family_rank, is_restricted
 
 
@@ -170,7 +170,6 @@ def ratio_iv(r: int, n: int):
 
 
 def ratio_holds(r: int, n: int,
-                start_bits: int = DEFAULT_START_BITS,
                 ceiling_bits: int = DEFAULT_CEILING_BITS) -> Certificate:
     """Certificate for 5*(r+1)*loglog n < 9*log n (the exact form of the
     1.8-ratio inequality), on its stated domain n >= max(6, (r+1)!)."""
@@ -183,7 +182,7 @@ def ratio_holds(r: int, n: int,
     return certify_less(
         lambda: iv.mpf(5 * (r + 1)) * iv.log(iv.log(iv.mpf(n))),
         lambda: iv.mpf(9) * iv.log(iv.mpf(n)),
-        start_bits=start_bits, ceiling_bits=ceiling_bits)
+        ceiling_bits=ceiling_bits)
 
 
 F_NAMES = ("f1", "f2", "f3", "f4", "f5")
@@ -346,11 +345,12 @@ def rn_upper(family: str, rank: int, n: int, p: int,
                 "a-large", _interval_value(lambda: a_large_iv(rank, n), bits),
                 f"large range n >= (r+1)! = {_int_text(big, f'{rank + 1}!')}: "
                 "n^3.4/r^3; low-rank low-n windows rest on external tables")
+        mid = d1(rank)
         return report(
             "a-general",
             _interval_value(lambda: power(n, Fraction(19, 5)), bits),
-            f"{'mid' if n >= d1(rank) else 'small'} range (d1 = "
-            f"{_int_text(d1(rank), f'C({rank + 1}, {(rank + 1) // 2})')}): "
+            f"{'mid' if n >= mid else 'small'} range (d1 = "
+            f"{_int_text(mid, f'C({rank + 1}, {(rank + 1) // 2})')}): "
             "n^3.8; rank <= 10 and table windows rest on external facts")
     if family == "G":
         return report("family-pow-2", ExactValue(n * n),
@@ -365,7 +365,6 @@ def rn_upper(family: str, rank: int, n: int, p: int,
 
 
 def zeta_tail_check(s, extra, n0: int, double: bool = False,
-                    start_bits: int = DEFAULT_START_BITS,
                     ceiling_bits: int = DEFAULT_CEILING_BITS) -> Certificate:
     """Certificate that the zeta-sum coefficient stays below 1 - n0^(-s).
 
@@ -388,5 +387,4 @@ def zeta_tail_check(s, extra, n0: int, double: bool = False,
     def rhs():
         return 1 - power(n0, -s)
 
-    return certify_cmp(lhs, rhs, strict=True,
-                       start_bits=start_bits, ceiling_bits=ceiling_bits)
+    return certify_cmp(lhs, rhs, strict=True, ceiling_bits=ceiling_bits)

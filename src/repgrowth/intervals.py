@@ -117,7 +117,6 @@ def enclosure(fn, bits: int) -> tuple[str, str]:
 
 
 def contains(fn, lo: Fraction, hi: Fraction,
-             start_bits: int = DEFAULT_START_BITS,
              ceiling_bits: int = DEFAULT_CEILING_BITS) -> Certificate:
     """Certificate that the value of fn lies in the open interval (lo, hi).
 
@@ -135,7 +134,7 @@ def contains(fn, lo: Fraction, hi: Fraction,
         return values[iv.prec]
 
     ceiling = max(8, int(ceiling_bits))
-    bits = min(max(8, int(start_bits)), ceiling)
+    bits = min(DEFAULT_START_BITS, ceiling)
     # A true verdict at b bits needs distinct b-bit floats x < z in [lo, hi]
     # (exact(lo)'s upper end and an end above it).  Floats at magnitude m
     # are more than m 2^-b apart, and |x|, |z| >= M - w for M = max(|lo|,
@@ -149,7 +148,7 @@ def contains(fn, lo: Fraction, hi: Fraction,
     if low.verdict != TRUE:
         return low
     return certify_cmp(value, lambda: exact(hi), strict=True,
-                       start_bits=max(low.prec_bits, start_bits),
+                       start_bits=low.prec_bits,
                        ceiling_bits=ceiling_bits)
 
 

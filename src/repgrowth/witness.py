@@ -3,8 +3,11 @@
 Each engine takes a dominant weight, checks a quoted hypothesis, and returns
 a dominated dominant weight with the promised shape, together with the
 WitnessChain of simple-root multiplicities that proves the dominance.  All
-arithmetic is integer arithmetic on coefficient tuples; every returned chain
-is re-verified before it leaves the module.
+arithmetic is integer arithmetic on coefficient tuples.  Each engine checks
+its chain and its promised shape once, before the witness leaves the module,
+and raises AssertionError when one fails; the checks are explicit raises, so
+they also run under ``python -O``.  Callers read that result and do not check
+again.
 
 Throughout, r is the rank, coefficients are 1-based in the prose, and
 k = floor((r-1)/2) marks the centre: index k+1 for odd r, indices k+1 and
@@ -39,8 +42,10 @@ def _finish(datum: RootDatum, source: Weight, a: list[int],
             kvec: list[int]) -> tuple[Weight, WitnessChain]:
     mu = tuple(a)
     chain = WitnessChain(target=mu, root_coeffs=tuple(kvec))
-    assert chain.verify(datum, source), "witness chain failed self-check"
-    assert is_dominant(mu), f"engine produced non-dominant {mu}"
+    if not chain.verify(datum, source):
+        raise AssertionError("witness chain failed self-check")
+    if not is_dominant(mu):
+        raise AssertionError(f"engine produced non-dominant {mu}")
     return mu, chain
 
 
@@ -101,8 +106,10 @@ def incr_witness(datum: RootDatum, w, m: int) -> tuple[Weight, WitnessChain]:
     kvec = [0] * r
     _incr_step(a, kvec, m)
     mu, chain = _finish(datum, w, a, kvec)
-    assert mu[m] == w[m] + 1 and mu[m + 1:] == w[m + 1:]
-    assert _bracket(r, mu) == _bracket(r, w)
+    if not (mu[m] == w[m] + 1 and mu[m + 1:] == w[m + 1:]):
+        raise AssertionError(f"witness {mu} does not raise only a_{m + 1}")
+    if _bracket(r, mu) != _bracket(r, w):
+        raise AssertionError(f"witness {mu} changes the bracket")
     return mu, chain
 
 
@@ -166,7 +173,8 @@ def _clear_centre(datum: RootDatum, w: Weight, a: list[int], kvec: list[int],
     mu = sub(w, datum.root_combination(kvec))
     lo, hi = _window(r, m)
     muL, chain = _finish(datum, w, list(mu), kvec)
-    assert all(muL[i - 1] > 0 for i in range(lo, hi + 1))
+    if not all(muL[i - 1] > 0 for i in range(lo, hi + 1)):
+        raise AssertionError(f"witness {muL} has a zero in window {lo}..{hi}")
     return muL, chain
 
 
@@ -231,8 +239,10 @@ def middle2_witness(datum: RootDatum, w) -> tuple[Weight, WitnessChain]:
     else:
         _reversed_incr_step(a, kvec, k)
     mu, chain = _finish(datum, w, a, kvec)
-    assert any(mu[t - 1] > 0 for t in targets)
-    assert _bracket(r, mu) == br
+    if not any(mu[t - 1] > 0 for t in targets):
+        raise AssertionError(f"witness {mu} misses the centre")
+    if _bracket(r, mu) != br:
+        raise AssertionError(f"witness {mu} changes the bracket")
     return mu, chain
 
 
@@ -249,7 +259,8 @@ def good_witness(datum: RootDatum, w) -> tuple[Weight, WitnessChain]:
     # The threshold above equals the m-good threshold at m = k for both
     # parities, so the window engine applies verbatim with full window.
     mu, chain = _m_good_apply(datum, w, k)
-    assert is_good(mu)
+    if not is_good(mu):
+        raise AssertionError(f"witness {mu} has a zero coefficient")
     return mu, chain
 
 
@@ -285,15 +296,19 @@ def a5_good_family(w) -> list[tuple[Weight, WitnessChain]]:
     for i, x in enumerate(_RANK5_BETA):
         kvec[i] += 5 * x
     gamma = sub(w, datum.root_combination(kvec))
-    assert all(c >= 5 for c in gamma)
+    if not all(c >= 5 for c in gamma):
+        raise AssertionError(f"family base {gamma} has a coefficient below 5")
     family = []
     for delta in product(range(3), repeat=5):
         member = sub(gamma, datum.root_combination(delta))
-        assert is_good(member)
+        if not is_good(member):
+            raise AssertionError(f"member {member} has a zero coefficient")
         chain = WitnessChain(target=member, root_coeffs=add(kvec, delta))
-        assert chain.verify(datum, w)
+        if not chain.verify(datum, w):
+            raise AssertionError(f"chain for {member} failed on input {w}")
         family.append((member, chain))
-    assert len({mu for mu, _ in family}) == 243
+    if len({mu for mu, _ in family}) != 243:
+        raise AssertionError("family members are not distinct")
     return family
 
 

@@ -2,6 +2,8 @@
 request in a fresh process and compares)."""
 
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -12,7 +14,16 @@ from pathlib import Path
 import pytest
 
 import repgrowth
-from repgrowth.cli import N_DIGITS_MAX, main, parse_csv
+from repgrowth.cli import BOUND_RANK_MAX, N_DIGITS_MAX, main
+
+
+def parse_csv(text: str) -> list[dict]:
+    """Round-trip parser for the CSV output format."""
+    rows = list(csv.DictReader(io.StringIO(text)))
+    for row in rows:
+        if None in row or any(v is None for v in row.values()):
+            raise ValueError("ragged row in csv input")
+    return rows
 
 
 def run(capsys, *argv):
@@ -141,6 +152,37 @@ def test_n_help_states_the_budget(capsys):
     with pytest.raises(SystemExit):
         main(["bound", "--help"])
     assert f"at most 10^{N_DIGITS_MAX}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("family", ("A", "B"))
+@pytest.mark.parametrize("rank", (str(BOUND_RANK_MAX + 1), "3000000"))
+def test_bound_refuses_ranks_over_the_budget(capsys, monkeypatch, family,
+                                             rank):
+    from repgrowth import cli
+
+    def refuse(*args, **kw):
+        raise AssertionError("a bound was computed")
+    monkeypatch.setattr(cli, "rn_upper", refuse)
+    code, out, err = run(capsys, "bound", "--family", family, "--rank", rank,
+                         "--n", "50", "--p", "5")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "type": "input",
+        "message": f"rank {rank} is over the bound budget of rank "
+                   f"{BOUND_RANK_MAX}"}
+
+
+def test_bound_runs_at_the_rank_budget(capsys):
+    code, out, _ = run(capsys, "bound", "--family", "A", "--rank",
+                       str(BOUND_RANK_MAX), "--n", "50", "--p", "5")
+    assert code == 0
+    assert json.loads(out)["name"] == "a-general"
+
+
+def test_rank_help_states_the_budget(capsys):
+    with pytest.raises(SystemExit):
+        main(["bound", "--help"])
+    assert f"at most {BOUND_RANK_MAX}" in capsys.readouterr().out
 
 
 # --- witness ------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """Witness engines: frozen examples, hypothesis gates, exhaustive sweeps."""
 
+import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repgrowth.dominance import HypothesisError, bracket, dominance_witness, is_good
+from repgrowth.dominance import (HypothesisError, WitnessChain, bracket,
+                                 dominance_witness, is_good)
 from repgrowth.rootdata import RootDataError, root_datum
 from repgrowth.witness import (
     a5_good_family,
@@ -384,3 +390,121 @@ def test_a5_family_matches_dense_rebuild(w, base):
 def test_a5_family_hypothesis_message():
     with pytest.raises(HypothesisError, match="bracket ≥ 77"):
         a5_good_family((0, 0, 24, 0, 0))
+
+
+
+# --- one check per promise, in the engine -----------------------------------
+
+# A broken engine: the weight loses the run alpha_i + ... + alpha_j, but the
+# chain forgets alpha_j.  Source text, so a python -O subprocess runs it too.
+_DROP_LAST_ROOT = """
+from repgrowth import witness
+
+_sub_consec = witness._sub_consec
+
+
+def _drop_last_root(a, kvec, i, j):
+    _sub_consec(a, kvec, i, j)
+    kvec[j - 1] -= 1
+"""
+
+_A090_BROKEN = ("fail", "middle2 on (0, 0, 3) (m = None): "
+                "witness chain failed self-check")
+
+
+def _check(cid):
+    from repgrowth.checks import suite_checks
+
+    check, = (c for c in suite_checks("typeA") if c.id == cid)
+    return check
+
+
+@pytest.fixture
+def broken_engine(monkeypatch):
+    from repgrowth import witness
+
+    space = {}
+    exec(_DROP_LAST_ROOT, space)
+    monkeypatch.setattr(witness, "_sub_consec", space["_drop_last_root"])
+
+
+def test_broken_engine_fails_the_sweep(broken_engine):
+    assert _check("a-090").run(64, "desk") == _A090_BROKEN
+
+
+def test_broken_family_chain_fails_its_check(monkeypatch):
+    from repgrowth import witness
+
+    # every member chain loses its alpha_5 coefficient; the first member's
+    # has none to lose
+    monkeypatch.setattr(witness, "add",
+                        lambda u, v: (*map(sum, zip(u, v)),)[:4] + (0,))
+    assert _check("a-020").run(64, "desk") == (
+        "fail", "a5 family on (0, 0, 25, 0, 0): chain for (5, 5, 5, 6, 3) "
+                "failed on input (0, 0, 25, 0, 0)")
+
+
+def test_broken_engine_fails_verify_without_a_traceback(broken_engine,
+                                                        capsys):
+    from repgrowth.cli import main
+
+    code = main(["verify", "--suite", "typeA"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    a090, = (c for c in json.loads(out)["checks"] if c["id"] == "a-090")
+    assert (a090["verdict"], a090["detail"]) == _A090_BROKEN
+
+
+def test_broken_engine_fails_the_sweep_under_optimize():
+    # python -O strips assert statements; the engine checks must survive.
+    import repgrowth
+
+    src = str(Path(repgrowth.__file__).parents[1])
+    code = _DROP_LAST_ROOT + """
+witness._sub_consec = _drop_last_root
+
+import sys
+from repgrowth.checks import suite_checks
+
+check, = (c for c in suite_checks("typeA") if c.id == "a-090")
+print(sys.flags.optimize, check.run(64, "desk"))
+"""
+    done = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"1 {_A090_BROKEN!r}\n"
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    calls = []
+    verify = WitnessChain.verify
+
+    def counted(self, datum, source):
+        calls.append(source)
+        return verify(self, datum, source)
+    monkeypatch.setattr(WitnessChain, "verify", counted)
+    return calls
+
+
+def test_sweep_verifies_each_chain_once(verify_calls):
+    # middle2 returns a weight with a positive centre unchanged, with the
+    # zero chain and no verify: 268 of the 596 witnesses
+    verdict, detail = _check("a-090").run(64, "desk")
+    assert verdict == "pass"
+    assert detail.startswith("596 witnesses re-verified out of ")
+    assert len(verify_calls) == 328
+
+
+@pytest.mark.parametrize("argv,field,calls", [
+    (["good", "--rank", "5", "--weight", "1,2,3,2,1"], "verified", 1),
+    (["a5", "--weight", "0,0,25,0,0"], "all_verified", 243),
+])
+def test_witness_command_verifies_each_chain_once(verify_calls, capsys, argv,
+                                                  field, calls):
+    from repgrowth.cli import main
+
+    assert main(["witness", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)[field] is True
+    assert len(verify_calls) == calls

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, log10, prod
 
 from mpmath import iv
@@ -95,6 +96,13 @@ class BoundReport:
 
 def _inputs(**kw) -> tuple[tuple[str, str], ...]:
     return tuple((k, str(v)) for k, v in kw.items())
+
+
+def _report(inputs, name: str, value, guard: str, *certs) -> BoundReport:
+    """A report valid exactly when every certificate it carries holds."""
+    return BoundReport(name=name, inputs=inputs, value=value,
+                       valid=all(c.certified for c in certs),
+                       guard_detail=guard, certificates=certs)
 
 
 def _interval_value(fn, bits: int) -> IntervalValue:
@@ -319,12 +327,7 @@ def rn_upper(family: str, rank: int, n: int, p: int,
         raise HypothesisError("dimension cap must be >= 1")
     if not _is_prime(p):
         raise HypothesisError(f"characteristic {p} must be prime")
-    inputs = _inputs(family=family, rank=rank, n=n, p=p)
-
-    def report(name: str, value, guard: str) -> BoundReport:
-        return BoundReport(name=name, inputs=inputs, value=value, valid=True,
-                           guard_detail=guard)
-
+    report = partial(_report, _inputs(family=family, rank=rank, n=n, p=p))
     if n == 1:
         return report("trivial-one", ExactValue(1),
                       "n = 1: only the trivial module")
@@ -339,7 +342,10 @@ def rn_upper(family: str, rank: int, n: int, p: int,
                 _interval_value(lambda: power(n, Fraction(5, 2)), bits),
                 "rank-5 strengthening: n^2.5; n <= 2500 rests on external "
                 "tables")
-        big = factorial(rank + 1)
+        big = 1  # (r+1)!, built only until it passes n
+        for i in range(2, rank + 2):
+            if (big := big * i) > n:
+                break
         if n >= big:
             return report(
                 "a-large", _interval_value(lambda: a_large_iv(rank, n), bits),

@@ -40,7 +40,6 @@ from .dominance import (
     HypothesisError,
     SaturationCapError,
     bracket,
-    is_good,
     orbit_length,
 )
 from .partitions import check_partition, mullineux
@@ -53,8 +52,8 @@ CAP_DEFAULT = 10 ** 7
 # Most cells mullineux twists, most restricted weights enumerate walks (by
 # --bound), most rows it bounds, most digits of the dimension cap bound
 # takes (an exact n^2 must stay printable), highest rank bound takes (type
-# A builds (r+1)! and a middle binomial), highest rank witness takes;
-# README gives the measured costs.
+# A builds a middle binomial, and (r+1)! only up to n), highest rank
+# witness takes; README gives the measured costs.
 TWIST_CELLS_MAX = 10 ** 4
 BOX_MAX = {"nlambda": 4 * 10 ** 5, "premet": 500}
 ROWS_MAX = 3000
@@ -146,20 +145,17 @@ def cmd_bound(args) -> int:
 # witness
 
 def _engine_transcript(name: str, datum, w, m, mu, chain) -> list[str]:
-    lines = [f"engine {name} on weight {list(w)}"
-             + (f" with m = {m}" if m is not None else "")]
     combo = " + ".join(f"{c}*a{i + 1}" for i, c in
                        enumerate(chain.root_coeffs) if c)
-    # the engine raised unless its chain verified
-    lines.append(f"chain: witness = input - ({combo or '0'}); "
-                 "re-verified: True")
-    lines.append(f"bracket: {bracket(datum, w)} -> {bracket(datum, mu)}")
+    # the engine raised unless its chain and its promise verified
+    lines = [f"engine {name} on weight {list(w)}"
+             + (f" with m = {m}" if m is not None else ""),
+             f"chain: witness = input - ({combo or '0'}); re-verified: True",
+             f"bracket: {bracket(datum, w)} -> {bracket(datum, mu)}"]
     if name == "good":
-        lines.append(f"witness has every coefficient positive: {is_good(mu)}")
+        lines.append("witness has every coefficient positive: True")
     elif name == "middle2":
-        k = (datum.rank - 1) // 2
-        hit = any(mu[t - 1] > 0 for t in (k + 1, datum.rank - k))
-        lines.append(f"witness has a positive centre coefficient: {hit}")
+        lines.append("witness has a positive centre coefficient: True")
     return lines
 
 

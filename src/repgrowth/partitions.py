@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from math import factorial
 
 from .bounds import (BoundReport, ExactValue, ExternalValue, Root2Power,
-                     _check_char, _inputs, _interval_value, exp_envelope,
-                     f_interval)
+                     _check_char, _inputs, _interval_value, _report,
+                     exp_envelope, f_interval)
 from .dominance import HypothesisError
 from .intervals import (Certificate, certify_cmp, exact, exact_compare_cert,
                         power)
@@ -71,16 +72,12 @@ def partition_bound(n: int, bits: int = 256) -> BoundReport:
     if n < 1:
         raise HypothesisError("envelope comparison needs n >= 1")
     pn = partition_count(n)
-    cert = certify_cmp(lambda: exact(pn), lambda: partition_envelope_iv(n),
-                       strict=True)
-    return BoundReport(
-        name="partition-envelope",
-        inputs=_inputs(n=n),
-        value=_interval_value(lambda: partition_envelope_iv(n), bits),
-        valid=cert.certified,
-        guard_detail=f"exact p({n}) = {pn} compared against the envelope",
-        certificates=(cert,),
-    )
+    return _report(_inputs(n=n), "partition-envelope",
+                   _interval_value(lambda: partition_envelope_iv(n), bits),
+                   f"exact p({n}) = {pn} compared against the envelope",
+                   certify_cmp(lambda: exact(pn),
+                               lambda: partition_envelope_iv(n),
+                               strict=True, ceiling_bits=bits))
 
 
 # ---------------------------------------------------------------------------
@@ -128,17 +125,13 @@ def k_sum_bound(cap: int, bits: int = 256) -> BoundReport:
                             Fraction(cap, 3))
 
     strict = cap > 0
-    cert = certify_cmp(lambda: exact(maj), rhs, strict=strict)
     note = "" if strict else "; boundary cap = 0 compares non-strictly " \
                             "(both sides equal 1)"
-    return BoundReport(
-        name="coefficient-sum-envelope",
-        inputs=_inputs(cap=cap),
-        value=_interval_value(rhs, bits),
-        valid=cert.certified,
-        guard_detail=f"rank-independent majorant = {maj}{note}",
-        certificates=(cert,),
-    )
+    return _report(_inputs(cap=cap), "coefficient-sum-envelope",
+                   _interval_value(rhs, bits),
+                   f"rank-independent majorant = {maj}{note}",
+                   certify_cmp(lambda: exact(maj), rhs, strict=strict,
+                               ceiling_bits=bits))
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +265,9 @@ def bound3_value(lam, p: int) -> BoundReport:
     if n < 5:
         raise HypothesisError("the half-power bound needs |partition| >= 5")
     m = max(lam[0], _twist(lam, p)[0])
-    return BoundReport(
-        name="half-power-lower",
-        inputs=_inputs(partition=",".join(map(str, lam)), p=p),
-        value=Root2Power(halves=n - m),
-        valid=True,
-        guard_detail=f"statistic m = {m}; compare by squaring only",
-    )
+    return _report(_inputs(partition=",".join(map(str, lam)), p=p),
+                   "half-power-lower", Root2Power(halves=n - m),
+                   f"statistic m = {m}; compare by squaring only")
 
 
 def hook_length_dim(lam) -> int:
@@ -345,12 +334,7 @@ def sym_rn_bound(r: int, n: int, p: int, group: str = "S",
         raise HypothesisError("dimension cap must be >= 1")
     _check_char(p)
     inp = _inputs(r=r, n=n, p=p, group=group)
-
-    def report(name: str, value, guard: str, *certs) -> BoundReport:
-        return BoundReport(name=name, inputs=inp, value=value,
-                           valid=all(c.certified for c in certs),
-                           guard_detail=guard, certificates=certs)
-
+    report = partial(_report, inp)
     if r <= 12:
         return report("small-rank-tables",
                       ExternalValue("5 <= r <= 12 checked against modular "
@@ -378,7 +362,8 @@ def sym_rn_bound(r: int, n: int, p: int, group: str = "S",
                           "n >= 1503: the sublinear envelope stays below "
                           "n^2.5/12.32",
                           certify_cmp(lambda: f_interval("f5", n),
-                                      lambda: b_iv(n), strict=True))
+                                      lambda: b_iv(n), strict=True,
+                                      ceiling_bits=bits))
         if 2 * n < r * r - 5 * r + 2:
             return report("sym-low-dimension", ExactValue(4),
                           "n < (r^2-5r+2)/2: external low-degree "

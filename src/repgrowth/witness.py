@@ -84,8 +84,12 @@ def _incr_step(a: list[int], kvec: list[int], m: int) -> None:
             return
 
 
-def _reversed_incr_step(a: list[int], kvec: list[int], m: int) -> None:
-    """Mirror image of _incr_step acting on the last m coefficients."""
+def _feed(a: list[int], kvec: list[int], m: int) -> None:
+    """_incr_step from the left when sum(i*a_i : i <= m) > m, else its
+    mirror image on the last m coefficients, which raises a_{r-m}."""
+    if _left_sum(a, m) > m:
+        _incr_step(a, kvec, m)
+        return
     a.reverse()
     kvec.reverse()
     try:
@@ -212,10 +216,7 @@ def _m_good_apply(datum: RootDatum, w: Weight,
         if t >= centre_need:
             break
         # Bracket mass off the centre exceeds 2k, so one side can feed it.
-        if _left_sum(a, k) > k:
-            _incr_step(a, kvec, k)
-        else:
-            _reversed_incr_step(a, kvec, k)
+        _feed(a, kvec, k)
     return _clear_centre(datum, w, a, kvec, m)
 
 
@@ -234,10 +235,7 @@ def middle2_witness(datum: RootDatum, w) -> tuple[Weight, WitnessChain]:
     # Both centre slots empty; r >= 3 here since small ranks always hit above.
     a = list(w)
     kvec = [0] * r
-    if _left_sum(a, k) > k:
-        _incr_step(a, kvec, k)
-    else:
-        _reversed_incr_step(a, kvec, k)
+    _feed(a, kvec, k)
     mu, chain = _finish(datum, w, a, kvec)
     if not any(mu[t - 1] > 0 for t in targets):
         raise AssertionError(f"witness {mu} misses the centre")
@@ -288,11 +286,8 @@ def a5_good_family(w) -> list[tuple[Weight, WitnessChain]]:
                 "hypothesis bracket ≥ 77 (or a_3 ≥ 25) fails: "
                 f"bracket = {_bracket(5, w)}, a_3 = {a[2]}")
         while a[2] < 25:
-            if a[0] + 2 * a[1] >= 3:
-                _incr_step(a, kvec, 2)
-            else:
-                # bracket - 3*a_3 >= 5, so the right side carries >= 3
-                _reversed_incr_step(a, kvec, 2)
+            # bracket - 3*a_3 >= 5, so one side carries >= 3
+            _feed(a, kvec, 2)
     for i, x in enumerate(_RANK5_BETA):
         kvec[i] += 5 * x
     gamma = sub(w, datum.root_combination(kvec))

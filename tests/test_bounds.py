@@ -266,6 +266,17 @@ def test_rn_upper_a_large_factorial_by_symbol():
     assert report.name == "a-large"
     assert f"(r+1)! = 201!, {len(str(big))} digits: " in report.guard_detail
 
+
+def test_rn_upper_a_stops_factorial_at_n(monkeypatch):
+    # (r+1)! is multiplied out only until it passes n
+    from repgrowth import bounds
+
+    def refuse(x):
+        raise AssertionError(f"factorial({x}) built")
+    monkeypatch.setattr(bounds, "factorial", refuse)
+    assert rn_upper("A", 100000, 50, 3).name == "a-general"
+
+
 def test_rn_upper_family_squares():
     report = rn_upper("C", 2, 3, 3)
     assert report.name == "family-pow-2"

@@ -207,6 +207,53 @@ def test_witness_incr(capsys):
     assert any("bracket: 5 -> 5" in line for line in data["transcript"])
 
 
+_ENGINE_PINS = [
+    ("incr", 3, 1, [3, 1, 0], [1, 2, 0], [1, 0, 0],
+     ["engine incr on weight [3, 1, 0] with m = 1",
+      "chain: witness = input - (1*a1); re-verified: True",
+      "bracket: 5 -> 5"]),
+    ("middle", 5, 2, [0, 1, 5, 1, 0], [1, 2, 1, 2, 1], [0, 1, 3, 1, 0],
+     ["engine middle on weight [0, 1, 5, 1, 0] with m = 2",
+      "chain: witness = input - (1*a2 + 3*a3 + 1*a4); re-verified: True",
+      "bracket: 19 -> 13"]),
+    ("m-good", 6, 1, [9, 0, 0, 0, 0, 9], [0, 1, 2, 1, 1, 3],
+     [6, 3, 1, 1, 2, 4],
+     ["engine m-good on weight [9, 0, 0, 0, 0, 9] with m = 1",
+      "chain: witness = input - (6*a1 + 3*a2 + 1*a3 + 1*a4 + 2*a5 "
+      "+ 4*a6); re-verified: True",
+      "bracket: 18 -> 16"]),
+    ("middle2", 5, None, [4, 0, 0, 0, 1], [1, 0, 1, 0, 1], [2, 1, 0, 0, 0],
+     ["engine middle2 on weight [4, 0, 0, 0, 1]",
+      "chain: witness = input - (2*a1 + 1*a2); re-verified: True",
+      "bracket: 5 -> 5",
+      "witness has a positive centre coefficient: True"]),
+    ("middle2", 5, None, [1, 0, 0, 0, 4], [1, 0, 1, 0, 1], [0, 0, 0, 1, 2],
+     ["engine middle2 on weight [1, 0, 0, 0, 4]",
+      "chain: witness = input - (1*a4 + 2*a5); re-verified: True",
+      "bracket: 5 -> 5",
+      "witness has a positive centre coefficient: True"]),
+    ("good", 5, None, [1, 2, 3, 2, 1], [3, 1, 1, 1, 3], [0, 2, 3, 2, 0],
+     ["engine good on weight [1, 2, 3, 2, 1]",
+      "chain: witness = input - (2*a2 + 3*a3 + 2*a4); re-verified: True",
+      "bracket: 19 -> 13",
+      "witness has every coefficient positive: True"]),
+]
+
+
+@pytest.mark.parametrize("engine,rank,m,w,mu,coeffs,transcript", _ENGINE_PINS)
+def test_witness_engine_json_pinned(capsys, engine, rank, m, w, mu, coeffs,
+                                    transcript):
+    argv = ["witness", engine, "--rank", str(rank),
+            "--weight", ",".join(map(str, w))]
+    if m is not None:
+        argv += ["--m", str(m)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out) == {
+        "engine": engine, "rank": rank, "m": m, "input": w, "witness": mu,
+        "root_coeffs": coeffs, "verified": True, "transcript": transcript}
+
+
 def test_witness_hypothesis_failure(capsys):
     code, _, err = run(capsys, "witness", "incr", "--rank", "3",
                        "--weight", "1,1,1", "--m", "1")

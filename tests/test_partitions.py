@@ -105,6 +105,25 @@ def test_k_sum_bound_boundary_cap():
     assert "non-strictly" in report.guard_detail
 
 
+@pytest.mark.parametrize("report", [
+    lambda: partition_bound(1, bits=16),
+    lambda: partition_bound(39, bits=16),
+    lambda: partition_bound(100, bits=16),
+    lambda: partition_bound(1000, bits=16),
+    lambda: k_sum_bound(76, bits=16),
+    lambda: k_sum_bound(0, bits=16),
+    lambda: sym_rn_bound(13, 1503, 5, "S", bits=16),
+    lambda: sym_rn_bound(40, 10 ** 6, 5, "S", bits=16),
+])
+def test_report_certificates_stay_under_report_bits(report):
+    # the report's bits is the ceiling for its certificates, not only for
+    # its printed value
+    rep = report()
+    assert rep.certificates
+    assert all(0 < c.prec_bits <= 16 for c in rep.certificates)
+    assert rep.valid
+
+
 def test_k_sum_exact_guards():
     with pytest.raises(HypothesisError):
         k_sum_exact(0, 3)

@@ -71,7 +71,10 @@ def record(x) -> dict:
         return {"name": x.name, "inputs": dict(x.inputs),
                 "value": record(x.value), "valid": x.valid,
                 "guard_detail": x.guard_detail,
-                "certificates": [asdict(c) for c in x.certificates]}
+                "certificates": [{"verdict": c.verdict,
+                                  "prec_bits": c.prec_bits,
+                                  "lhs": c.lhs, "rhs": c.rhs}
+                                 for c in x.certificates]}
     return {"kind": x.kind, **asdict(x)}
 
 

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil, comb, floor, isqrt, lcm
 
 import mpmath
 from mpmath import iv
-from mpmath.libmp import (from_man_exp, from_rational, mpf_shift,
+from mpmath.libmp import (from_man_exp, from_rational, mpf_shift, mpi_str,
                           round_ceiling, round_floor, to_int)
 
 DEFAULT_START_BITS = 64
@@ -29,16 +29,38 @@ POWER_GUARD_BITS = 8
 TRUE, FALSE, UNKNOWN = "true", "false", "unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
     verdict: str      # "true" | "false" | "unknown"
     prec_bits: int    # working precision of the deciding evaluation
-    lhs: str          # printed enclosure (display only; verdicts use the
-    rhs: str          # enclosure itself, never the printed form)
+    ends: tuple       # the deciding enclosures (exact values at prec_bits
+                      # 0); verdicts use them, never the printed form
+
+    # printed enclosures, formatted when first read, at the deciding
+    # precision
+    @cached_property
+    def lhs(self) -> str:
+        return _show(self.ends[0], self.prec_bits)
+
+    @cached_property
+    def rhs(self) -> str:
+        return _show(self.ends[1], self.prec_bits)
 
     @property
     def certified(self) -> bool:
         return self.verdict == TRUE
+
+    # equal exactly when verdict, precision and both texts are
+    def _key(self) -> tuple:
+        return self.verdict, self.prec_bits, self.lhs, self.rhs
+
+    def __eq__(self, other):
+        if not isinstance(other, Certificate):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def exact(q):
@@ -56,15 +78,14 @@ def exact_compare_cert(lhs, rhs, strict: bool = True) -> Certificate:
     """Certificate from an exact rational comparison; prec_bits 0 marks that
     no interval arithmetic was involved."""
     ok = (lhs < rhs) if strict else (lhs <= rhs)
-    return Certificate(verdict=TRUE if ok else FALSE, prec_bits=0,
-                       lhs=str(lhs), rhs=str(rhs))
+    return Certificate(TRUE if ok else FALSE, 0, (lhs, rhs))
 
 
-def _show(x) -> str:
-    try:
-        return mpmath.nstr(x, 12)
-    except Exception:
-        return str(x)
+def _show(x, bits: int) -> str:
+    """An exact value (bits 0) as str, an interval as mpmath prints one at
+    bits of precision: "[a, b]", each end to prec_to_dps(bits) + 5
+    digits."""
+    return mpi_str(x._mpi_, bits) if bits else str(x)
 
 
 def certify_cmp(lhs, rhs, strict: bool = True,
@@ -91,9 +112,9 @@ def certify_cmp(lhs, rhs, strict: bool = True,
             verdict = (TRUE if holds else FALSE if fails
                        else UNKNOWN if bits >= ceiling else None)
             if verdict is not None:
-                # formatted only for the deciding evaluation, under its
-                # own precision
-                return Certificate(verdict, bits, _show(a), _show(b))
+                # the deciding enclosures, formatted when first read, at
+                # the deciding precision
+                return Certificate(verdict, bits, (a, b))
         finally:
             iv.prec = saved
         bits = min(2 * bits, ceiling)

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import repgrowth
-from repgrowth.cli import BOUND_RANK_MAX, N_DIGITS_MAX, main
+from repgrowth.cli import BOUND_RANK_MAX, N_DIGITS_MAX, main, record
+from repgrowth.partitions import partition_bound, sym_rn_bound
 
 
 def parse_csv(text: str) -> list[dict]:
@@ -252,6 +253,33 @@ def test_witness_engine_json_pinned(capsys, engine, rank, m, w, mu, coeffs,
     assert json.loads(out) == {
         "engine": engine, "rank": rank, "m": m, "input": w, "witness": mu,
         "root_coeffs": coeffs, "verified": True, "transcript": transcript}
+
+
+# JSON of reports that carry an interval and an exact certificate, captured
+# when certificates were still formatted as they were built.
+_REPORT_PINS = (
+    (lambda: partition_bound(20),
+     '{"name": "partition-envelope", "inputs": {"n": "20"}, "value": '
+     '{"kind": "interval", "lo": "95939.6300594213504434919", "hi": '
+     '"95939.6300594213504434919", "prec_bits": 256}, "valid": true, '
+     '"guard_detail": "exact p(20) = 627 compared against the envelope", '
+     '"certificates": [{"verdict": "true", "prec_bits": 64, "lhs": '
+     '"[627.0, 627.0]", "rhs": "[95939.630059421350281923, '
+     '95939.630059421350537718]"}]}'),
+    (lambda: sym_rn_bound(13, 64, 5, "cover"),
+     '{"name": "cover-class-count", "inputs": {"r": "13", "n": "64", "p": '
+     '"5", "group": "cover"}, "value": {"kind": "exact", "value": 404}, '
+     '"valid": true, "guard_detail": "n >= 2^((r-3)/2) = 32: the class '
+     'count 4*p(r); certificate compares squares against n^5", '
+     '"certificates": [{"verdict": "true", "prec_bits": 0, "lhs": "163216", '
+     '"rhs": "1073741824"}]}'),
+)
+
+
+@pytest.mark.parametrize("make,text", _REPORT_PINS,
+                         ids=["interval", "exact"])
+def test_report_record_keeps_certificate_text(make, text):
+    assert json.dumps(record(make())) == text
 
 
 def test_witness_hypothesis_failure(capsys):

@@ -3,7 +3,8 @@ the running Fraction sum, fixed-point powers and Dirichlet terms against
 exact integer inequalities, powers against exp and log, the exponential
 envelopes against plain high-precision floats, exact rationals against the
 interval division, `contains` against the full precision ladder with one
-evaluation per rung from the band's rung, and certificates formatted once."""
+evaluation per rung from the band's rung, and certificates formatted once,
+when first read, and equal only when their texts are."""
 
 import re
 from decimal import Decimal
@@ -24,7 +25,7 @@ from repgrowth.checks import CHECKS
 from repgrowth.intervals import (FALSE, POWER_GUARD_BITS, TRUE, UNKNOWN,
                                  _dirichlet_terms, _euler_maclaurin_tail,
                                  _fixed_power, certify_cmp, contains, exact,
-                                 power, zeta_iv)
+                                 exact_compare_cert, power, zeta_iv)
 from repgrowth.partitions import partition_envelope_iv
 
 from oracles import (_iv_power, direct_zeta_iv, divided_exact,
@@ -498,21 +499,49 @@ def test_contains_certifies_as_the_full_ladder(readout):
         assert cert == full
 
 
-# --- certify_cmp formatting -----------------------------------------------
+# --- certificate text -----------------------------------------------------
 
 def test_certify_cmp_formats_only_the_deciding_evaluation(monkeypatch):
+    """certify_cmp and contains format nothing; the first read of lhs or
+    rhs formats it once, at the deciding precision, into the text mpmath
+    prints for the enclosure at that precision, whatever the precision at
+    read time."""
     shown = []
     show = intervals._show
 
-    def counted(x):
-        shown.append(iv.prec)
-        return show(x)
+    def counted(x, bits):
+        shown.append(bits)
+        return show(x, bits)
 
     monkeypatch.setattr(intervals, "_show", counted)
-    lo = _value(lambda: zeta_iv(Fraction(2))) - _tenth(60)
-    cert = certify_cmp(lambda: exact(lo), lambda: zeta_iv(Fraction(2)))
-    assert (cert.verdict, shown) == (TRUE, [512, 512])
-    shown.clear()
-    cert = certify_cmp(lambda: exact(lo), lambda: zeta_iv(Fraction(2)),
-                       ceiling_bits=256)
-    assert (cert.verdict, shown) == (UNKNOWN, [256, 256])
+
+    def zeta():
+        return zeta_iv(Fraction(2))
+
+    lo = _value(zeta) - _tenth(60)
+    for ceiling, verdict, bits in ((1024, TRUE, 512), (256, UNKNOWN, 256)):
+        contains(zeta, lo, lo + 1, ceiling_bits=ceiling)
+        eager = _at(bits, lambda: (mpmath.nstr(exact(lo), 12),
+                                   mpmath.nstr(zeta(), 12)))
+        for read_prec in (53, 2048):
+            cert = certify_cmp(lambda: exact(lo), zeta, ceiling_bits=ceiling)
+            assert (cert.verdict, cert.prec_bits, shown) == (verdict, bits, [])
+            texts = _at(read_prec, lambda: (cert.lhs, cert.rhs, cert.lhs,
+                                            cert.rhs))
+            assert texts == eager * 2
+            assert shown == [bits, bits]
+            shown.clear()
+
+
+def test_certificates_differing_in_an_enclosure_compare_unequal():
+    def cert(lhs, rhs):
+        return certify_cmp(lambda: exact(lhs), lambda: exact(rhs))
+
+    assert cert(1, 2) == cert(1, 2)
+    assert hash(cert(1, 2)) == hash(cert(1, 2))
+    for other in (cert(1, 3), cert(0, 2)):
+        assert (other.verdict, other.prec_bits) == (TRUE, 64)
+        assert other != cert(1, 2)
+        assert len({other, cert(1, 2)}) == 2
+    assert exact_compare_cert(1, 2) == exact_compare_cert(1, 2)
+    assert exact_compare_cert(1, 3) != exact_compare_cert(1, 2)

@@ -18,9 +18,11 @@ from math import comb, factorial, log10, prod
 from mpmath import iv
 
 from . import intervals
-from .dominance import HypothesisError, check_dominant, saturated_weight_total
-from .intervals import (Certificate, DEFAULT_CEILING_BITS, certify_cmp,
-                        certify_less, exact, power, zeta_iv)
+from .dominance import (DEFAULT_CAP, HypothesisError, check_dominant,
+                        saturated_weight_total)
+from .intervals import (Certificate, DEFAULT_CEILING_BITS,
+                        DEFAULT_REPORT_BITS, certify_cmp, certify_less, exact,
+                        power, zeta_iv)
 from .rootdata import RootDatum, _check_family_rank, is_restricted
 
 
@@ -33,9 +35,6 @@ class ExactValue:
 
     kind = "exact"
 
-    def __str__(self) -> str:
-        return str(self.value)
-
 
 @dataclass(frozen=True)
 class IntervalValue:
@@ -45,9 +44,6 @@ class IntervalValue:
 
     kind = "interval"
 
-    def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]@{self.prec_bits}b"
-
 
 @dataclass(frozen=True)
 class ExternalValue:
@@ -55,32 +51,21 @@ class ExternalValue:
 
     kind = "external"
 
-    def __str__(self) -> str:
-        return f"external: {self.note}"
-
 
 @dataclass(frozen=True)
 class Root2Power:
-    """Exact power 2**(halves/2); compared by squaring, never by floats."""
+    """Exact power 2**(halves/2), halves >= 0, compared by squaring only."""
 
     halves: int
 
     kind = "exact"
 
-    def squared(self) -> int | Fraction:
-        if self.halves >= 0:
-            return 2 ** self.halves
-        return Fraction(1, 2 ** (-self.halves))
-
     def le_int(self, n: int) -> bool:
-        if n < 0:
-            return False
-        return self.squared() <= n * n
+        return n >= 0 and 2 ** self.halves <= n * n
 
     def __str__(self) -> str:
         if self.halves % 2 == 0:
-            return str(2 ** (self.halves // 2)) if self.halves >= 0 \
-                else f"1/{2 ** (-self.halves // 2)}"
+            return str(2 ** (self.halves // 2))
         return f"2^({self.halves}/2)"
 
 
@@ -146,7 +131,7 @@ def _check_char(p: int) -> None:
         raise HypothesisError(f"characteristic {p} is neither 0 nor prime")
 
 
-def premet_lower(datum: RootDatum, w, p: int, cap: int = 10 ** 7) -> int:
+def premet_lower(datum: RootDatum, w, p: int, cap: int = DEFAULT_CAP) -> int:
     """Saturated-set weight count: a dimension lower bound for restricted
     highest weights away from the excluded small characteristics."""
     w = datum.check_weight(w)
@@ -193,13 +178,33 @@ def ratio_holds(r: int, n: int,
         ceiling_bits=ceiling_bits)
 
 
-F_NAMES = ("f1", "f2", "f3", "f4", "f5")
-
-
 def exp_envelope(lead, inner):
     """lead * exp(2*pi*sqrt(inner)) for rational lead and inner, evaluated
     as lead * exp(pi*sqrt(4*inner)): scaling by 4 is exact."""
     return exact(lead) * iv.exp(iv.pi * iv.sqrt(exact(4 * inner)))
+
+
+def _f2_terms(r: int) -> tuple[Fraction, Fraction]:
+    if r % 2:
+        lead = Fraction((r * r + 11), 6) + r
+        inner = Fraction(r * r - 1, 18) + Fraction(r, 3)
+    else:
+        lead = Fraction(r * r, 6) + 2 * r
+        inner = Fraction(r * r, 18) + Fraction(2 * r - 2, 3)
+    return lead ** 2 / 2, inner
+
+
+# name -> (argument, least value, terms): terms(arg) is the (lead, inner)
+# of E(lead, inner); f5 is not of that form and has none.
+_ENVELOPES = {
+    "f1": ("rank", 1, lambda r: (Fraction((r + 1) ** 4, 8),
+                                 Fraction(r * r + 2 * r - 3, 6))),
+    "f2": ("rank", 1, _f2_terms),
+    "f3": ("rank", 1, lambda r: (8 * r * r, Fraction(4 * r - 2, 3))),
+    "f4": ("m", 0, lambda m: (2 * (m + 1) ** 2, Fraction(2 * m, 3))),
+    "f5": ("n", 2, None),
+}
+F_NAMES = tuple(_ENVELOPES)
 
 
 def f_interval(name: str, arg: int):
@@ -208,7 +213,7 @@ def f_interval(name: str, arg: int):
     f1..f3 take the rank r, f4 the window parameter m, f5 the dimension
     cap n; E(L, I) stands for L * exp(2*pi*sqrt(I)).
 
-        f1(r) = E((r+1)^4/8, r^2/6 + r/3 - 1/2)
+        f1(r) = E((r+1)^4/8, (r^2+2r-3)/6)
         f2(r) = E(L^2/2, I), with L = (r^2+11)/6 + r and
                 I = (r^2-1)/18 + r/3 for odd r, L = r^2/6 + 2r and
                 I = r^2/18 + (2r-2)/3 for even r
@@ -216,41 +221,16 @@ def f_interval(name: str, arg: int):
         f4(m) = E(2(m+1)^2, 2m/3)
         f5(n) = 4 g exp(2*pi*sqrt(g/3)), with g = log2 n
     """
-    if name == "f1":
-        r = arg
-        if r < 1:
-            raise HypothesisError("f1 needs rank >= 1")
-        return exp_envelope(Fraction((r + 1) ** 4, 8),
-                            Fraction(r * r, 6) + Fraction(r, 3)
-                            - Fraction(1, 2))
-    if name == "f2":
-        r = arg
-        if r < 1:
-            raise HypothesisError("f2 needs rank >= 1")
-        if r % 2:
-            lead = Fraction((r * r + 11), 6) + r
-            inner = Fraction(r * r - 1, 18) + Fraction(r, 3)
-        else:
-            lead = Fraction(r * r, 6) + 2 * r
-            inner = Fraction(r * r, 18) + Fraction(2 * r - 2, 3)
-        return exp_envelope(lead ** 2 / 2, inner)
-    if name == "f3":
-        r = arg
-        if r < 1:
-            raise HypothesisError("f3 needs rank >= 1")
-        return exp_envelope(8 * r * r, Fraction(4 * r - 2, 3))
-    if name == "f4":
-        m = arg
-        if m < 0:
-            raise HypothesisError("f4 needs m >= 0")
-        return exp_envelope(2 * (m + 1) ** 2, Fraction(2 * m, 3))
-    if name == "f5":
-        n = arg
-        if n < 2:
-            raise HypothesisError("f5 needs n >= 2")
-        lg = iv.log(iv.mpf(n)) / iv.log(iv.mpf(2))
-        return 4 * lg * iv.exp(2 * iv.pi * iv.sqrt(lg / 3))
-    raise HypothesisError(f"unknown envelope {name!r}; choose from {F_NAMES}")
+    if name not in _ENVELOPES:
+        raise HypothesisError(
+            f"unknown envelope {name!r}; choose from {F_NAMES}")
+    what, least, terms = _ENVELOPES[name]
+    if arg < least:
+        raise HypothesisError(f"{name} needs {what} >= {least}")
+    if terms is not None:
+        return exp_envelope(*terms(arg))
+    lg = iv.log(iv.mpf(arg)) / iv.log(iv.mpf(2))
+    return 4 * lg * iv.exp(2 * iv.pi * iv.sqrt(lg / 3))
 
 
 # Range thresholds used by the type-A dispatch and the suite checks.
@@ -319,7 +299,7 @@ def _int_text(value: int, symbol: str) -> str:
 
 
 def rn_upper(family: str, rank: int, n: int, p: int,
-             bits: int = 256) -> BoundReport:
+             bits: int = DEFAULT_REPORT_BITS) -> BoundReport:
     """Certified upper bound for the number of restricted irreducible
     modules of dimension at most n."""
     _check_family_rank(family, rank)

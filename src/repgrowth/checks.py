@@ -199,8 +199,6 @@ def _a5_family(bits: int, scale: str) -> tuple[str, str]:
     total = sum(orbit_length(datum, mu) for mu, _ in fam)
     if len(fam) != 243 or total != 174960:
         return "fail", f"{len(fam)} members, orbit total {total}"
-    if total <= 57750:
-        return "fail", "orbit total does not clear the window cap 57750"
     return "pass", ("243 members, orbit total 174960 > 57750, "
                     "all chains re-verified")
 

@@ -37,18 +37,17 @@ from .bounds import (
 )
 from .checks import SUITES, suite_checks
 from .dominance import (
+    DEFAULT_CAP,
     HypothesisError,
     SaturationCapError,
     bracket,
     orbit_length,
 )
+from .intervals import DEFAULT_CEILING_BITS, DEFAULT_REPORT_BITS
 from .partitions import check_partition, mullineux
 from .rootdata import FAMILIES, RootDataError, root_datum
 from .witness import ENGINES as _SINGLE_ENGINES, a5_good_family
 
-PREC_DEFAULT = 256
-PREC_CEILING = 1024
-CAP_DEFAULT = 10 ** 7
 # Most cells mullineux twists, most restricted weights enumerate walks (by
 # --bound), most rows it bounds, most digits of the dimension cap bound
 # takes (an exact n^2 must stay printable), highest rank bound takes (type
@@ -114,7 +113,7 @@ def _emit(args, payload: dict, rows: list[dict] | None = None) -> None:
 
 
 def _bits(args) -> int:
-    return max(16, min(args.prec, PREC_CEILING))
+    return max(16, min(args.prec, DEFAULT_CEILING_BITS))
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -312,13 +311,14 @@ def cmd_verify(args) -> int:
 
 _FLAGS = {
     "--format": dict(choices=("json", "csv"), default="json"),
-    "--prec": dict(type=int, default=PREC_DEFAULT,
-                   help="working precision ceiling in bits "
-                        f"(default {PREC_DEFAULT}, capped at {PREC_CEILING})"),
-    "--cap": dict(type=int, default=CAP_DEFAULT,
+    "--prec": dict(type=int, default=DEFAULT_REPORT_BITS,
+                   help="working precision ceiling in bits (default "
+                        f"{DEFAULT_REPORT_BITS}, capped at "
+                        f"{DEFAULT_CEILING_BITS})"),
+    "--cap": dict(type=int, default=DEFAULT_CAP,
                   help="largest saturated set, in weights with Weyl images "
                        "included, walked per highest weight "
-                       f"(default {CAP_DEFAULT})"),
+                       f"(default {DEFAULT_CAP})"),
     "--scale": dict(choices=("desk", "extended"), default="desk",
                     help="desk keeps sweeps to spot sets; extended runs "
                          "them in full"),
@@ -412,10 +412,10 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("hypothesis", str(e))
     except RootDataError as e:
         return _fail("input", str(e))
-    except SaturationCapError as e:
-        return _fail("cap", str(e))
     except ValueError as e:
         return _fail("input", str(e))
+    except AssertionError as e:
+        return _fail("self-check", str(e))
 
 
 if __name__ == "__main__":

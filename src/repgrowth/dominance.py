@@ -16,6 +16,8 @@ from functools import lru_cache
 from .rootdata import (RootDatum, Weight, add, is_dominant, positive_roots,
                        sub)
 
+DEFAULT_CAP = 10 ** 7  # largest saturated set walked, Weyl images included
+
 
 class HypothesisError(ValueError):
     """A quoted hypothesis of one of the statements does not hold."""
@@ -185,7 +187,7 @@ def _saturated_walk(datum: RootDatum, lam: Weight, cap: int
 
 
 def saturated_dominant_set(datum: RootDatum, lam: Weight,
-                           cap: int = 10 ** 7) -> list[tuple[Weight, WitnessChain]]:
+                           cap: int = DEFAULT_CAP) -> list[tuple[Weight, WitnessChain]]:
     """Dominant weights dominated by lam, each with its chain, sorted
     descending-lexicographically (lam itself first)."""
     members, _ = _saturated_walk(datum, lam, cap)
@@ -198,7 +200,7 @@ def saturated_dominant_set(datum: RootDatum, lam: Weight,
 
 
 def saturated_weight_total(datum: RootDatum, lam: Weight,
-                           cap: int = 10 ** 7) -> int:
+                           cap: int = DEFAULT_CAP) -> int:
     """Size of the full saturated set (all Weyl images included)."""
     return _saturated_walk(datum, lam, cap)[1]
 

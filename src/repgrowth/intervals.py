@@ -24,6 +24,7 @@ from mpmath.libmp import (from_man_exp, from_rational, mpf_shift, mpi_str,
 
 DEFAULT_START_BITS = 64
 DEFAULT_CEILING_BITS = 1024
+DEFAULT_REPORT_BITS = 256  # precision of the enclosures reports print
 POWER_GUARD_BITS = 8
 
 TRUE, FALSE, UNKNOWN = "true", "false", "unknown"

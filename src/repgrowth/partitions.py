@@ -17,8 +17,8 @@ from .bounds import (BoundReport, ExactValue, ExternalValue, Root2Power,
                      _check_char, _inputs, _interval_value, _report,
                      exp_envelope, f_interval)
 from .dominance import HypothesisError
-from .intervals import (Certificate, certify_cmp, exact, exact_compare_cert,
-                        power)
+from .intervals import (DEFAULT_REPORT_BITS, Certificate, certify_cmp, exact,
+                        exact_compare_cert, power)
 
 Partition = tuple[int, ...]
 
@@ -67,7 +67,7 @@ def partition_envelope_iv(n: int):
     return exp_envelope(1, Fraction(n, 6))
 
 
-def partition_bound(n: int, bits: int = 256) -> BoundReport:
+def partition_bound(n: int, bits: int = DEFAULT_REPORT_BITS) -> BoundReport:
     """p(n) against its exponential envelope, certified."""
     if n < 1:
         raise HypothesisError("envelope comparison needs n >= 1")
@@ -113,7 +113,7 @@ def k_sum_majorant(cap: int) -> int:
     return total
 
 
-def k_sum_bound(cap: int, bits: int = 256) -> BoundReport:
+def k_sum_bound(cap: int, bits: int = DEFAULT_REPORT_BITS) -> BoundReport:
     """The ((N+1)(N+2)/2)*exp(2*pi*sqrt(N/3)) envelope over the cumulative
     coefficient sum, certified through the rank-independent majorant."""
     if cap < 0:
@@ -322,7 +322,7 @@ _SMALL_DEGREE = {
 
 
 def sym_rn_bound(r: int, n: int, p: int, group: str = "S",
-                 bits: int = 256) -> BoundReport:
+                 bits: int = DEFAULT_REPORT_BITS) -> BoundReport:
     """Certified count bound for irreducible representations of dimension
     at most n, for the symmetric group (S), the alternating group (A), or
     a double cover of either (cover)."""

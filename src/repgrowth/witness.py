@@ -23,10 +23,16 @@ from .dominance import (HypothesisError, WitnessChain, _bracket,
 from .rootdata import RootDatum, Weight, add, is_dominant, root_datum, sub
 
 
-def _require_type_a(datum: RootDatum, w) -> Weight:
+def _require_type_a(datum: RootDatum, w,
+                    m: int | None = None) -> tuple[Weight, int, int]:
+    """(w, r, k) once type A, dominance and, given m, 1 <= m <= k hold."""
     if datum.family != "A":
         raise HypothesisError("witness engines are defined for type A only")
-    return check_dominant(datum, w)
+    w = check_dominant(datum, w)
+    r, k = datum.rank, _centre(datum.rank)
+    if m is not None and not 1 <= m <= k:
+        raise HypothesisError(f"window parameter m={m} outside 1..{k}")
+    return w, r, k
 
 
 def _centre(r: int) -> int:
@@ -102,10 +108,7 @@ def _feed(a: list[int], kvec: list[int], m: int) -> None:
 def incr_witness(datum: RootDatum, w, m: int) -> tuple[Weight, WitnessChain]:
     """Witness with the (m+1)-st coefficient raised by one and the bracket
     statistic preserved; coefficients beyond m+1 are untouched."""
-    w = _require_type_a(datum, w)
-    r, k = datum.rank, _centre(datum.rank)
-    if not 1 <= m <= k:
-        raise HypothesisError(f"window parameter m={m} outside 1..{k}")
+    w, r, _ = _require_type_a(datum, w, m)
     a = list(w)
     kvec = [0] * r
     _incr_step(a, kvec, m)
@@ -160,10 +163,7 @@ def _window(r: int, m: int) -> tuple[int, int]:
 
 def middle_witness(datum: RootDatum, w, m: int) -> tuple[Weight, WitnessChain]:
     """Witness positive on the centred window of half-width m."""
-    w = _require_type_a(datum, w)
-    r, k = datum.rank, _centre(datum.rank)
-    if not 1 <= m <= k:
-        raise HypothesisError(f"window parameter m={m} outside 1..{k}")
+    w, r, _ = _require_type_a(datum, w, m)
     return _clear_centre(datum, w, list(w), [0] * r, m)
 
 
@@ -192,10 +192,7 @@ def _m_good_threshold(r: int, m: int) -> int:
 def m_good_witness(datum: RootDatum, w, m: int) -> tuple[Weight, WitnessChain]:
     """Witness positive on the centred window of half-width m, obtained from
     the bracket-mass hypothesis alone."""
-    w = _require_type_a(datum, w)
-    r, k = datum.rank, _centre(datum.rank)
-    if not 1 <= m <= k:
-        raise HypothesisError(f"window parameter m={m} outside 1..{k}")
+    w, r, _ = _require_type_a(datum, w, m)
     br = _bracket(r, w)
     need = _m_good_threshold(r, m)
     if br < need:
@@ -223,8 +220,7 @@ def _m_good_apply(datum: RootDatum, w: Weight,
 def middle2_witness(datum: RootDatum, w) -> tuple[Weight, WitnessChain]:
     """Witness with a positive coefficient at index k+1 or r-k, preserving
     the bracket statistic.  Needs bracket >= 2k+1."""
-    w = _require_type_a(datum, w)
-    r, k = datum.rank, _centre(datum.rank)
+    w, r, k = _require_type_a(datum, w)
     br = _bracket(r, w)
     if br < 2 * k + 1:
         raise HypothesisError(
@@ -247,8 +243,7 @@ def middle2_witness(datum: RootDatum, w) -> tuple[Weight, WitnessChain]:
 def good_witness(datum: RootDatum, w) -> tuple[Weight, WitnessChain]:
     """Witness with every coefficient positive; needs
     2*bracket >= r^2 + 2r - 2."""
-    w = _require_type_a(datum, w)
-    r, k = datum.rank, _centre(datum.rank)
+    w, r, k = _require_type_a(datum, w)
     br = _bracket(r, w)
     if 2 * br < r * r + 2 * r - 2:
         raise HypothesisError(
@@ -277,7 +272,7 @@ def a5_good_family(w) -> list[tuple[Weight, WitnessChain]]:
     all delta with root coefficients in {0, 1, 2}, lexicographically.
     """
     datum = root_datum("A", 5)
-    w = _require_type_a(datum, w)
+    w, _, _ = _require_type_a(datum, w)
     a = list(w)
     kvec = [0] * 5
     if a[2] < 25:

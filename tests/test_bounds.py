@@ -163,6 +163,12 @@ def test_ratio_holds_domain_guard():
         ratio_holds(5, 719)
 
 
+def test_ratio_holds_rank_guard():
+    with pytest.raises(HypothesisError) as err:
+        ratio_holds(0, 6)
+    assert str(err.value) == "rank must be >= 1"
+
+
 # --- exponential envelopes ---------------------------------------------------
 
 def test_f4_at_zero_is_two():
@@ -181,6 +187,22 @@ def test_f_interval_guards():
         f_interval("f5", 1)
     with pytest.raises(HypothesisError):
         f_interval("f9", 3)
+
+
+# One step below each envelope's least argument, and an unknown name.
+@pytest.mark.parametrize("name,arg,message", [
+    ("f1", 0, "f1 needs rank >= 1"),
+    ("f2", 0, "f2 needs rank >= 1"),
+    ("f3", 0, "f3 needs rank >= 1"),
+    ("f4", -1, "f4 needs m >= 0"),
+    ("f5", 1, "f5 needs n >= 2"),
+    ("f9", 3, "unknown envelope 'f9'; choose from "
+              "('f1', 'f2', 'f3', 'f4', 'f5')"),
+])
+def test_f_interval_refuses_below_the_least_argument(name, arg, message):
+    with pytest.raises(HypothesisError) as err:
+        f_interval(name, arg)
+    assert str(err.value) == message
 
 
 def test_threshold_pins():
@@ -379,11 +401,6 @@ def test_zeta_display_threshold_guard():
 
 # --- exact root-two powers -------------------------------------------------------
 
-def test_root2_power_squared():
-    assert Root2Power(4).squared() == 16
-    assert Root2Power(-2).squared() == Fraction(1, 4)
-
-
 def test_root2_power_le_int_edges():
     assert Root2Power(4).le_int(4)
     assert not Root2Power(4).le_int(3)
@@ -395,4 +412,3 @@ def test_root2_power_le_int_edges():
 def test_root2_power_str():
     assert str(Root2Power(4)) == "4"
     assert str(Root2Power(5)) == "2^(5/2)"
-    assert str(Root2Power(-2)) == "1/2"

@@ -302,6 +302,18 @@ def test_witness_m_flag_rules(capsys):
     assert "--m" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--rank", "4"), "engine a5 is fixed at rank 5"),
+    (("--m", "1"), "engine a5 takes no --m"),
+], ids=["rank", "m"])
+def test_witness_a5_flag_rules(capsys, flags, message):
+    code, out, err = run(capsys, "witness", "a5", *flags,
+                         "--weight", "0,0,25,0,0")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {"type": "hypothesis",
+                                        "message": message}
+
+
 def test_witness_a5(capsys):
     code, out, _ = run(capsys, "witness", "a5", "--weight", "0,0,25,0,0")
     assert code == 0
@@ -519,6 +531,18 @@ def test_mullineux_zero_characteristic(capsys):
     assert "conjugation" in data["note"]
 
 
+def test_mullineux_self_check_failure_is_a_json_error(capsys, monkeypatch):
+    from repgrowth import cli
+
+    monkeypatch.setattr(cli, "mullineux", lambda lam, p: (sum(lam),))
+    code, out, err = run(capsys, "mullineux", "--p", "5", "--partition",
+                         "3,1")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "type": "self-check",
+        "message": "twist applied twice did not return the input"}
+
+
 def test_mullineux_rejects_irregular(capsys):
     code, _, err = run(capsys, "mullineux", "--p", "3", "--partition", "2,2,2")
     assert code == 1
@@ -664,6 +688,14 @@ def test_flags_a_subcommand_does_not_read_exit_two(capsys, argv):
 
 
 # --- flag limits and exit codes ---------------------------------------------------
+
+def test_enumerate_rejects_negative_rows(capsys):
+    code, out, err = run(capsys, "enumerate", "--family", "A", "--rank", "2",
+                         "--p", "5", "--n-max", "-1")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {"type": "hypothesis",
+                                        "message": "--n-max must be >= 0"}
+
 
 @pytest.mark.parametrize("cap", ["-1", "0"])
 def test_enumerate_rejects_cap_below_one(capsys, cap):

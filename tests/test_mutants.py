@@ -37,6 +37,29 @@ MUTANTS = (
      "(from_rational(n, d, iv.prec, round_ceiling),\n"
      "                        from_rational(n, d, iv.prec, round_floor))",
      ["test_intervals.py::test_exact_rounds_each_end_once"]),
+    ("window-admits-zero", "witness.py",
+     "if m is not None and not 1 <= m <= k:",
+     "if m is not None and not 0 <= m <= k:",
+     ["test_witness.py::test_window_parameter_bounds"]),
+    ("f4-least-argument-one", "bounds.py",
+     '"f4": ("m", 0,', '"f4": ("m", 1,',
+     ["test_bounds.py::test_f4_at_zero_is_two"]),
+    ("cover-test-strict", "dominance.py",
+     "if all(map(operator.ge, w, need)):",
+     "if all(map(operator.gt, w, need)):",
+     ["test_dominance.py::test_saturated_total_adjoint_a2"]),
+    ("tail-remainder-zero", "intervals.py",
+     "return total, Fraction(abs(last.numerator) * num, "
+     "last.denominator * den)",
+     "return total, Fraction(0)",
+     ["test_intervals.py::test_tail_equals_the_fraction_sum_on_the_ladder"]),
+    ("contains-start-rung-loosened", "intervals.py",
+     "width * 2 ** (bits + 1) <= top",
+     "width * 2 ** (bits - 1) <= top",
+     ["test_intervals.py::test_contains_starts_at_the_band_rung"]),
+    ("primality-base-dropped", "bounds.py",
+     "19, 23, 29, 31, 37, 41)", "19, 23, 29, 31, 37)",
+     ["test_bounds.py::test_is_prime_exposes_the_strong_pseudoprimes"]),
 )
 
 

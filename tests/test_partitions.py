@@ -131,6 +131,17 @@ def test_k_sum_exact_guards():
         k_sum_exact(2, -1)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: partition_bound(0), "envelope comparison needs n >= 1"),
+    (lambda: k_sum_bound(-1), "need cap >= 0"),
+    (lambda: list(p_regular_partitions(-1, 3)), "need n >= 0"),
+], ids=["partition_bound", "k_sum_bound", "p_regular_partitions"])
+def test_argument_guards(call, message):
+    with pytest.raises(HypothesisError) as err:
+        call()
+    assert str(err.value) == message
+
+
 # --- regular partitions -----------------------------------------------------------
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

@@ -455,6 +455,25 @@ def test_broken_engine_fails_verify_without_a_traceback(broken_engine,
     assert (a090["verdict"], a090["detail"]) == _A090_BROKEN
 
 
+# The command line reports an engine that fails its own check as a JSON
+# error of type self-check, not as a traceback.
+@pytest.mark.parametrize("argv,message", [
+    (("middle2", "--rank", "3", "--weight", "0,0,3"),
+     "witness chain failed self-check"),
+    (("a5", "--weight", "0,0,0,0,80"),
+     "family base (5, 5, -20, 30, 35) has a coefficient below 5"),
+], ids=["middle2", "a5"])
+def test_broken_engine_is_a_self_check_error(broken_engine, capsys, argv,
+                                             message):
+    from repgrowth.cli import main
+
+    code = main(["witness", *argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": {"type": "self-check",
+                                         "message": message}}
+
+
 def test_broken_engine_fails_the_sweep_under_optimize():
     # python -O strips assert statements; the engine checks must survive.
     import repgrowth

@@ -45,7 +45,7 @@ from .dominance import (
 )
 from .intervals import DEFAULT_CEILING_BITS, DEFAULT_REPORT_BITS
 from .partitions import check_partition, mullineux
-from .rootdata import FAMILIES, RootDataError, root_datum
+from .rootdata import FAMILIES, root_datum
 from .witness import ENGINES as _SINGLE_ENGINES, a5_good_family
 
 # Most cells mullineux twists, most restricted weights enumerate walks (by
@@ -410,8 +410,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except HypothesisError as e:
         return _fail("hypothesis", str(e))
-    except RootDataError as e:
-        return _fail("input", str(e))
     except ValueError as e:
         return _fail("input", str(e))
     except AssertionError as e:

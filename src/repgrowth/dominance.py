@@ -59,10 +59,15 @@ def bracket(datum: RootDatum, w: Weight) -> int:
     return _bracket(datum.rank, check_dominant(datum, w))
 
 
-def _bracket(r: int, w: Weight) -> int:
-    """bracket of a checked weight, against min(i, r+1-i) = 1, 2, ..., 1."""
+def _bracket_weights(r: int) -> tuple[int, ...]:
+    """min(i, r+1-i) for 1 <= i <= r: 1, 2, ..., 2, 1."""
     h = (r + 1) // 2
-    return sum(map(operator.mul, (*range(1, h + 1), *range(r - h, 0, -1)), w))
+    return (*range(1, h + 1), *range(r - h, 0, -1))
+
+
+def _bracket(r: int, w: Weight) -> int:
+    """bracket of a checked weight."""
+    return sum(map(operator.mul, _bracket_weights(r), w))
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from math import factorial
 from .bounds import (BoundReport, ExactValue, ExternalValue, Root2Power,
                      _check_char, _inputs, _interval_value, _report,
                      exp_envelope, f_interval)
-from .dominance import HypothesisError
+from .dominance import HypothesisError, _bracket_weights
 from .intervals import (DEFAULT_REPORT_BITS, Certificate, certify_cmp, exact,
                         exact_compare_cert, power)
 
@@ -83,14 +83,10 @@ def partition_bound(n: int, bits: int = DEFAULT_REPORT_BITS) -> BoundReport:
 # ---------------------------------------------------------------------------
 # Weighted-composition counting (the k-coefficient and its majorant).
 
-def _k_weights(r: int) -> list[int]:
-    return [min(i, r + 1 - i) for i in range(1, r + 1)]
-
-
 def _k_table(r: int, cap: int) -> list[int]:
     dp = [0] * (cap + 1)
     dp[0] = 1
-    for w in _k_weights(r):
+    for w in _bracket_weights(r):
         for t in range(w, cap + 1):
             dp[t] += dp[t - w]
     return dp

@@ -7,7 +7,9 @@ arithmetic is integer arithmetic on coefficient tuples.  Each engine checks
 its chain and its promised shape once, before the witness leaves the module,
 and raises AssertionError when one fails; the checks are explicit raises, so
 they also run under ``python -O``.  Callers read that result and do not check
-again.
+again.  A single-witness engine builds its weight only by root steps that
+also fill its chain, so the chain check, which recomputes w - sum kvec*alpha,
+compares two independent computations.
 
 Throughout, r is the rank, coefficients are 1-based in the prose, and
 k = floor((r-1)/2) marks the centre: index k+1 for odd r, indices k+1 and
@@ -55,17 +57,19 @@ def _finish(datum: RootDatum, source: Weight, a: list[int],
     return mu, chain
 
 
-def _sub_consec(a: list[int], kvec: list[int], i: int, j: int) -> None:
-    """Subtract alpha_i + ... + alpha_j (weight delta touches i-1, i, j, j+1)."""
+def _sub_consec(a: list[int], kvec: list[int], i: int, j: int,
+                times: int = 1) -> None:
+    """Subtract times copies of alpha_i + ... + alpha_j (weight delta touches
+    i-1, i, j, j+1)."""
     r = len(a)
     if i >= 2:
-        a[i - 2] += 1
-    a[i - 1] -= 1
-    a[j - 1] -= 1
+        a[i - 2] += times
+    a[i - 1] -= times
+    a[j - 1] -= times
     if j <= r - 1:
-        a[j] += 1
+        a[j] += times
     for t in range(i, j + 1):
-        kvec[t - 1] += 1
+        kvec[t - 1] += times
 
 
 def _incr_step(a: list[int], kvec: list[int], m: int) -> None:
@@ -120,47 +124,6 @@ def incr_witness(datum: RootDatum, w, m: int) -> tuple[Weight, WitnessChain]:
     return mu, chain
 
 
-def _middle_kvec(r: int, a: list[int], m: int) -> list[int]:
-    """Root multiplicities clearing the centre; a must satisfy the
-    parity-dependent hypothesis.  Accepts m = 0 (centre rebalancing only)."""
-    k = _centre(r)
-    kv = [0] * r
-    if r % 2:
-        c = k + 1
-        if a[c - 1] < 2 * m + 1:
-            raise HypothesisError(
-                f"hypothesis a_(k+1) ≥ 2m+1 fails: "
-                f"a_{c} = {a[c - 1]} < {2 * m + 1}")
-        for s in range(m):
-            for t in range(c - s, c + s + 1):
-                kv[t - 1] += m - s
-    else:
-        c1, c2 = k + 1, k + 2
-        if a[c1 - 1] + a[c2 - 1] < 2 * m + 3:
-            raise HypothesisError(
-                f"hypothesis a_(k+1)+a_(k+2) ≥ 2m+3 fails: "
-                f"{a[c1 - 1]}+{a[c2 - 1]} < {2 * m + 3}")
-        # Rebalance when one centre entry is light: shed a staircase of
-        # single roots walking away from the heavy side.
-        if a[c2 - 1] <= m:
-            s = m + 1 - a[c2 - 1]
-            for t in range(s):
-                kv[c1 - 1 - t] += s - t
-        elif a[c1 - 1] <= m:
-            s = m + 1 - a[c1 - 1]
-            for t in range(s):
-                kv[c2 - 1 + t] += s - t
-        for s in range(m):
-            for t in range(c1 - s, c2 + s + 1):
-                kv[t - 1] += m - s
-    return kv
-
-
-def _window(r: int, m: int) -> tuple[int, int]:
-    k = _centre(r)
-    return k - m + 1, r - k + m
-
-
 def middle_witness(datum: RootDatum, w, m: int) -> tuple[Weight, WitnessChain]:
     """Witness positive on the centred window of half-width m."""
     w, r, _ = _require_type_a(datum, w, m)
@@ -169,17 +132,38 @@ def middle_witness(datum: RootDatum, w, m: int) -> tuple[Weight, WitnessChain]:
 
 def _clear_centre(datum: RootDatum, w: Weight, a: list[int], kvec: list[int],
                   m: int) -> tuple[Weight, WitnessChain]:
-    """Add the centre-clearing roots for a to kvec and finish the witness
-    below w; it is positive on the centred window of half-width m."""
-    r = datum.rank
-    for i, x in enumerate(_middle_kvec(r, a, m)):
-        kvec[i] += x
-    mu = sub(w, datum.root_combination(kvec))
-    lo, hi = _window(r, m)
-    muL, chain = _finish(datum, w, list(mu), kvec)
-    if not all(muL[i - 1] > 0 for i in range(lo, hi + 1)):
-        raise AssertionError(f"witness {muL} has a zero in window {lo}..{hi}")
-    return muL, chain
+    """Shed the centre-clearing roots from a, which lies below w by kvec, and
+    finish the witness; a must satisfy the parity-dependent hypothesis, and
+    the witness is positive on the centred window of half-width m."""
+    r, k = datum.rank, _centre(datum.rank)
+    c1, c2 = k + 1, r - k  # equal for odd r
+    if r % 2:
+        if a[c1 - 1] < 2 * m + 1:
+            raise HypothesisError(
+                f"hypothesis a_(k+1) ≥ 2m+1 fails: "
+                f"a_{c1} = {a[c1 - 1]} < {2 * m + 1}")
+    else:
+        if a[c1 - 1] + a[c2 - 1] < 2 * m + 3:
+            raise HypothesisError(
+                f"hypothesis a_(k+1)+a_(k+2) ≥ 2m+3 fails: "
+                f"{a[c1 - 1]}+{a[c2 - 1]} < {2 * m + 3}")
+        # Rebalance when one centre entry is light: shed a staircase of
+        # single roots from the other one, walking away from the light side.
+        if a[c2 - 1] <= m:
+            s = m + 1 - a[c2 - 1]
+            for t in range(s):
+                _sub_consec(a, kvec, c1 - t, c1 - t, s - t)
+        elif a[c1 - 1] <= m:
+            s = m + 1 - a[c1 - 1]
+            for t in range(s):
+                _sub_consec(a, kvec, c2 + t, c2 + t, s - t)
+    for s in range(m):
+        _sub_consec(a, kvec, c1 - s, c2 + s, m - s)
+    mu, chain = _finish(datum, w, a, kvec)
+    if not all(x > 0 for x in mu[k - m:r - k + m]):
+        raise AssertionError(f"witness {mu} has a zero in window "
+                             f"{k - m + 1}..{r - k + m}")
+    return mu, chain
 
 
 def _m_good_threshold(r: int, m: int) -> int:

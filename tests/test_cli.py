@@ -107,6 +107,22 @@ def test_bound_rejects_composite_characteristic(capsys):
     assert "prime" in error["message"]
 
 
+# A root-datum error is a ValueError, and reaches the command line as an
+# input error.
+@pytest.mark.parametrize("argv,message", [
+    (("bound", "--family", "E", "--rank", "5", "--n", "5", "--p", "5"),
+     "unsupported root datum E5"),
+    (("enumerate", "--family", "E", "--rank", "5", "--p", "2", "--n-max",
+      "3"), "unsupported root datum E5"),
+    (("witness", "incr", "--rank", "3", "--weight", "1,1", "--m", "1"),
+     "weight (1, 1) is not an integer 3-tuple"),
+], ids=["bound", "enumerate", "witness"])
+def test_root_datum_errors_are_input_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": {"type": "input", "message": message}}
+
+
 def test_bound_large_rank_prints_d1_by_symbol(capsys):
     # d1(14500) has 4,364 digits, past Python's default limit for str(int).
     code, out, _ = run(capsys, "bound", "--family", "A", "--rank", "14500",

@@ -60,6 +60,21 @@ MUTANTS = (
     ("primality-base-dropped", "bounds.py",
      "19, 23, 29, 31, 37, 41)", "19, 23, 29, 31, 37)",
      ["test_bounds.py::test_is_prime_exposes_the_strong_pseudoprimes"]),
+    ("fixed-power-never-exact", "intervals.py",
+     "return lo, lo + (lo ** b * den != num)", "return lo, lo + 1",
+     ["test_intervals.py::test_power_is_a_point_exactly_when_it_is_dyadic"]),
+    ("signature-never-cancels", "partitions.py",
+     "if minus:", "if False:",
+     ["test_mullineux.py::test_library_matches_ladder_route_exhaustive"]),
+    ("twist-rebuild-unnegated", "partitions.py",
+     "_signature(neg, -i % p, p)", "_signature(neg, i % p, p)",
+     ["test_mullineux.py::test_library_matches_ladder_route_exhaustive"]),
+    ("twist-shortcut-at-p-equals-n", "partitions.py",
+     "p > sum(lam)", "p >= sum(lam)",
+     ["test_mullineux.py::test_library_matches_ladder_route_exhaustive"]),
+    ("run-multiplicity-one", "witness.py",
+     "kvec[t - 1] += times", "kvec[t - 1] += 1",
+     ["test_witness.py::test_middle_pins"]),
 )
 
 

@@ -395,20 +395,21 @@ def test_a5_family_hypothesis_message():
 
 # --- one check per promise, in the engine -----------------------------------
 
-# A broken engine: the weight loses the run alpha_i + ... + alpha_j, but the
-# chain forgets alpha_j.  Source text, so a python -O subprocess runs it too.
+# A broken engine: the weight loses times copies of the run alpha_i + ... +
+# alpha_j, but the chain forgets one alpha_j.  Source text, so a python -O
+# subprocess runs it too.
 _DROP_LAST_ROOT = """
 from repgrowth import witness
 
 _sub_consec = witness._sub_consec
 
 
-def _drop_last_root(a, kvec, i, j):
-    _sub_consec(a, kvec, i, j)
+def _drop_last_root(a, kvec, i, j, times=1):
+    _sub_consec(a, kvec, i, j, times)
     kvec[j - 1] -= 1
 """
 
-_A090_BROKEN = ("fail", "middle2 on (0, 0, 3) (m = None): "
+_A090_BROKEN = ("fail", "good on (0, 3) (m = None): "
                 "witness chain failed self-check")
 
 
@@ -430,6 +431,21 @@ def broken_engine(monkeypatch):
 
 def test_broken_engine_fails_the_sweep(broken_engine):
     assert _check("a-090").run(64, "desk") == _A090_BROKEN
+
+
+# The centre-clearing engines build their weight by root steps too, so a
+# chain that loses a root no longer matches it.
+@pytest.mark.parametrize("engine,w,m", [
+    (middle_witness, (0, 3, 0), 1),
+    (m_good_witness, (0, 4, 0), 1),
+    (good_witness, (0, 7, 0), None),
+], ids=["middle", "m-good", "good"])
+def test_broken_engine_fails_the_centre_chain_check(broken_engine, engine,
+                                                    w, m):
+    args = (root_datum("A", 3), w) + ((m,) if m else ())
+    with pytest.raises(AssertionError,
+                       match="^witness chain failed self-check$"):
+        engine(*args)
 
 
 def test_broken_family_chain_fails_its_check(monkeypatch):

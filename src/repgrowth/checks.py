@@ -179,14 +179,10 @@ _TABLE_BOUNDS = "; rises with n, table fact bounds the count"
 # Checks with their own logic.
 
 def _weights_up_to(rank: int, total: int):
-    """Dominant weights with coefficient sum at most total."""
-    def rec(prefix: list[int], remaining: int):
-        if len(prefix) == rank:
-            yield tuple(prefix)
-            return
-        for a in range(remaining + 1):
-            yield from rec(prefix + [a], remaining - a)
-    yield from rec([], total)
+    """Dominant weights with coefficient sum at most total, lexicographically,
+    by stars and bars: each coefficient is the gap before its bar."""
+    for bars in itertools.combinations(range(total + rank), rank):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))
 
 
 def _a5_family(bits: int, scale: str) -> tuple[str, str]:
@@ -285,24 +281,14 @@ def _orbit_stabilizer(bits: int, scale: str) -> tuple[str, str]:
 
 
 def _char2_sweep(bits: int, scale: str) -> tuple[str, str]:
-    worst = None
-    for r in range(0, 26):
-        for m in range(0, r + 1):
-            tail, quotient = char2_counts(r, m)
-            if tail > quotient:
-                return "fail", f"r = {r}, m = {m}: {tail} > {quotient}"
-            slack = quotient - tail
-            if worst is None or slack < worst[0]:
-                worst = (slack, r, m)
-    return "pass", (f"all 0 <= m <= r <= 25; tightest slack {worst[0]} "
-                    f"at r = {worst[1]}, m = {worst[2]}")
-
-
-def _char2_total(bits: int, scale: str) -> tuple[str, str]:
-    for r in range(1, 26):
-        if char2_counts(r, 0)[0] != 2 ** r:
-            return "fail", f"r = {r}: full binomial tail is not 2^r"
-    return "pass", "full tail equals 2^r for 1 <= r <= 25"
+    rows = [(r, m, *char2_counts(r, m))
+            for r in range(26) for m in range(r + 1)]
+    for r, m, tail, quotient in rows:
+        if tail > quotient:
+            return "fail", f"r = {r}, m = {m}: {tail} > {quotient}"
+    slack, r, m = min((q - t, r, m) for r, m, t, q in rows)  # least (r, m)
+    return "pass", (f"all 0 <= m <= r <= 25; tightest slack {slack} "
+                    f"at r = {r}, m = {m}")
 
 
 def _penvelope(bits: int, scale: str) -> tuple[str, str]:
@@ -499,7 +485,11 @@ CHECKS: tuple[Check, ...] = (
     Check("c2-010", "binomial tail from m never exceeds "
           "(r+1)!/(m+1)! for 0 <= m <= r <= 25", _char2_sweep),
     Check("c2-020", "binomial tail from 0 equals 2^r (cross-check of "
-          "the counting routine)", _char2_total),
+          "the counting routine)",
+          pins(lambda r: char2_counts(r, 0)[0],
+               tuple(((r,), 2 ** r) for r in range(1, 26)),
+               "r = {0}: full binomial tail is not 2^r",
+               "full tail equals 2^r for 1 <= r <= 25")),
     Check("c2-900", "ranks below 9 with n < 256 rest on published "
           "degree tables", _TABLES),
     # -- non-A families in odd characteristic

@@ -199,7 +199,8 @@ def saturated_dominant_set(datum: RootDatum, lam: Weight,
     out = []
     for mu, coeffs in sorted(members.items(), reverse=True):
         chain = WitnessChain(target=mu, root_coeffs=coeffs)
-        assert chain.verify(datum, lam)
+        if not chain.verify(datum, lam):
+            raise AssertionError(f"walk chain for {mu} failed on {lam}")
         out.append((mu, chain))
     return out
 

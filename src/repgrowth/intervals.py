@@ -30,12 +30,12 @@ POWER_GUARD_BITS = 8
 TRUE, FALSE, UNKNOWN = "true", "false", "unknown"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Certificate:
     verdict: str      # "true" | "false" | "unknown"
     prec_bits: int    # working precision of the deciding evaluation
     ends: tuple       # the deciding enclosures (exact values at prec_bits
-                      # 0); verdicts use them, never the printed form
+                      # 0); verdicts and == use them, not the printed form
 
     # printed enclosures, formatted when first read, at the deciding
     # precision
@@ -50,18 +50,6 @@ class Certificate:
     @property
     def certified(self) -> bool:
         return self.verdict == TRUE
-
-    # equal exactly when verdict, precision and both texts are
-    def _key(self) -> tuple:
-        return self.verdict, self.prec_bits, self.lhs, self.rhs
-
-    def __eq__(self, other):
-        if not isinstance(other, Certificate):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 def exact(q):

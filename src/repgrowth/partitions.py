@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import factorial
 
 from .bounds import (BoundReport, ExactValue, ExternalValue, Root2Power,
@@ -100,13 +100,11 @@ def k_sum_exact(r: int, cap: int) -> int:
 
 
 def k_sum_majorant(cap: int) -> int:
-    """Rank-independent exact majorant sum_{s<=cap} sum_a p(a)p(s-a): every
-    weight value occurs at most twice among min(i, r+1-i)."""
-    total = 0
-    for s in range(cap + 1):
-        total += sum(partition_count(a) * partition_count(s - a)
-                     for a in range(s + 1))
-    return total
+    """Exact rank-independent majorant sum_{s<=cap} sum_a p(a)p(s-a), summed
+    as sum_a p(a)P(cap-a): each value of min(i, r+1-i) occurs at most twice."""
+    counts = [partition_count(n) for n in range(cap + 1)]
+    upto = list(accumulate(counts))
+    return sum(counts[a] * upto[cap - a] for a in range(cap + 1))
 
 
 def k_sum_bound(cap: int, bits: int = DEFAULT_REPORT_BITS) -> BoundReport:

@@ -109,6 +109,12 @@ def _feed(a: list[int], kvec: list[int], m: int) -> None:
         kvec.reverse()
 
 
+def _feed_centre(a: list[int], kvec: list[int], k: int, need: int) -> None:
+    """_feed at k until the centre mass sum(a[k:r-k]) reaches need."""
+    while sum(a[k:len(a) - k]) < need:
+        _feed(a, kvec, k)
+
+
 def incr_witness(datum: RootDatum, w, m: int) -> tuple[Weight, WitnessChain]:
     """Witness with the (m+1)-st coefficient raised by one and the bracket
     statistic preserved; coefficients beyond m+1 are untouched."""
@@ -191,13 +197,8 @@ def _m_good_apply(datum: RootDatum, w: Weight,
     r, k = datum.rank, _centre(datum.rank)
     a = list(w)
     kvec = [0] * r
-    centre_need = 2 * m + 1 if r % 2 else 2 * m + 3
-    while True:
-        t = a[k] if r % 2 else a[k] + a[k + 1]
-        if t >= centre_need:
-            break
-        # Bracket mass off the centre exceeds 2k, so one side can feed it.
-        _feed(a, kvec, k)
+    # Bracket mass off the centre exceeds 2k, so one side can feed it.
+    _feed_centre(a, kvec, k, 2 * m + 1 if r % 2 else 2 * m + 3)
     return _clear_centre(datum, w, a, kvec, m)
 
 
@@ -264,9 +265,8 @@ def a5_good_family(w) -> list[tuple[Weight, WitnessChain]]:
             raise HypothesisError(
                 "hypothesis bracket ≥ 77 (or a_3 ≥ 25) fails: "
                 f"bracket = {_bracket(5, w)}, a_3 = {a[2]}")
-        while a[2] < 25:
-            # bracket - 3*a_3 >= 5, so one side carries >= 3
-            _feed(a, kvec, 2)
+        # bracket - 3*a_3 >= 5, so one side carries >= 3
+        _feed_centre(a, kvec, 2, 25)
     for i, x in enumerate(_RANK5_BETA):
         kvec[i] += 5 * x
     gamma = sub(w, datum.root_combination(kvec))

@@ -35,15 +35,18 @@ def brute_partitions(n: int, largest: int | None = None):
             yield (first,) + rest
 
 
+@lru_cache(maxsize=None)
+def _brute_count(m: int, cap: int) -> int:
+    # partitions of m with parts at most cap, by their first part
+    if m == 0:
+        return 1
+    return sum(_brute_count(m - first, first)
+               for first in range(min(m, cap), 0, -1))
+
+
 def brute_partition_count(n: int) -> int:
     # intermediate counts by (remaining, cap) recursion, no pentagonal step
-    @lru_cache(maxsize=None)
-    def count(m: int, cap: int) -> int:
-        if m == 0:
-            return 1
-        return sum(count(m - first, first)
-                   for first in range(min(m, cap), 0, -1))
-    return count(n, n)
+    return _brute_count(n, n)
 
 
 def brute_regular(n: int, p: int):
@@ -63,6 +66,18 @@ def brute_conjugate(lam) -> tuple[int, ...]:
                  for c in range(1, lam[0] + 1))
 
 
+def brute_weights_up_to(rank: int, total: int):
+    """Coefficient tuples of length rank with sum at most total, in
+    lexicographic order, one prefix extension at a time."""
+    def rec(prefix: list[int], remaining: int):
+        if len(prefix) == rank:
+            yield tuple(prefix)
+            return
+        for a in range(remaining + 1):
+            yield from rec(prefix + [a], remaining - a)
+    yield from rec([], total)
+
+
 # ---------------------------------------------------------------------------
 # Weighted tuple counts.
 
@@ -77,6 +92,13 @@ def brute_k_count(r: int, s: int) -> int:
     ranges = [range(s // w + 1) for w in weights]
     return sum(1 for xs in product(*ranges)
                if sum(w * x for w, x in zip(weights, xs)) == s)
+
+
+def brute_k_majorant(cap: int) -> int:
+    """The rank-independent majorant as the double sum
+    sum_{s<=cap} sum_a p(a)p(s-a), one convolution term at a time."""
+    p = [brute_partition_count(n) for n in range(cap + 1)]
+    return sum(p[a] * p[s - a] for s in range(cap + 1) for a in range(s + 1))
 
 
 def brute_k_total(r: int, cap: int) -> int:

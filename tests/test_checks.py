@@ -4,7 +4,8 @@ Each row rebinds one library name that a check reads from
 ``repgrowth.checks`` at run time and pins the fail detail the check then
 reports.  Check p-050 is left out: ``pins(hook_length_dim, ...)`` binds the
 function when the registry is built, so a rebinding does not reach it; its
-fail branch is the shared one of ``pins``, which p-040 reaches.
+fail branch is the shared one of ``pins``, which p-040 reaches.  The
+weight generator of the sweeps is checked against its recursive oracle.
 """
 
 from types import SimpleNamespace
@@ -14,6 +15,8 @@ import pytest
 from repgrowth import checks
 from repgrowth.dominance import HypothesisError
 from repgrowth.intervals import exact_compare_cert
+
+from oracles import brute_weights_up_to
 
 
 def _invalid(*args, **kw):
@@ -66,3 +69,10 @@ def test_check_reports_fail(cid, name, fake, detail, monkeypatch):
     check, = (c for c in checks.CHECKS if c.id == cid)
     monkeypatch.setattr(checks, name, fake)
     assert check.run(64, "desk") == ("fail", detail)
+
+
+def test_weights_up_to_matches_the_recursive_oracle():
+    for rank in range(8):
+        for total in range(10):
+            assert list(checks._weights_up_to(rank, total)) == \
+                list(brute_weights_up_to(rank, total))

@@ -1,7 +1,11 @@
 """Dominance chains, Weyl orbit sizes, and saturated-set walks."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -330,3 +334,26 @@ def test_orbit_sum_property(data):
     members = saturated_dominant_set(datum, lam, cap=10 ** 5)
     total = sum(orbit_length(datum, mu) for mu, _ in members)
     assert total == saturated_weight_total(datum, lam, cap=10 ** 5)
+
+
+def test_broken_walk_fails_its_chain_check_under_optimize():
+    # python -O strips assert statements; the walk's chain check must survive.
+    import repgrowth
+
+    src = str(Path(repgrowth.__file__).parents[1])
+    code = """
+import sys
+from repgrowth import dominance
+from repgrowth.rootdata import root_datum
+
+dominance.add = lambda coeffs, c: coeffs  # every chain stays at zero
+try:
+    dominance.saturated_dominant_set(root_datum("A", 2), (1, 1))
+except AssertionError as e:
+    print(sys.flags.optimize, e)
+"""
+    done = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "1 walk chain for (0, 0) failed on (1, 1)\n"

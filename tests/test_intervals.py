@@ -525,6 +525,8 @@ def test_certify_cmp_formats_only_the_deciding_evaluation(monkeypatch):
                                    mpmath.nstr(zeta(), 12)))
         for read_prec in (53, 2048):
             cert = certify_cmp(lambda: exact(lo), zeta, ceiling_bits=ceiling)
+            other = certify_cmp(lambda: exact(lo), zeta, ceiling_bits=ceiling)
+            assert cert == other and hash(cert) == hash(other)
             assert (cert.verdict, cert.prec_bits, shown) == (verdict, bits, [])
             texts = _at(read_prec, lambda: (cert.lhs, cert.rhs, cert.lhs,
                                             cert.rhs))

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+pytestmark = pytest.mark.mutants
+
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 
@@ -26,9 +28,13 @@ MUTANTS = (
      "return mpi_str(x._mpi_, iv.prec) if bits else str(x)",
      ["test_intervals.py::"
       "test_certify_cmp_formats_only_the_deciding_evaluation"]),
+    ("equality-by-identity", "intervals.py",
+     "@dataclass(frozen=True)", "@dataclass(frozen=True, eq=False)",
+     ["test_intervals.py::"
+      "test_certificates_differing_in_an_enclosure_compare_unequal"]),
     ("equality-ignores-enclosures", "intervals.py",
-     "return self.verdict, self.prec_bits, self.lhs, self.rhs",
-     "return self.verdict, self.prec_bits",
+     "ends: tuple",
+     'ends: tuple = __import__("dataclasses").field(compare=False)',
      ["test_intervals.py::"
       "test_certificates_differing_in_an_enclosure_compare_unequal"]),
     ("exact-rounding-swapped", "intervals.py",
@@ -75,6 +81,40 @@ MUTANTS = (
     ("run-multiplicity-one", "witness.py",
      "kvec[t - 1] += times", "kvec[t - 1] += 1",
      ["test_witness.py::test_middle_pins"]),
+    ("pentagonal-sign-positive", "partitions.py",
+     "else -1", "else 1",
+     ["test_partitions.py::test_partition_count_matches_brute"]),
+    ("regular-run-admits-p", "partitions.py",
+     "new_run >= p", "new_run > p",
+     ["test_partitions.py::test_regular_partitions_match_brute"]),
+    ("k-table-skips-a-part", "partitions.py",
+     "range(w, cap + 1)", "range(w + 1, cap + 1)",
+     ["test_partitions.py::test_k_sum_exact_matches_brute"]),
+    ("hook-length-off-by-one", "partitions.py",
+     "- i - j + 1", "- i - j + 2",
+     ["test_partitions.py::test_hook_length_matches_brute"]),
+    ("conjugate-strict", "partitions.py",
+     "a >= j", "a > j",
+     ["test_partitions.py::test_conjugate_matches_brute"]),
+    ("parabolic-height-shifted", "dominance.py",
+     "height + 1", "height + 2",
+     ["test_dominance.py::test_orbit_length_matches_brute_orbit"]),
+    ("b-bond-reversed", "rootdata.py",
+     "path[-1] = (rank - 2, rank - 1, 2)",
+     "path[-1] = (rank - 1, rank - 2, 2)",
+     ["test_rootdata.py::test_rows_match_oracle_cartan"]),
+    ("f1-lead-ninths", "bounds.py",
+     "(r + 1) ** 4, 8)", "(r + 1) ** 4, 9)",
+     ["test_intervals.py::test_envelopes_enclose_the_reference"]),
+    ("centre-feed-one-slot", "witness.py",
+     "a[k:len(a) - k]", "a[k:k + 1]",
+     ["test_witness.py::test_good_pins"]),
+    ("majorant-sums-one-short", "partitions.py",
+     "upto[cap - a]", "upto[cap - a - 1]",
+     ["test_partitions.py::test_k_sum_majorant_pin"]),
+    ("stars-and-bars-gap", "checks.py",
+     "b - a - 1", "b - a",
+     ["test_golden.py::test_golden[verify-all-desk-json]"]),
 )
 
 

@@ -29,6 +29,7 @@ from repgrowth.intervals import enclosure
 from oracles import (
     brute_conjugate,
     brute_k_count,
+    brute_k_majorant,
     brute_k_total,
     brute_partition_count,
     brute_partitions,
@@ -85,6 +86,11 @@ def test_k_sum_exact_matches_brute():
 
 def test_k_sum_majorant_pin():
     assert k_sum_majorant(76) == 136531526805
+
+
+def test_k_sum_majorant_matches_the_double_sum():
+    for cap in range(201):
+        assert k_sum_majorant(cap) == brute_k_majorant(cap)
 
 
 def test_k_sum_majorant_dominates_every_rank():

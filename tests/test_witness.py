@@ -22,7 +22,7 @@ from repgrowth.witness import (
     middle_witness,
 )
 
-from oracles import dense_root_combination
+from oracles import brute_weights_up_to, dense_root_combination
 
 
 def centre(r):
@@ -232,15 +232,6 @@ def test_a5_family_entry_errors_pinned(w, error, message):
 
 # --- exhaustive sweeps ------------------------------------------------------
 
-def weights_up_to(rank, total):
-    if rank == 0:
-        yield ()
-        return
-    for head in range(total + 1):
-        for tail in weights_up_to(rank - 1, total - head):
-            yield (head,) + tail
-
-
 def middle_hypothesis_holds(rank, w, m):
     k = centre(rank)
     if rank % 2:
@@ -263,7 +254,7 @@ def test_exhaustive_sweep_small_ranks():
     for rank in (3, 4, 5):
         datum = root_datum("A", rank)
         k = centre(rank)
-        for w in weights_up_to(rank, 8):
+        for w in brute_weights_up_to(rank, 8):
             br = bracket(datum, w)
             for m in range(1, k + 1):
                 if sum(i * w[i - 1] for i in range(1, m + 1)) > m:

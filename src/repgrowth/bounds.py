@@ -250,7 +250,8 @@ def d3(r: int) -> int:
     if k < 1:
         raise HypothesisError("threshold d3 needs rank >= 3")
     q, rem = divmod(factorial(r + 1), factorial(k - 1) ** 2)
-    assert rem == 0
+    if rem:
+        raise AssertionError(f"d3({r}) is not an integer")
     return q
 
 

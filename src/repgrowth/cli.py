@@ -295,7 +295,10 @@ def cmd_verify(args) -> int:
     results = []
     counts = {"pass": 0, "fail": 0, "unknown": 0, "external-assumption": 0}
     for ch in checks:
-        verdict, detail = ch.run(bits, args.scale)
+        try:
+            verdict, detail = ch.run(bits, args.scale)
+        except Exception as e:  # fixed inputs: any raise is a package fault
+            verdict, detail = "fail", f"{type(e).__name__}: {e}"
         counts[verdict] += 1
         results.append({"id": ch.id, "claim": ch.claim,
                         "verdict": verdict, "detail": detail})
@@ -414,7 +417,3 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("input", str(e))
     except AssertionError as e:
         return _fail("self-check", str(e))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

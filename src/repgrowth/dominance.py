@@ -102,38 +102,38 @@ def dominance_witness(datum: RootDatum, lam: Weight,
             return None
         coeffs.append(int(k))
     chain = WitnessChain(target=mu, root_coeffs=tuple(coeffs))
-    assert chain.verify(datum, lam)
+    if not chain.verify(datum, lam):
+        raise AssertionError(f"dominance chain for {mu} failed on {lam}")
     return chain
 
 
 # ---------------------------------------------------------------------------
 # Weyl group and stabilizer orders as products over root heights.
 
-@lru_cache(maxsize=None)
 def weyl_order(datum: RootDatum) -> int:
-    return weyl_stabilizer_order(datum, datum.zero())
+    return _parabolic_order(datum, (True,) * datum.rank)
 
 
 def weyl_stabilizer_order(datum: RootDatum, w: Weight) -> int:
     """Order of the stabilizer: the parabolic over {i : coefficient i = 0}."""
     w = check_dominant(datum, w)
-    return _parabolic_order(
-        datum, frozenset(i + 1 for i, c in enumerate(w) if c == 0))
+    return _parabolic_order(datum, tuple(c == 0 for c in w))
 
 
 @lru_cache(maxsize=None)
-def _parabolic_order(datum: RootDatum, support: frozenset[int]) -> int:
+def _parabolic_order(datum: RootDatum, zeros: tuple[bool, ...]) -> int:
     """|W_J| = prod (ht a + 1) / ht a over the positive roots a supported
-    in J (Macdonald, "The Poincaré series of a Coxeter group", Math. Ann.
-    199, 1972)."""
+    in J = {i : zeros[i]} (Macdonald, "The Poincaré series of a Coxeter
+    group", Math. Ann. 199, 1972)."""
     num = den = 1
-    for c, _ in positive_roots(datum):
-        if all(k == 0 or i in support for i, k in enumerate(c, start=1)):
+    for c, _, _ in positive_roots(datum):
+        if all(z or k == 0 for z, k in zip(zeros, c)):
             height = sum(c)
             num *= height + 1
             den *= height
     order, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise AssertionError(f"{datum} has a parabolic order {num}/{den}")
     return order
 
 
@@ -143,15 +143,6 @@ def orbit_length(datum: RootDatum, w: Weight) -> int:
 
 # ---------------------------------------------------------------------------
 # Saturated set below a dominant weight.
-
-@lru_cache(maxsize=None)
-def _cover_table(datum: RootDatum) -> tuple[tuple, ...]:
-    """Positive roots as (coefficients, weight, need), need the positive
-    part of the weight: for dominant w, w - alpha is dominant exactly when
-    w >= need entry by entry."""
-    return tuple((c, alpha, tuple(max(a, 0) for a in alpha))
-                 for c, alpha in positive_roots(datum))
-
 
 def _saturated_walk(datum: RootDatum, lam: Weight, cap: int
                     ) -> tuple[dict[Weight, tuple[int, ...]], int]:
@@ -167,7 +158,7 @@ def _saturated_walk(datum: RootDatum, lam: Weight, cap: int
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     lam = check_dominant(datum, lam)
-    table = _cover_table(datum)
+    table = positive_roots(datum)
     orbit_of = {}  # zero positions -> orbit length: |W| over |W_zeros|
     coeffs_of = {lam: datum.zero()}
     queue = [lam]
@@ -175,8 +166,7 @@ def _saturated_walk(datum: RootDatum, lam: Weight, cap: int
     for w in queue:
         zeros = tuple(map(operator.not_, w))
         if zeros not in orbit_of:
-            orbit_of[zeros] = weyl_order(datum) // _parabolic_order(
-                datum, frozenset(i for i, z in enumerate(zeros, 1) if z))
+            orbit_of[zeros] = weyl_order(datum) // _parabolic_order(datum, zeros)
         total += orbit_of[zeros]
         if total > cap:
             raise SaturationCapError(

@@ -231,13 +231,15 @@ def _twist(lam: Partition, p: int) -> Partition:
     while neg[0]:
         i = (-neg[0] - bisect_right(neg, neg[0])) % p
         minus, _ = _signature(neg, i, p)
-        assert minus, f"{lam} has no good cell"
+        if not minus:
+            raise AssertionError(f"{lam} has no good cell")
         for row in minus:
             neg[row] += 1
         path.append((i, len(minus)))
     for i, count in reversed(path):
         _, plus = _signature(neg, -i % p, p)
-        assert len(plus) >= count, f"no good cell of residue {-i % p} to add"
+        if len(plus) < count:
+            raise AssertionError(f"no good cell of residue {-i % p} to add")
         for row in plus[-count:]:
             neg[row] -= 1
         if neg[-1]:
@@ -274,7 +276,8 @@ def hook_length_dim(lam) -> int:
         for j in range(1, row + 1):
             denom *= row + conj[j - 1] - i - j + 1
     q, rem = divmod(factorial(n), denom)
-    assert rem == 0
+    if rem:
+        raise AssertionError(f"hook product of {lam} does not divide {n}!")
     return q
 
 
@@ -365,7 +368,8 @@ def sym_rn_bound(r: int, n: int, p: int, group: str = "S",
                           exact_compare_cert(16, n ** 5))
         for n_low, r_cap in SYM_WINDOWS:
             if n >= n_low:
-                assert r <= r_cap, "window forces the rank cap"
+                if r > r_cap:
+                    raise AssertionError("window forces the rank cap")
                 val = partition_count(r)
                 return report(
                     f"sym-window-{n_low}", ExactValue(val),

@@ -59,8 +59,9 @@ def _bonds(family: str, rank: int) -> list[tuple[int, int, int]]:
     return path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootDatum:
+    # root_datum() makes one per (family, rank): identity hashing is exact.
     family: str
     rank: int
     # Row t of the Cartan matrix as its (j, entry) pairs with entry != 0.
@@ -68,11 +69,6 @@ class RootDatum:
 
     def __repr__(self) -> str:
         return f"RootDatum({self.family}{self.rank})"
-
-    def __hash__(self) -> int:
-        # root_datum() makes one object per (family, rank); hashing the
-        # nested tables on every cache lookup would be wasted work.
-        return hash((self.family, self.rank))
 
     def check_weight(self, w) -> Weight:
         w = tuple(w)
@@ -109,8 +105,10 @@ def root_datum(family: str, rank: int) -> RootDatum:
 
 
 @lru_cache(maxsize=None)
-def positive_roots(datum: RootDatum) -> tuple[tuple[tuple[int, ...], Weight], ...]:
-    """Positive roots as (simple-root coefficients, weight) pairs, by height.
+def positive_roots(datum: RootDatum) -> tuple[tuple, ...]:
+    """Positive roots as (simple-root coefficients, weight, need) rows, by
+    height; need is the positive part of the weight, so for dominant w,
+    w - alpha is dominant exactly when w >= need entry by entry.
 
     Closes the simple roots under the simple reflections
     s_i(c) = c - (sum_j a_ij*c_j) e_i; a simple reflection sends
@@ -128,8 +126,9 @@ def positive_roots(datum: RootDatum) -> tuple[tuple[tuple[int, ...], Weight], ..
             if s[i] >= 0 and s not in seen:
                 seen.add(s)
                 frontier.append(s)
-    return tuple((c, datum.root_combination(c))
-                 for c in sorted(seen, key=lambda c: (sum(c), c)))
+    return tuple((c, alpha, tuple(max(a, 0) for a in alpha))
+                 for c in sorted(seen, key=lambda c: (sum(c), c))
+                 for alpha in [datum.root_combination(c)])
 
 
 def is_dominant(w) -> bool:

@@ -230,12 +230,12 @@ def good_witness(datum: RootDatum, w) -> tuple[Weight, WitnessChain]:
     2*bracket >= r^2 + 2r - 2."""
     w, r, k = _require_type_a(datum, w)
     br = _bracket(r, w)
-    if 2 * br < r * r + 2 * r - 2:
+    # 2·bracket ≥ r²+2r−2 is the m-good threshold at m = k for both
+    # parities, so the window engine applies verbatim with full window.
+    if br < _m_good_threshold(r, k):
         raise HypothesisError(
             f"hypothesis 2·bracket ≥ r²+2r−2 fails: "
             f"2·{br} < {r * r + 2 * r - 2}")
-    # The threshold above equals the m-good threshold at m = k for both
-    # parities, so the window engine applies verbatim with full window.
     mu, chain = _m_good_apply(datum, w, k)
     if not is_good(mu):
         raise AssertionError(f"witness {mu} has a zero coefficient")

@@ -6,13 +6,19 @@ reports.  Check p-050 is left out: ``pins(hook_length_dim, ...)`` binds the
 function when the registry is built, so a rebinding does not reach it; its
 fail branch is the shared one of ``pins``, which p-040 reaches.  The
 weight generator of the sweeps is checked against its recursive oracle.
+A check that raises is reported by ``verify`` as that check's failure.
 """
 
+import ast
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import repgrowth
 from repgrowth import checks
+from repgrowth.cli import main
 from repgrowth.dominance import HypothesisError
 from repgrowth.intervals import exact_compare_cert
 
@@ -71,8 +77,36 @@ def test_check_reports_fail(cid, name, fake, detail, monkeypatch):
     assert check.run(64, "desk") == ("fail", detail)
 
 
+@pytest.mark.parametrize("error", [
+    AssertionError("(3,) has no good cell"), TypeError("bad operand")])
+def test_verify_reports_a_raising_check_as_failed(error, monkeypatch,
+                                                   capsys):
+    def broken(lam, p):
+        raise error
+    monkeypatch.setattr(checks, "mullineux", broken)
+    code = main(["verify", "--suite", "partitions"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    results = json.loads(out)["checks"]
+    assert len(results) == 12
+    detail = f"{type(error).__name__}: {error}"
+    assert {r["id"]: r["detail"] for r in results
+            if r["verdict"] == "fail"} == dict.fromkeys(
+                ["p-040", "p-041", "p-042"], detail)
+
+
 def test_weights_up_to_matches_the_recursive_oracle():
     for rank in range(8):
         for total in range(10):
             assert list(checks._weights_up_to(rank, total)) == \
                 list(brute_weights_up_to(rank, total))
+
+
+def test_no_self_check_is_a_bare_assert():
+    # python -O strips assert statements, so every self-check in the
+    # package raises explicitly.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(repgrowth.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -15,7 +15,6 @@ from repgrowth.dominance import (
     HypothesisError,
     SaturationCapError,
     WitnessChain,
-    _cover_table,
     bracket,
     dominance_witness,
     orbit_length,
@@ -24,7 +23,7 @@ from repgrowth.dominance import (
     weyl_order,
     weyl_stabilizer_order,
 )
-from repgrowth.rootdata import is_dominant, root_datum
+from repgrowth.rootdata import is_dominant, positive_roots, root_datum
 
 from oracles import (brute_dominants_below, brute_orbit,
                      brute_saturated_total, brute_saturated_walk,
@@ -315,14 +314,14 @@ def test_saturated_walk_matches_full_walk(family, rank, top):
         assert premet_lower(datum, lam, 7) == size
 
 
-def test_cover_table_built_once_per_datum():
+def test_positive_roots_built_once_per_datum():
     datum = root_datum("F", 4)
     premet_lower(datum, (1, 0, 0, 0), 5)
-    before = _cover_table.cache_info().misses
+    before = positive_roots.cache_info().misses
     for lam in [(0, 1, 0, 0), (1, 1, 0, 0), (2, 0, 1, 0)]:
         premet_lower(datum, lam, 5)
         saturated_dominant_set(datum, lam)
-    assert _cover_table.cache_info().misses == before
+    assert positive_roots.cache_info().misses == before
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,10 @@
 """The sign-twist involution, pinned values and the two independent routes."""
 
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +266,26 @@ def test_andrews_olsson_fixed_point_count(p):
                   if len(set(lam)) == len(lam)
                   and all(part % 2 and part % p for part in lam))
         assert fixed == odd, n
+
+
+def test_twist_without_a_good_cell_fails_under_optimize():
+    # python -O strips assert statements; without its explicit check the
+    # twist would remove no cell and loop for ever.
+    import repgrowth
+
+    src = str(Path(repgrowth.__file__).parents[1])
+    code = """
+import sys
+from repgrowth import partitions
+
+partitions._signature = lambda neg, i, p: ([], [])  # no good cell anywhere
+try:
+    partitions.mullineux((3,), 3)
+except AssertionError as e:
+    print(sys.flags.optimize, e)
+"""
+    done = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=10,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "1 (3,) has no good cell\n"

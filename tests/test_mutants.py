@@ -115,6 +115,18 @@ MUTANTS = (
     ("stars-and-bars-gap", "checks.py",
      "b - a - 1", "b - a",
      ["test_golden.py::test_golden[verify-all-desk-json]"]),
+    ("need-floor-one", "rootdata.py",
+     "max(a, 0)", "max(a, 1)",
+     ["test_rootdata.py::test_positive_roots_need_is_exact"]),
+    ("parabolic-ignores-zeros", "dominance.py",
+     "z or k == 0", "k == 0",
+     ["test_dominance.py::test_weyl_order_pins"]),
+    ("root-combination-drops-entry", "rootdata.py",
+     "total += c * coeffs[j]", "total += coeffs[j]",
+     ["test_rootdata.py::test_root_combination_matches_dense_product[A-3]"]),
+    ("verify-catches-only-asserts", "cli.py",
+     "except Exception as e:", "except AssertionError as e:",
+     ["test_checks.py::test_verify_reports_a_raising_check_as_failed"]),
 )
 
 

@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repgrowth.dominance import _cover_table
 from repgrowth.rootdata import (
     RootDataError,
     RootDatum,
@@ -196,13 +195,13 @@ def expected_positive_root_count(family: str, rank: int) -> int:
 def test_positive_root_count(family, rank):
     roots = positive_roots(root_datum(family, rank))
     assert len(roots) == expected_positive_root_count(family, rank)
-    assert len({c for c, _ in roots}) == len(roots)
+    assert len({c for c, _, _ in roots}) == len(roots)
 
 
 @pytest.mark.parametrize("family,rank", ALL_DATA)
 def test_positive_roots_top_is_highest_root(family, rank):
     datum = root_datum(family, rank)
-    roots = [c for c, _ in positive_roots(datum)]
+    roots = [c for c, _, _ in positive_roots(datum)]
     top = max(sum(c) for c in roots)
     assert [c for c in roots if sum(c) == top] == [roots[-1]]
 
@@ -210,7 +209,7 @@ def test_positive_roots_top_is_highest_root(family, rank):
 @pytest.mark.parametrize("family,rank", ALL_DATA)
 def test_positive_root_weights(family, rank):
     datum = root_datum(family, rank)
-    for coeffs, weight in positive_roots(datum):
+    for coeffs, weight, _ in positive_roots(datum):
         assert all(k >= 0 for k in coeffs)
         assert weight == datum.root_combination(coeffs)
 
@@ -273,12 +272,11 @@ def test_root_combination_rejects_wrong_length(family, rank):
 
 
 @pytest.mark.parametrize("family,rank", ALL_DATA)
-def test_cover_table_is_exact(family, rank):
+def test_positive_roots_need_is_exact(family, rank):
     """For dominant w, w >= need entry by entry exactly when w - alpha is
     dominant: a box for ranks <= 4, seeded weights above."""
     datum = root_datum(family, rank)
-    table = _cover_table(datum)
-    assert [(c, alpha) for c, alpha, _ in table] == list(positive_roots(datum))
+    table = positive_roots(datum)
     if rank <= 4:
         weights = list(itertools.product(range(5), repeat=rank))
     else:

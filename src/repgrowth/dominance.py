@@ -144,50 +144,76 @@ def orbit_length(datum: RootDatum, w: Weight) -> int:
 # ---------------------------------------------------------------------------
 # Saturated set below a dominant weight.
 
-def _saturated_walk(datum: RootDatum, lam: Weight, cap: int
-                    ) -> tuple[dict[Weight, tuple[int, ...]], int]:
-    """Dominant members of the saturated set of lam, each with the
-    simple-root coefficients of lam - mu; plus the size of the whole set
-    (Weyl images included) as a sum of orbit lengths.
+def _pack(w, width: int) -> int:
+    """w in width-bit fields, coordinate 0 the most significant, so members
+    sort as their tuples do; linear in w, so negative entries pack too."""
+    return sum(x << width * j for j, x in enumerate(reversed(w)))
 
-    Every dominant mu <= lam is reached from lam through dominant weights
-    by subtracting one positive root at a time (Stembridge, "The partial
-    order of dominant weights", Adv. Math. 136, 1998), so the walk never
-    leaves the dominant chamber.
+
+def _unpack(n: int, width: int, rank: int) -> Weight:
+    return tuple(n >> width * j & ~(-1 << width) for j in range(rank)[::-1])
+
+
+@lru_cache(maxsize=None)
+def _packed_roots(datum: RootDatum, width: int) -> tuple[int, tuple, dict]:
+    """Field ones, positive_roots rows with weight and need packed, and the
+    walks' memo: guards of the nonzero coordinates -> orbit length."""
+    return (_pack((1,) * datum.rank, width),
+            tuple((c, _pack(alpha, width), _pack(need, width))
+                  for c, alpha, need in positive_roots(datum)), {})
+
+
+def _saturated_walk(datum: RootDatum, lam: Weight, cap: int
+                    ) -> tuple[dict[int, tuple[int, ...]], int, int]:
+    """Dominant members mu of the saturated set of lam, packed at the
+    returned width, each with the simple-root coefficients of lam - mu;
+    plus the size of the whole set (Weyl images included), summed by orbit.
+
+    Every dominant mu <= lam is reached from lam through dominant weights,
+    one positive root at a time (Stembridge, Adv. Math. 136, 1998).
+
+    Each field's top bit is a guard, clear in every member: mu_j <=
+    <mu, theta^vee> <= <lam, theta^vee> <= ht(theta) * sum(lam), as the
+    marks of theta^vee are >= 1 and at most ht(theta), theta^vee is
+    dominant and lam - mu is in Q+; | 3 holds a need entry of 3 (G2).  So
+    no field borrows, and w >= need exactly when (w | guard) - need keeps
+    every guard.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     lam = check_dominant(datum, lam)
-    table = positive_roots(datum)
-    orbit_of = {}  # zero positions -> orbit length: |W| over |W_zeros|
-    coeffs_of = {lam: datum.zero()}
-    queue = [lam]
-    total = 0
+    width = (sum(positive_roots(datum)[-1][0]) * sum(lam) | 3).bit_length() + 1
+    ones, table, orbit_of = _packed_roots(datum, width)
+    guard, total = ones << width - 1, 0
+    queue = [_pack(lam, width)]
+    coeffs_of = {queue[0]: datum.zero()}
     for w in queue:
-        zeros = tuple(map(operator.not_, w))
-        if zeros not in orbit_of:
-            orbit_of[zeros] = weyl_order(datum) // _parabolic_order(datum, zeros)
-        total += orbit_of[zeros]
+        high = w | guard
+        key = (high - ones) & guard
+        if key not in orbit_of:
+            zeros = tuple(map(operator.not_, _unpack(w, width, datum.rank)))
+            orbit_of[key] = weyl_order(datum) // _parabolic_order(datum, zeros)
+        total += orbit_of[key]
         if total > cap:
             raise SaturationCapError(
                 f"saturated set of {lam} exceeds cap {cap}")
-        coeffs = coeffs_of[w]
         for c, alpha, need in table:
-            if all(map(operator.ge, w, need)):
-                v = sub(w, alpha)
+            if (high - need) & guard == guard:
+                v = w - alpha
                 if v not in coeffs_of:
-                    coeffs_of[v] = add(coeffs, c)
+                    coeffs_of[v] = add(coeffs_of[w], c)
                     queue.append(v)
-    return coeffs_of, total
+    return coeffs_of, total, width
 
 
 def saturated_dominant_set(datum: RootDatum, lam: Weight,
                            cap: int = DEFAULT_CAP) -> list[tuple[Weight, WitnessChain]]:
     """Dominant weights dominated by lam, each with its chain, sorted
     descending-lexicographically (lam itself first)."""
-    members, _ = _saturated_walk(datum, lam, cap)
+    members, _, width = _saturated_walk(datum, lam, cap)
     out = []
-    for mu, coeffs in sorted(members.items(), reverse=True):
+    for w, coeffs in sorted(members.items(), reverse=True):
+        mu = _unpack(w, width, datum.rank)
         chain = WitnessChain(target=mu, root_coeffs=coeffs)
         if not chain.verify(datum, lam):
             raise AssertionError(f"walk chain for {mu} failed on {lam}")

@@ -283,6 +283,24 @@ def brute_dominants_below(datum, lam, box: int = 24) -> list[tuple[int, ...]]:
     return found
 
 
+def simple_root_coefficients(datum, w) -> tuple[Fraction, ...]:
+    """w in the simple-root basis, by Gauss-Jordan elimination over the
+    dense Cartan matrix.  For dominant mu <= w these bound the
+    coefficients of w - mu, as those of mu are nonnegative."""
+    r = datum.rank
+    rows = [[Fraction(x) for x in row] + [Fraction(y)]
+            for row, y in zip(cartan_matrix(datum.family, r), w)]
+    for col in range(r):
+        piv = next(i for i in range(col, r) if rows[i][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(r):
+            if i != col and rows[i][col]:
+                rows[i] = [x - rows[i][col] * y
+                           for x, y in zip(rows[i], rows[col])]
+    return tuple(row[-1] for row in rows)
+
+
 def brute_saturated_total(datum, lam, box: int = 24) -> int:
     """Size of the saturated hull: orbits of every dominant weight below."""
     return sum(len(brute_orbit(datum, mu))

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -27,7 +28,7 @@ from repgrowth.rootdata import is_dominant, positive_roots, root_datum
 
 from oracles import (brute_dominants_below, brute_orbit,
                      brute_saturated_total, brute_saturated_walk,
-                     dense_root_combination)
+                     dense_root_combination, simple_root_coefficients)
 
 SMALL_DATA = [
     ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
@@ -312,6 +313,78 @@ def test_saturated_walk_matches_full_walk(family, rank, top):
         assert sum(orbit_length(datum, mu) for mu, _ in members) == size
         assert saturated_weight_total(datum, lam) == size
         assert premet_lower(datum, lam, 7) == size
+
+
+# --- the packed walk ---------------------------------------------------------
+
+def _matches_brute_walk(datum, lam):
+    dominants, size = brute_saturated_walk(datum, lam)
+    members = saturated_dominant_set(datum, lam)
+    assert [(mu, chain.root_coeffs) for mu, chain in members] == dominants
+    assert saturated_weight_total(datum, lam) == size
+    return dominants
+
+
+@pytest.mark.parametrize("family,rank,lam,top", [
+    ("B", 3, (0, 3, 0), 4), ("G", 2, (0, 6), 9),
+    ("F", 4, (0, 1, 1, 1), 4), ("B", 4, (0, 1, 2, 0), 4),
+])
+def test_packed_walk_holds_members_above_the_weight_sum(family, rank, lam,
+                                                        top):
+    """A member coordinate can exceed sum(lam), so a field width taken from
+    sum(lam) alone would overflow; the ht(theta) factor makes room."""
+    dominants = _matches_brute_walk(root_datum(family, rank), lam)
+    assert max(max(mu) for mu, _ in dominants) == top > sum(lam)
+
+
+# ht(theta) * sum(lam) just below a power of two and at or just past one.
+# ht(theta) is odd in B, G and F (2r - 1, 5, 11), so no multiple of it is a
+# power of two there, and F4's first 2^k - 1 (1023) needs sum(lam) = 93.
+BIT_EDGES = [
+    ("A", 1, (7,), 7), ("A", 1, (8,), 8), ("A", 1, (15,), 15),
+    ("A", 1, (16,), 16), ("A", 3, (5, 0, 0), 15), ("A", 2, (2, 2), 8),
+    ("A", 2, (4, 4), 16), ("B", 3, (1, 1, 1), 15), ("B", 3, (0, 0, 4), 20),
+    ("B", 2, (5, 0), 15), ("B", 2, (0, 6), 18), ("G", 2, (0, 3), 15),
+    ("G", 2, (1, 2), 15), ("G", 2, (0, 4), 20), ("F", 4, (0, 0, 0, 2), 22),
+    ("F", 4, (1, 0, 0, 2), 33),
+]
+
+
+@pytest.mark.parametrize("family,rank,lam,top", BIT_EDGES)
+def test_packed_walk_at_the_field_width_edges(family, rank, lam, top):
+    datum = root_datum(family, rank)
+    assert sum(positive_roots(datum)[-1][0]) * sum(lam) == top  # ht(theta)
+    _matches_brute_walk(datum, lam)
+
+
+@pytest.mark.parametrize("family,rank,lam,cap", [
+    ("A", 2, (2 ** 70, 0), 5), ("G", 2, (0, 2 ** 80), 100),
+    ("F", 4, (3 ** 50, 0, 0, 1), 1000),
+])
+def test_saturation_cap_on_wide_fields(family, rank, lam, cap):
+    with pytest.raises(SaturationCapError) as err:
+        saturated_weight_total(root_datum(family, rank), lam, cap=cap)
+    assert str(err.value) == f"saturated set of {lam} exceeds cap {cap}"
+
+
+# The benchmark's saturated data, each with its box of restricted weights.
+SATURATED_DATA = [("A", 3, 5), ("A", 4, 5), ("B", 3, 5), ("C", 3, 5),
+                  ("B", 4, 3), ("D", 4, 3), ("G", 2, 7), ("F", 4, 3)]
+
+
+@pytest.mark.parametrize("family,rank,p", SATURATED_DATA)
+def test_premet_lower_matches_brute_on_benchmark_data(family, rank, p):
+    """Four seeded box weights per datum, among those whose brute search
+    box has at most 10^4 coefficient vectors."""
+    datum = root_datum(family, rank)
+    pool = []
+    for lam in itertools.product(range(p), repeat=rank):
+        box = int(max(simple_root_coefficients(datum, lam))) + 1
+        if (box + 1) ** rank <= 10 ** 4:
+            pool.append((lam, box))
+    for lam, box in random.Random(f"{family}{rank}-{p}").sample(pool, 4):
+        assert (premet_lower(datum, lam, p)
+                == brute_saturated_total(datum, lam, box=box)), lam
 
 
 def test_positive_roots_built_once_per_datum():

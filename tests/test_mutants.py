@@ -51,9 +51,15 @@ MUTANTS = (
      '"f4": ("m", 0,', '"f4": ("m", 1,',
      ["test_bounds.py::test_f4_at_zero_is_two"]),
     ("cover-test-strict", "dominance.py",
-     "if all(map(operator.ge, w, need)):",
-     "if all(map(operator.gt, w, need)):",
-     ["test_dominance.py::test_saturated_total_adjoint_a2"]),
+     "if (high - need) & guard == guard:",
+     "if (high - need) & guard:",
+     ["test_dominance.py::test_saturation_cap_boundary[A-2-lam0-7]"]),
+    ("width-drops-ht-theta", "dominance.py",
+     "sum(positive_roots(datum)[-1][0]) * sum(lam)", "sum(lam)",
+     ["test_dominance.py::test_saturated_walk_matches_full_walk[G-2-5]"]),
+    ("width-drops-guard-bit", "dominance.py",
+     ".bit_length() + 1", ".bit_length()",
+     ["test_dominance.py::test_saturated_walk_matches_full_walk[A-1-4]"]),
     ("tail-remainder-zero", "intervals.py",
      "return total, Fraction(abs(last.numerator) * num, "
      "last.denominator * den)",

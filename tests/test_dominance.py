@@ -86,6 +86,12 @@ def test_dominance_witness_none_when_unrelated():
     assert dominance_witness(datum, (0, 0), (1, 1)) is None
 
 
+@pytest.mark.parametrize("lam,mu", [((1, 1), (2, -1)), ((2, -1), (0, 0))])
+def test_dominance_witness_requires_dominant_weights(lam, mu):
+    with pytest.raises(HypothesisError):
+        dominance_witness(root_datum("A", 2), lam, mu)
+
+
 @pytest.mark.parametrize("family,rank,lam", [
     ("A", 2, (2, 2)),
     ("A", 3, (1, 1, 1)),

@@ -127,6 +127,12 @@ MUTANTS = (
     ("parabolic-ignores-zeros", "dominance.py",
      "z or k == 0", "k == 0",
      ["test_dominance.py::test_weyl_order_pins"]),
+    ("stabilizer-zero-pattern", "dominance.py",
+     "tuple(c == 0 for c in w)", "tuple(c <= 1 for c in w)",
+     ["test_dominance.py::test_saturated_walk_matches_full_walk[G-2-5]"]),
+    ("witness-reads-wrong-member", "dominance.py",
+     "if nu == mu), None)", "if nu != mu), None)",
+     ["test_dominance.py::test_dominance_witness_adjoint_a2"]),
     ("root-combination-drops-entry", "rootdata.py",
      "total += c * coeffs[j]", "total += coeffs[j]",
      ["test_rootdata.py::test_root_combination_matches_dense_product[A-3]"]),

@@ -4,14 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repgrowth.dominance import (HypothesisError, WitnessChain, bracket,
-                                 dominance_witness, is_good)
+from repgrowth.dominance import HypothesisError, WitnessChain, bracket, is_good
 from repgrowth.rootdata import RootDataError, root_datum
 from repgrowth.witness import (
     a5_good_family,
@@ -22,7 +22,8 @@ from repgrowth.witness import (
     middle_witness,
 )
 
-from oracles import brute_weights_up_to, dense_root_combination
+from oracles import (brute_weights_up_to, dense_root_combination,
+                     simple_root_coefficients)
 
 
 def centre(r):
@@ -246,10 +247,22 @@ def m_good_threshold(rank, m):
     return (2 * m + 2) * (k + 1) + 2 * k + 1
 
 
+# The sweep's 5,721 chains span only 135 differences w - mu.
+solve = lru_cache(maxsize=None)(simple_root_coefficients)
+
+
+def assert_chain(datum, w, mu, chain):
+    """The chain verifies, and its coefficients are those of w - mu solved
+    over the oracle's dense Cartan matrix, not rootdata's sparse rows."""
+    assert chain.verify(datum, w)
+    diff = tuple(a - b for a, b in zip(w, mu))
+    assert solve(datum, diff) == chain.root_coeffs
+
+
 def test_exhaustive_sweep_small_ranks():
     """Run every engine on every dominant weight with coefficient sum <= 8,
-    ranks 3..5, and check chains plus the promised output shapes.  Chains are
-    cross-checked against the independent linear-solve route."""
+    ranks 3..5, and check chains plus the promised output shapes.  Every
+    chain is cross-checked against the oracle's linear solve."""
     hits = {"incr": 0, "middle": 0, "m-good": 0, "middle2": 0, "good": 0}
     for rank in (3, 4, 5):
         datum = root_datum("A", rank)
@@ -259,34 +272,31 @@ def test_exhaustive_sweep_small_ranks():
             for m in range(1, k + 1):
                 if sum(i * w[i - 1] for i in range(1, m + 1)) > m:
                     mu, chain = incr_witness(datum, w, m)
-                    assert chain.verify(datum, w)
-                    solved = dominance_witness(datum, w, mu)
-                    assert solved is not None
-                    assert solved.root_coeffs == chain.root_coeffs
+                    assert_chain(datum, w, mu, chain)
                     assert bracket(datum, mu) == br
                     assert mu[m] == w[m] + 1
                     hits["incr"] += 1
                 if middle_hypothesis_holds(rank, w, m):
                     mu, chain = middle_witness(datum, w, m)
-                    assert chain.verify(datum, w)
+                    assert_chain(datum, w, mu, chain)
                     lo, hi = window(rank, m)
                     assert all(mu[i - 1] > 0 for i in range(lo, hi + 1))
                     hits["middle"] += 1
                 if br >= m_good_threshold(rank, m):
                     mu, chain = m_good_witness(datum, w, m)
-                    assert chain.verify(datum, w)
+                    assert_chain(datum, w, mu, chain)
                     lo, hi = window(rank, m)
                     assert all(mu[i - 1] > 0 for i in range(lo, hi + 1))
                     hits["m-good"] += 1
             if br >= 2 * k + 1:
                 mu, chain = middle2_witness(datum, w)
-                assert chain.verify(datum, w)
+                assert_chain(datum, w, mu, chain)
                 assert any(mu[t - 1] > 0 for t in (k + 1, rank - k))
                 assert bracket(datum, mu) == br
                 hits["middle2"] += 1
             if 2 * br >= rank * rank + 2 * rank - 2:
                 mu, chain = good_witness(datum, w)
-                assert chain.verify(datum, w)
+                assert_chain(datum, w, mu, chain)
                 assert is_good(mu)
                 hits["good"] += 1
     # Every engine must actually have fired many times.

@@ -6,20 +6,24 @@ certification (intervals), count envelopes per family (bounds), and the
 partition / symmetric-group side (partitions).
 """
 
-from .bounds import BoundReport, n_lambda, premet_lower, rn_upper
-from .dominance import HypothesisError, WitnessChain
-from .intervals import Certificate, certify_less
-from .rootdata import RootDatum, root_datum
+from importlib import import_module
 
-__all__ = [
-    "BoundReport",
-    "Certificate",
-    "HypothesisError",
-    "RootDatum",
-    "WitnessChain",
-    "certify_less",
-    "n_lambda",
-    "premet_lower",
-    "rn_upper",
-    "root_datum",
-]
+# Served on access (PEP 562), never bound here: importing loads no layer.
+_NAMES = {"bounds": ("BoundReport", "n_lambda", "premet_lower", "rn_upper"),
+          "dominance": ("HypothesisError", "WitnessChain"),
+          "intervals": ("Certificate", "certify_less"),
+          "rootdata": ("RootDatum", "root_datum")}
+_LAYER_OF = {name: layer for layer, names in _NAMES.items() for name in names}
+__all__ = sorted(_LAYER_OF)
+
+
+def __getattr__(name):
+    if name in _NAMES:
+        return import_module(f"{__name__}.{name}")
+    if name in _LAYER_OF:
+        return getattr(import_module(f"{__name__}.{_LAYER_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAYER_OF, *_NAMES})

@@ -316,8 +316,8 @@ _FLAGS = {
     "--format": dict(choices=("json", "csv"), default="json"),
     "--prec": dict(type=int, default=DEFAULT_REPORT_BITS,
                    help="working precision ceiling in bits (default "
-                        f"{DEFAULT_REPORT_BITS}, capped at "
-                        f"{DEFAULT_CEILING_BITS})"),
+                        f"{DEFAULT_REPORT_BITS}; below 16 raised to 16, "
+                        f"above {DEFAULT_CEILING_BITS} lowered to it)"),
     "--cap": dict(type=int, default=DEFAULT_CAP,
                   help="largest saturated set, in weights with Weyl images "
                        "included, walked per highest weight "

@@ -126,10 +126,11 @@ def _packed_roots(datum: RootDatum, width: int) -> tuple[int, tuple, dict]:
 
 
 def _saturated_walk(datum: RootDatum, lam: Weight, cap: int
-                    ) -> tuple[dict[int, tuple[int, ...]], int, int]:
+                    ) -> tuple[dict[int, int | None], int, int]:
     """Dominant members mu of the saturated set of lam, packed at the
-    returned width, each with the simple-root coefficients of lam - mu;
-    plus the size of the whole set (Weyl images included), summed by orbit.
+    returned width, in discovery order, each with the member one positive
+    root above it that reached it (None for lam); plus the size of the
+    whole set (Weyl images included), summed by orbit.
 
     Every dominant mu <= lam is reached from lam through dominant weights,
     one positive root at a time (Stembridge, Adv. Math. 136, 1998).
@@ -148,7 +149,7 @@ def _saturated_walk(datum: RootDatum, lam: Weight, cap: int
     ones, table, orbit_of = _packed_roots(datum, width)
     guard, total = ones << width - 1, 0
     queue = [_pack(lam, width)]
-    coeffs_of = {queue[0]: datum.zero()}
+    parent_of = {queue[0]: None}
     for w in queue:
         high = w | guard
         key = (high - ones) & guard
@@ -158,22 +159,27 @@ def _saturated_walk(datum: RootDatum, lam: Weight, cap: int
         if total > cap:
             raise SaturationCapError(
                 f"saturated set of {lam} exceeds cap {cap}")
-        for c, alpha, need in table:
+        for _, alpha, need in table:
             if (high - need) & guard == guard:
                 v = w - alpha
-                if v not in coeffs_of:
-                    coeffs_of[v] = add(coeffs_of[w], c)
+                if v not in parent_of:
+                    parent_of[v] = w
                     queue.append(v)
-    return coeffs_of, total, width
+    return parent_of, total, width
 
 
 def saturated_dominant_set(datum: RootDatum, lam: Weight,
                            cap: int = DEFAULT_CAP) -> list[tuple[Weight, WitnessChain]]:
     """Dominant weights dominated by lam, each with its chain, sorted
     descending-lexicographically (lam itself first)."""
-    members, _, width = _saturated_walk(datum, lam, cap)
+    parent_of, _, width = _saturated_walk(datum, lam, cap)
+    step = {alpha: c for c, alpha, _ in _packed_roots(datum, width)[1]}
+    coeffs_of = {}
+    for w, parent in parent_of.items():  # a parent comes before its child
+        coeffs_of[w] = (datum.zero() if parent is None else
+                        add(coeffs_of[parent], step[parent - w]))
     out = []
-    for w, coeffs in sorted(members.items(), reverse=True):
+    for w, coeffs in sorted(coeffs_of.items(), reverse=True):
         mu = _unpack(w, width, datum.rank)
         chain = WitnessChain(target=mu, root_coeffs=coeffs)
         if not chain.verify(datum, lam):

@@ -139,6 +139,19 @@ MUTANTS = (
     ("verify-catches-only-asserts", "cli.py",
      "except Exception as e:", "except AssertionError as e:",
      ["test_checks.py::test_verify_reports_a_raising_check_as_failed"]),
+    ("name-table-wrong-layer", "__init__.py",
+     '"dominance": ("HypothesisError", "WitnessChain"),',
+     '"dominance": ("HypothesisError", "WitnessChain", "premet_lower"),',
+     ["test_package.py::test_each_public_name_is_its_layers_own_object"]),
+    ("package-imports-bounds", "__init__.py",
+     "from importlib import import_module\n",
+     "from importlib import import_module\nfrom . import bounds\n",
+     ["test_package.py::"
+      "test_combinatorial_layers_import_without_the_interval_stack"]),
+    ("rebuild-step-reversed", "dominance.py",
+     "step[parent - w]", "step[parent - w][::-1]",
+     ["test_dominance.py::"
+      "test_dominance_witness_matches_brute_search[B-2-lam2]"]),
 )
 
 

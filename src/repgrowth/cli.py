@@ -21,32 +21,7 @@ import itertools
 import json
 import sys
 from bisect import bisect_right
-from dataclasses import asdict
 from functools import cache
-
-import mpmath
-
-from .bounds import (
-    PRIME_CEILING,
-    BoundReport,
-    ExactValue,
-    _is_prime,
-    n_lambda,
-    premet_lower,
-    rn_upper,
-)
-from .checks import SUITES, suite_checks
-from .dominance import (
-    DEFAULT_CAP,
-    HypothesisError,
-    SaturationCapError,
-    bracket,
-    orbit_length,
-)
-from .intervals import DEFAULT_CEILING_BITS, DEFAULT_REPORT_BITS
-from .partitions import check_partition, mullineux
-from .rootdata import FAMILIES, root_datum
-from .witness import ENGINES as _SINGLE_ENGINES, a5_good_family
 
 # Most cells mullineux twists, most restricted weights enumerate walks (by
 # --bound), most rows it bounds, most digits of the dimension cap bound
@@ -60,13 +35,39 @@ N_DIGITS_MAX = 2000
 BOUND_RANK_MAX = 10 ** 5
 WITNESS_RANK_MAX = 300
 
+# No layer is imported here: each command imports the layers it uses when
+# it runs, so --help and usage errors load none.  The parser's values that
+# are facts of a layer are written out instead, each pinned to its layer by
+# tests/test_cli.py: the families (rootdata), the suites (checks), the
+# single witness engines (witness), the report and ceiling precisions
+# (intervals), the saturated-set cap (dominance) and the primality ceiling
+# (bounds).
+FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
+SUITE_NAMES = ("typeA", "char2", "nonA", "partitions", "symmetric")
+ENGINE_NAMES = ("incr", "middle", "m-good", "middle2", "good")
+DEFAULT_REPORT_BITS = 256
+DEFAULT_CEILING_BITS = 1024
+DEFAULT_CAP = 10 ** 7
+PRIME_CEILING = 3317044064679887385961981
+
+
+def __getattr__(name: str):
+    """The witness layer's own engine table, served on access (PEP 562)."""
+    if name == "_SINGLE_ENGINES":
+        from .witness import ENGINES
+        return ENGINES
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # ---------------------------------------------------------------------------
 # Serialization.
 
 def record(x) -> dict:
     """JSON form of a bound report or of a kind-tagged value."""
-    if isinstance(x, BoundReport):
+    import dataclasses
+
+    from . import bounds
+    if isinstance(x, bounds.BoundReport):
         return {"name": x.name, "inputs": dict(x.inputs),
                 "value": record(x.value), "valid": x.valid,
                 "guard_detail": x.guard_detail,
@@ -74,7 +75,7 @@ def record(x) -> dict:
                                   "prec_bits": c.prec_bits,
                                   "lhs": c.lhs, "rhs": c.rhs}
                                  for c in x.certificates]}
-    return {"kind": x.kind, **asdict(x)}
+    return {"kind": x.kind, **dataclasses.asdict(x)}
 
 
 def _cells(key: str, value) -> dict:
@@ -122,6 +123,7 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
+        from .dominance import HypothesisError
         raise HypothesisError(f"{what} must be comma-separated integers, "
                               f"got {text!r}")
 
@@ -130,12 +132,14 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 # bound
 
 def cmd_bound(args) -> int:
+    from . import bounds
     if args.n > 10 ** N_DIGITS_MAX:
         raise ValueError(f"--n is over the budget of 10^{N_DIGITS_MAX}")
     if args.rank > BOUND_RANK_MAX:
         raise ValueError(f"rank {args.rank} is over the bound budget of "
                          f"rank {BOUND_RANK_MAX}")
-    rep = rn_upper(args.family, args.rank, args.n, args.p, bits=_bits(args))
+    rep = bounds.rn_upper(args.family, args.rank, args.n, args.p,
+                          bits=_bits(args))
     payload = record(rep)
     row = {"name": rep.name, **payload["inputs"], "valid": rep.valid,
            "value": payload["value"], "guard_detail": rep.guard_detail}
@@ -147,13 +151,15 @@ def cmd_bound(args) -> int:
 # witness
 
 def _engine_transcript(name: str, datum, w, m, mu, chain) -> list[str]:
+    from . import dominance
     combo = " + ".join(f"{c}*a{i + 1}" for i, c in
                        enumerate(chain.root_coeffs) if c)
     # the engine raised unless its chain and its promise verified
     lines = [f"engine {name} on weight {list(w)}"
              + (f" with m = {m}" if m is not None else ""),
              f"chain: witness = input - ({combo or '0'}); re-verified: True",
-             f"bracket: {bracket(datum, w)} -> {bracket(datum, mu)}"]
+             f"bracket: {dominance.bracket(datum, w)} -> "
+             f"{dominance.bracket(datum, mu)}"]
     if name == "good":
         lines.append("witness has every coefficient positive: True")
     elif name == "middle2":
@@ -162,17 +168,18 @@ def _engine_transcript(name: str, datum, w, m, mu, chain) -> list[str]:
 
 
 def cmd_witness(args) -> int:
+    from . import dominance, rootdata, witness
     w = _parse_ints(args.weight, "--weight")
     if args.engine == "a5":
         if args.rank not in (None, 5):
-            raise HypothesisError("engine a5 is fixed at rank 5")
+            raise dominance.HypothesisError("engine a5 is fixed at rank 5")
         if args.m is not None:
-            raise HypothesisError("engine a5 takes no --m")
-        datum = root_datum("A", 5)
+            raise dominance.HypothesisError("engine a5 takes no --m")
+        datum = rootdata.root_datum("A", 5)
         members = [{"witness": list(mu),
                     "root_coeffs": list(chain.root_coeffs),
-                    "orbit_length": orbit_length(datum, mu)}
-                   for mu, chain in a5_good_family(w)]
+                    "orbit_length": dominance.orbit_length(datum, mu)}
+                   for mu, chain in witness.a5_good_family(w)]
         payload = {
             "engine": "a5", "input": list(w), "members": len(members),
             "orbit_total": sum(m["orbit_length"] for m in members),
@@ -183,20 +190,22 @@ def cmd_witness(args) -> int:
                               for i, m in enumerate(members)])
         return 0
 
-    fn, takes_m = _SINGLE_ENGINES[args.engine]
+    fn, takes_m = witness.ENGINES[args.engine]
     if args.rank is None:
-        raise HypothesisError("--rank is required")
+        raise dominance.HypothesisError("--rank is required")
     if args.rank > WITNESS_RANK_MAX:
         raise ValueError(f"rank {args.rank} is over the witness budget of "
                          f"rank {WITNESS_RANK_MAX}")
-    datum = root_datum("A", args.rank)
+    datum = rootdata.root_datum("A", args.rank)
     if takes_m:
         if args.m is None:
-            raise HypothesisError(f"engine {args.engine} needs --m")
+            raise dominance.HypothesisError(
+                f"engine {args.engine} needs --m")
         mu, chain = fn(datum, w, args.m)
     else:
         if args.m is not None:
-            raise HypothesisError(f"engine {args.engine} takes no --m")
+            raise dominance.HypothesisError(
+                f"engine {args.engine} takes no --m")
         mu, chain = fn(datum, w)
     _emit(args, {
         "engine": args.engine, "rank": args.rank, "m": args.m,
@@ -213,14 +222,17 @@ def cmd_witness(args) -> int:
 
 def _margin(value, count: int) -> dict:
     """Bound minus exact count; lower endpoint is used for intervals."""
-    if isinstance(value, ExactValue):
+    from . import bounds
+    if isinstance(value, bounds.ExactValue):
         return {"kind": "exact", "value": value.value - count}
+    import mpmath
     with mpmath.workprec(64):
         return {"kind": "interval",
                 "value": mpmath.nstr(mpmath.mpf(value.lo) - count, 12)}
 
 
 def cmd_enumerate(args) -> int:
+    from . import bounds, dominance, rootdata
     top = BOX_MAX[args.bound]
     # p ** rank is over the budget once rank passes its bit length
     if args.p > 1 and args.p ** min(args.rank, top.bit_length()) > top:
@@ -229,13 +241,13 @@ def cmd_enumerate(args) -> int:
     if args.n_max > ROWS_MAX:
         raise ValueError(f"--n-max {args.n_max} is over the budget of "
                          f"{ROWS_MAX} rows")
-    if args.p < 2 or not _is_prime(args.p):
-        raise HypothesisError(
+    if args.p < 2 or not bounds._is_prime(args.p):
+        raise dominance.HypothesisError(
             "enumeration needs a prime characteristic; the restricted "
             "coefficient box is finite only then")
-    datum = root_datum(args.family, args.rank)
+    datum = rootdata.root_datum(args.family, args.rank)
     if args.n_max < 0:
-        raise HypothesisError("--n-max must be >= 0")
+        raise dominance.HypothesisError("--n-max must be >= 0")
     if args.cap < 1:
         raise ValueError(f"--cap must be >= 1, got {args.cap}")
     use_premet = args.bound == "premet"
@@ -243,9 +255,9 @@ def cmd_enumerate(args) -> int:
     overflow = 0
     for w in itertools.product(range(args.p), repeat=args.rank):
         try:
-            v = (premet_lower(datum, w, args.p, cap=args.cap)
-                 if use_premet else n_lambda(datum, w))
-        except SaturationCapError:
+            v = (bounds.premet_lower(datum, w, args.p, cap=args.cap)
+                 if use_premet else bounds.n_lambda(datum, w))
+        except dominance.SaturationCapError:
             # weight skipped; its bound exceeds any tabulated n
             overflow += 1
             continue
@@ -255,7 +267,7 @@ def cmd_enumerate(args) -> int:
     rows = []
     for n in range(1, args.n_max + 1):
         count = bisect_right(values, n)
-        rep = rn_upper(args.family, args.rank, n, args.p, bits=bits)
+        rep = bounds.rn_upper(args.family, args.rank, n, args.p, bits=bits)
         rows.append({"n": n, "count": count, "bound": record(rep.value),
                      "margin": _margin(rep.value, count),
                      "overflow": overflow})
@@ -270,12 +282,14 @@ def cmd_enumerate(args) -> int:
 # mullineux
 
 def cmd_mullineux(args) -> int:
-    lam = check_partition(_parse_ints(args.partition, "--partition"))
+    from . import partitions
+    lam = partitions.check_partition(
+        _parse_ints(args.partition, "--partition"))
     if sum(lam) > TWIST_CELLS_MAX:
         raise ValueError(f"partition of {sum(lam)} cells is over the twist "
                          f"budget of {TWIST_CELLS_MAX} cells")
-    img = mullineux(lam, args.p)
-    back = mullineux(img, args.p)
+    img = partitions.mullineux(lam, args.p)
+    back = partitions.mullineux(img, args.p)
     if back != tuple(lam):
         raise AssertionError("twist applied twice did not return the input")
     note = {0: "p = 0 acts by conjugation",
@@ -290,6 +304,7 @@ def cmd_mullineux(args) -> int:
 # verify
 
 def cmd_verify(args) -> int:
+    from .checks import suite_checks
     checks = suite_checks(args.suite)
     bits = _bits(args)
     results = []
@@ -362,7 +377,7 @@ def _parser_tree() -> argparse.ArgumentParser:
                          help=f"a prime below {PRIME_CEILING}")
 
     p_wit = command("witness", cmd_witness, "run a dominance witness engine")
-    p_wit.add_argument("engine", choices=(*_SINGLE_ENGINES, "a5"))
+    p_wit.add_argument("engine", choices=(*ENGINE_NAMES, "a5"))
     p_wit.add_argument("--rank", type=int, default=None,
                        help=f"at most {WITNESS_RANK_MAX}")
     p_wit.add_argument("--weight", required=True,
@@ -387,7 +402,7 @@ def _parser_tree() -> argparse.ArgumentParser:
     p_ver = command("verify", cmd_verify, "run a verification suite",
                     "--prec", "--scale")
     p_ver.add_argument("--suite", required=True,
-                       choices=(*SUITES, "all"))
+                       choices=(*SUITE_NAMES, "all"))
 
     p_mul = command("mullineux", cmd_mullineux,
                     "apply the sign-twist involution")
@@ -409,9 +424,10 @@ def _fail(kind: str, message: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from . import dominance
     try:
         return args.func(args)
-    except HypothesisError as e:
+    except dominance.HypothesisError as e:
         return _fail("hypothesis", str(e))
     except ValueError as e:
         return _fail("input", str(e))

@@ -13,7 +13,7 @@ from math import factorial
 
 from repgrowth.bounds import char2_counts, d1, f_interval, ratio_holds, \
     ratio_iv, zeta_tail_check
-from repgrowth.cli import suite_checks
+from repgrowth.checks import suite_checks
 from repgrowth.dominance import WitnessChain, bracket, is_good, orbit_length, \
     weyl_order, weyl_stabilizer_order
 from repgrowth.bounds import n_lambda, premet_lower

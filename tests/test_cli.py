@@ -35,11 +35,11 @@ def run(capsys, *argv):
 
 def _never_build_datum(monkeypatch):
     """Make building a root datum fail the test: a refusal must come first."""
-    from repgrowth import cli
+    from repgrowth import rootdata
 
     def refuse(family, rank):
         raise AssertionError(f"root datum {family}{rank} built")
-    monkeypatch.setattr(cli, "root_datum", refuse)
+    monkeypatch.setattr(rootdata, "root_datum", refuse)
 
 
 # --- bound -------------------------------------------------------------------
@@ -152,11 +152,11 @@ def test_bound_prints_the_exact_square_at_the_n_budget(capsys, family, rank,
 @pytest.mark.parametrize("n", (str(10 ** N_DIGITS_MAX + 1), "9" * 2200),
                          ids=("one-over", "2200-nines"))
 def test_bound_refuses_n_over_the_budget(capsys, monkeypatch, n, fmt):
-    from repgrowth import cli
+    from repgrowth import bounds
 
     def refuse(*args, **kw):
         raise AssertionError("a bound was computed")
-    monkeypatch.setattr(cli, "rn_upper", refuse)
+    monkeypatch.setattr(bounds, "rn_upper", refuse)
     code, out, err = run(capsys, "bound", "--family", "C", "--rank", "2",
                          "--n", n, "--p", "3", "--format", fmt)
     assert (code, out) == (1, "")
@@ -175,11 +175,11 @@ def test_n_help_states_the_budget(capsys):
 @pytest.mark.parametrize("rank", (str(BOUND_RANK_MAX + 1), "3000000"))
 def test_bound_refuses_ranks_over_the_budget(capsys, monkeypatch, family,
                                              rank):
-    from repgrowth import cli
+    from repgrowth import bounds
 
     def refuse(*args, **kw):
         raise AssertionError("a bound was computed")
-    monkeypatch.setattr(cli, "rn_upper", refuse)
+    monkeypatch.setattr(bounds, "rn_upper", refuse)
     code, out, err = run(capsys, "bound", "--family", family, "--rank", rank,
                          "--n", "50", "--p", "5")
     assert (code, out) == (1, "")
@@ -477,12 +477,12 @@ def test_enumerate_checks_the_characteristic_before_the_datum(capsys,
 
 
 def test_enumerate_refuses_rows_over_the_budget(capsys, monkeypatch):
-    from repgrowth import cli
+    from repgrowth import bounds, cli
 
     def refuse(*args, **kw):
         raise AssertionError("a row was bounded")
     _never_build_datum(monkeypatch)
-    monkeypatch.setattr(cli, "rn_upper", refuse)
+    monkeypatch.setattr(bounds, "rn_upper", refuse)
     assert cli.ROWS_MAX >= 30
     code, out, err = run(capsys, "enumerate", "--family", "A", "--rank", "1",
                          "--p", "3", "--n-max", str(cli.ROWS_MAX + 1))
@@ -548,9 +548,9 @@ def test_mullineux_zero_characteristic(capsys):
 
 
 def test_mullineux_self_check_failure_is_a_json_error(capsys, monkeypatch):
-    from repgrowth import cli
+    from repgrowth import partitions
 
-    monkeypatch.setattr(cli, "mullineux", lambda lam, p: (sum(lam),))
+    monkeypatch.setattr(partitions, "mullineux", lambda lam, p: (sum(lam),))
     code, out, err = run(capsys, "mullineux", "--p", "5", "--partition",
                          "3,1")
     assert (code, out) == (1, "")
@@ -593,7 +593,7 @@ def test_mullineux_twists_a_row_at_the_budget(capsys):
 ])
 def test_mullineux_twists_twice_per_request(capsys, monkeypatch, p,
                                             partition, m):
-    from repgrowth import cli, partitions
+    from repgrowth import partitions
 
     calls = []
     twist = partitions.mullineux
@@ -603,7 +603,6 @@ def test_mullineux_twists_twice_per_request(capsys, monkeypatch, p,
         return twist(lam, p)
 
     monkeypatch.setattr(partitions, "mullineux", counted)
-    monkeypatch.setattr(cli, "mullineux", counted)
     code, out, _ = run(capsys, "mullineux", "--p", str(p),
                        "--partition", partition)
     assert code == 0
@@ -689,6 +688,28 @@ def test_parser_built_once_and_answers_as_a_fresh_process(capsys,
         assert (code, out, err) == (fresh.returncode, fresh.stdout.decode(),
                                     fresh.stderr.decode())
     assert len(built) == 1
+
+
+def test_parser_literals_are_their_layers_values():
+    from repgrowth import (bounds, checks, cli, dominance, intervals,
+                           rootdata, witness)
+
+    assert cli.FAMILIES == rootdata.FAMILIES
+    assert cli.SUITE_NAMES == tuple(checks.SUITES)
+    assert cli.ENGINE_NAMES == tuple(witness.ENGINES)
+    assert cli.DEFAULT_REPORT_BITS == intervals.DEFAULT_REPORT_BITS
+    assert cli.DEFAULT_CEILING_BITS == intervals.DEFAULT_CEILING_BITS
+    assert cli.DEFAULT_CAP == dominance.DEFAULT_CAP
+    assert cli.PRIME_CEILING == bounds.PRIME_CEILING
+
+
+def test_engine_table_is_the_witness_layers_own():
+    from repgrowth import cli, witness
+
+    assert cli._SINGLE_ENGINES is witness.ENGINES
+    assert "_SINGLE_ENGINES" not in vars(cli)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
 
 
 @pytest.mark.parametrize("argv", [

@@ -330,11 +330,7 @@ def _representable(q: Fraction, bits: int) -> bool:
 PARTS = st.integers(1, 10 ** 300) | st.integers(1, 2 ** 20)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(-10 ** 300, 10 ** 300) | st.integers(-2 ** 20, 2 ** 20),
-       PARTS | st.integers(0, 1100).map(lambda k: 2 ** k))
-def test_exact_rounds_each_end_once(n, d):
-    q = Fraction(n, d)
+def _check_exact(q: Fraction) -> None:
     for bits in (16, 24, 32, 64, 128, 256, 512, 1024):
         lo, hi = map(_fraction, _at(bits, lambda: exact(q))._mpi_)
         old_lo, old_hi = map(_fraction,
@@ -343,6 +339,21 @@ def test_exact_rounds_each_end_once(n, d):
         assert old_lo <= lo <= hi <= old_hi
         assert (lo, hi) == _nearest_floats(q, bits)
         assert (lo == hi) == _representable(q, bits)
+
+
+def test_exact_rounds_fixed_examples_each_end_once():
+    # non-dyadic of both signs, small and past every precision, and one
+    # dyadic each precision represents
+    for q in (Fraction(1, 3), Fraction(-2, 7), Fraction(10 ** 40 + 1, 3),
+              Fraction(-1, 10 ** 30 + 7), Fraction(-5, 16)):
+        _check_exact(q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 300, 10 ** 300) | st.integers(-2 ** 20, 2 ** 20),
+       PARTS | st.integers(0, 1100).map(lambda k: 2 ** k))
+def test_exact_rounds_each_end_once(n, d):
+    _check_exact(Fraction(n, d))
 
 
 # --- contains -----------------------------------------------------------------

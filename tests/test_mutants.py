@@ -42,7 +42,7 @@ MUTANTS = (
      "                        from_rational(n, d, iv.prec, round_ceiling))",
      "(from_rational(n, d, iv.prec, round_ceiling),\n"
      "                        from_rational(n, d, iv.prec, round_floor))",
-     ["test_intervals.py::test_exact_rounds_each_end_once"]),
+     ["test_intervals.py::test_exact_rounds_fixed_examples_each_end_once"]),
     ("window-admits-zero", "witness.py",
      "if m is not None and not 1 <= m <= k:",
      "if m is not None and not 0 <= m <= k:",
@@ -148,6 +148,14 @@ MUTANTS = (
      "from importlib import import_module\nfrom . import bounds\n",
      ["test_package.py::"
       "test_combinatorial_layers_import_without_the_interval_stack"]),
+    ("cli-imports-bounds", "cli.py",
+     "from functools import cache\n",
+     "from functools import cache\n\nfrom . import bounds\n",
+     ["test_package.py::"
+      "test_the_parser_help_and_usage_errors_load_no_layer"]),
+    ("cli-family-literal-drops-G", "cli.py",
+     '"F", "G")', '"F")',
+     ["test_cli.py::test_parser_literals_are_their_layers_values"]),
     ("rebuild-step-reversed", "dominance.py",
      "step[parent - w]", "step[parent - w][::-1]",
      ["test_dominance.py::"

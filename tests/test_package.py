@@ -40,6 +40,39 @@ print(sorted(m for m in ("mpmath", "repgrowth.bounds", "repgrowth.intervals",
     assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
 
 
+def test_the_parser_help_and_usage_errors_load_no_layer():
+    done = _fresh("-c", """
+import contextlib, io, sys
+from repgrowth import cli
+cli.build_parser()
+for argv in (["--help"], ["bound", "--help"], ["verify"]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+print(sorted(m for m in sys.modules if m == "mpmath"
+             or m.startswith("repgrowth.") and m != "repgrowth.cli"))
+""")
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+
+
+def test_a_witness_command_loads_no_certification_layer():
+    # -X importtime names on stderr each module the run imports
+    done = _fresh("-X", "importtime", "-m", "repgrowth", "witness", "good",
+                  "--rank", "3", "--weight", "2,2,2", "--format", "csv")
+    assert done.returncode == 0
+    assert done.stdout.startswith("engine,rank,m,input,witness,")
+    loaded = {line.rsplit("|", 1)[1].strip()
+              for line in done.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"repgrowth.cli", "repgrowth.witness"} <= loaded
+    assert loaded.isdisjoint({"mpmath", "repgrowth.bounds",
+                              "repgrowth.intervals", "repgrowth.partitions",
+                              "repgrowth.checks"})
+
+
 def test_each_public_name_is_its_layers_own_object():
     assert repgrowth.__all__ == sorted(LAYER_OF)
     listed = dir(repgrowth)

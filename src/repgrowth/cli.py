@@ -424,12 +424,11 @@ def _fail(kind: str, message: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    from . import dominance
     try:
         return args.func(args)
-    except dominance.HypothesisError as e:
-        return _fail("hypothesis", str(e))
     except ValueError as e:
-        return _fail("input", str(e))
+        from .dominance import HypothesisError
+        return _fail("hypothesis" if isinstance(e, HypothesisError)
+                     else "input", str(e))
     except AssertionError as e:
         return _fail("self-check", str(e))

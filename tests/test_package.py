@@ -1,4 +1,5 @@
-"""The package root: what importing it costs, and what its names are."""
+"""The package root and its command module: what importing them and running
+a command costs, and what the root's names are."""
 
 import csv
 import importlib

@@ -1,9 +1,9 @@
 """Certified counting of small-dimensional irreducible representations.
 
-Subpackages split along the arithmetic involved: exact root-system and
-weight-orbit combinatorics (rootdata, dominance, witness), interval
-certification (intervals), count envelopes per family (bounds), and the
-partition / symmetric-group side (partitions).
+Subpackages split along the arithmetic involved: exact root-system,
+weight-orbit and partition combinatorics (rootdata, dominance, witness,
+partitions), interval certification (intervals), and the certified count
+bounds built on both (bounds).
 """
 
 from importlib import import_module

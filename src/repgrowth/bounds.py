@@ -3,9 +3,9 @@
 Counting arguments come in three flavors here: exact integers (products,
 binomials, saturated-set sums), certified interval enclosures (anything built
 from exp/log/zeta), and external facts (table lookups quoted by the source
-material).  Reports keep the three strictly apart: a BoundReport's value is
-tagged ExactValue, IntervalValue, or ExternalValue and downstream consumers
-must not coerce one into another.
+material).  Every BoundReport is built here, and keeps the three strictly
+apart: its value is tagged ExactValue, IntervalValue, or ExternalValue and
+downstream consumers must not coerce one into another.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from .dominance import (DEFAULT_CAP, HypothesisError, check_dominant,
                         saturated_weight_total)
 from .intervals import (Certificate, DEFAULT_CEILING_BITS,
                         DEFAULT_REPORT_BITS, certify_cmp, certify_less, exact,
-                        power, zeta_iv)
+                        exact_compare_cert, power, zeta_iv)
+from .partitions import (_twist, check_char, check_partition, is_prime,
+                         k_sum_majorant, partition_count)
 from .rootdata import RootDatum, _check_family_rank, is_restricted
 
 
@@ -106,36 +108,11 @@ def n_lambda(datum: RootDatum, w) -> int:
     return 1 + (datum.rank + 1) * (prod(1 + a // 2 for a in w) - 1)
 
 
-# Miller-Rabin to the first 13 prime bases decides primality exactly below
-# PRIME_CEILING = psi_13 (Sorenson and Webster, Math. Comp. 86, 2017).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PRIME_CEILING = 3317044064679887385961981
-
-
-def _is_prime(p: int) -> bool:
-    """Deterministic primality for p < PRIME_CEILING; ValueError above."""
-    if p >= PRIME_CEILING:
-        raise ValueError(f"primality is decided only below {PRIME_CEILING}")
-    if p < 2 or any(p % q == 0 for q in _MR_BASES):
-        return p in _MR_BASES
-    r = ((p - 1) & (1 - p)).bit_length() - 1   # p - 1 = d 2^r, d odd
-    for q in _MR_BASES:
-        x = pow(q, (p - 1) >> r, p)
-        if x != 1 and all(pow(x, 1 << i, p) != p - 1 for i in range(r)):
-            return False
-    return True
-
-
-def _check_char(p: int) -> None:
-    if p != 0 and not _is_prime(p):
-        raise HypothesisError(f"characteristic {p} is neither 0 nor prime")
-
-
 def premet_lower(datum: RootDatum, w, p: int, cap: int = DEFAULT_CAP) -> int:
     """Saturated-set weight count: a dimension lower bound for restricted
     highest weights away from the excluded small characteristics."""
     w = datum.check_weight(w)
-    _check_char(p)
+    check_char(p)
     if datum.family in ("B", "C", "F", "G") and p == 2:
         raise HypothesisError(
             "characteristic 2 excluded for two root lengths")
@@ -306,7 +283,7 @@ def rn_upper(family: str, rank: int, n: int, p: int,
     _check_family_rank(family, rank)
     if n < 1:
         raise HypothesisError("dimension cap must be >= 1")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise HypothesisError(f"characteristic {p} must be prime")
     report = partial(_report, _inputs(family=family, rank=rank, n=n, p=p))
     if n == 1:
@@ -375,3 +352,164 @@ def zeta_tail_check(s, extra, n0: int, double: bool = False,
         return 1 - power(n0, -s)
 
     return certify_cmp(lhs, rhs, strict=True, ceiling_bits=ceiling_bits)
+
+
+# ---------------------------------------------------------------------------
+# Partition envelopes and the symmetric/alternating count bound.
+
+def partition_envelope_iv(n: int):
+    """Interval value of exp(pi*sqrt(2n/3)) = exp(2*pi*sqrt(n/6))."""
+    return exp_envelope(1, Fraction(n, 6))
+
+
+def partition_bound(n: int, bits: int = DEFAULT_REPORT_BITS) -> BoundReport:
+    """p(n) against its exponential envelope, certified."""
+    if n < 1:
+        raise HypothesisError("envelope comparison needs n >= 1")
+    pn = partition_count(n)
+    return _report(_inputs(n=n), "partition-envelope",
+                   _interval_value(lambda: partition_envelope_iv(n), bits),
+                   f"exact p({n}) = {pn} compared against the envelope",
+                   certify_cmp(lambda: exact(pn),
+                               lambda: partition_envelope_iv(n),
+                               strict=True, ceiling_bits=bits))
+
+
+def k_sum_bound(cap: int, bits: int = DEFAULT_REPORT_BITS) -> BoundReport:
+    """The ((N+1)(N+2)/2)*exp(2*pi*sqrt(N/3)) envelope over the cumulative
+    coefficient sum, certified through the rank-independent majorant."""
+    if cap < 0:
+        raise HypothesisError("need cap >= 0")
+    maj = k_sum_majorant(cap)
+
+    def rhs():
+        return exp_envelope(Fraction((cap + 1) * (cap + 2), 2),
+                            Fraction(cap, 3))
+
+    strict = cap > 0
+    note = "" if strict else "; boundary cap = 0 compares non-strictly " \
+                            "(both sides equal 1)"
+    return _report(_inputs(cap=cap), "coefficient-sum-envelope",
+                   _interval_value(rhs, bits),
+                   f"rank-independent majorant = {maj}{note}",
+                   certify_cmp(lambda: exact(maj), rhs, strict=strict,
+                               ceiling_bits=bits))
+
+
+def bound3_value(lam, p: int) -> BoundReport:
+    """Dimension lower bound 2^((n - m_p)/2) as an exact half-power of 2."""
+    lam = check_partition(lam)
+    n = sum(lam)
+    if n < 5:
+        raise HypothesisError("the half-power bound needs |partition| >= 5")
+    m = max(lam[0], _twist(lam, p)[0])
+    return _report(_inputs(partition=",".join(map(str, lam)), p=p),
+                   "half-power-lower", Root2Power(halves=n - m),
+                   f"statistic m = {m}; compare by squaring only")
+
+
+def b_iv(n: int):
+    """Interval value of n^2.5/12.32 (exactly 25*n^2.5/308)."""
+    return exact(Fraction(25, 308)) * power(n, Fraction(5, 2))
+
+
+def b_less_cert(value: int, n: int) -> Certificate:
+    """value < 25*n^2.5/308, squared to stay in integers."""
+    return exact_compare_cert((308 * value) ** 2, 625 * n ** 5)
+
+
+def a_combination_cert() -> Certificate:
+    """(1 + 2^3.5) < 308/25, squared form of 2^3.5 < 283/25."""
+    return exact_compare_cert(625 * 128, 283 ** 2)
+
+
+# (n_low, r_cap): a dimension n >= n_low forces the rank r <= r_cap.
+SYM_WINDOWS = ((677, 60), (172, 39), (53, 21))
+
+# group -> (what lies below degree 11, name and reason of the combination
+# b(n) + 2 b(2n) reported above it)
+_SMALL_DEGREE = {
+    "cover": ("projective degree (external): at most the two "
+              "one-dimensional twists", "cover-reduction",
+              "n below 2^((r-3)/2): faithful spin representations are "
+              "excluded by an external reduction; the larger quotient bound "
+              "(alternating combination) is reported"),
+    "A": ("degree (external): at most the trivial module and one companion",
+          "alt-combination",
+          "restriction argument: count at n plus twice the count at 2n for "
+          "the symmetric group; the combined coefficient (1+2^3.5)/12.32 is "
+          "below 1"),
+}
+
+
+def sym_rn_bound(r: int, n: int, p: int, group: str = "S",
+                 bits: int = DEFAULT_REPORT_BITS) -> BoundReport:
+    """Certified count bound for irreducible representations of dimension
+    at most n, for the symmetric group (S), the alternating group (A), or
+    a double cover of either (cover)."""
+    if group not in ("S", "A", "cover"):
+        raise HypothesisError(f"group must be S, A, or cover, not {group!r}")
+    if r < 5:
+        raise HypothesisError("the growth statement needs r >= 5")
+    if n < 1:
+        raise HypothesisError("dimension cap must be >= 1")
+    check_char(p)
+    inp = _inputs(r=r, n=n, p=p, group=group)
+    report = partial(_report, inp)
+    if r <= 12:
+        return report("small-rank-tables",
+                      ExternalValue("5 <= r <= 12 checked against modular "
+                                    "character tables"),
+                      "external table fact; no certificate produced")
+    if n == 1:
+        return BoundReport(
+            name="below-case-analysis", inputs=inp,
+            value=ExternalValue("the case analysis assumes n >= 2"),
+            valid=False,
+            guard_detail="n = 1 sits below every branch of the argument")
+
+    thr = 2 ** ((r - 3) // 2)
+    if group == "cover" and n >= thr:
+        val = 4 * partition_count(r)
+        return report("cover-class-count", ExactValue(val),
+                      f"n >= 2^((r-3)/2) = {thr}: the class count 4*p(r); "
+                      "certificate compares squares against n^5",
+                      exact_compare_cert(val * val, n ** 5))
+
+    if group == "S":
+        if n >= 1503:
+            return report("sym-sublinear",
+                          _interval_value(lambda: b_iv(n), bits),
+                          "n >= 1503: the sublinear envelope stays below "
+                          "n^2.5/12.32",
+                          certify_cmp(lambda: f_interval("f5", n),
+                                      lambda: b_iv(n), strict=True,
+                                      ceiling_bits=bits))
+        if 2 * n < r * r - 5 * r + 2:
+            return report("sym-low-dimension", ExactValue(4),
+                          "n < (r^2-5r+2)/2: external low-degree "
+                          "classification leaves at most 4 modules",
+                          exact_compare_cert(16, n ** 5))
+        for n_low, r_cap in SYM_WINDOWS:
+            if n >= n_low:
+                if r > r_cap:
+                    raise AssertionError("window forces the rank cap")
+                val = partition_count(r)
+                return report(
+                    f"sym-window-{n_low}", ExactValue(val),
+                    f"window n >= {n_low} forces r <= {r_cap}; p({r_cap}) "
+                    f"certified below the envelope at {n_low}, monotone in n",
+                    exact_compare_cert(val, partition_count(r_cap),
+                                       strict=False),
+                    b_less_cert(partition_count(r_cap), n_low))
+        raise AssertionError("window dispatch must cover n >= 53")
+
+    # A, or the cover below its threshold
+    below, name, reason = _SMALL_DEGREE[group]
+    if n < 11:
+        return report("below-min-degree", ExactValue(2),
+                      f"n < 11 <= r - 2 <= minimal nontrivial {below}",
+                      exact_compare_cert(4, n ** 5))
+    return report(name,
+                  _interval_value(lambda: b_iv(n) + 2 * b_iv(2 * n), bits),
+                  reason, a_combination_cert())

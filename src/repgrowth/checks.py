@@ -21,17 +21,25 @@ from mpmath import iv
 
 from .bounds import (
     DISPLAYS,
+    SYM_WINDOWS,
+    a_combination_cert,
     a_large_iv,
+    b_iv,
+    b_less_cert,
     bound2_iv,
+    bound3_value,
     char2_counts,
     d1,
     d2,
     d3,
     f_interval,
+    k_sum_bound,
     n_lambda,
+    partition_bound,
     premet_lower,
     ratio_holds,
     ratio_iv,
+    sym_rn_bound,
     zeta_tail_check,
 )
 from .dominance import (
@@ -52,22 +60,14 @@ from .intervals import (
     power,
 )
 from .partitions import (
-    SYM_WINDOWS,
-    a_combination_cert,
-    b_iv,
-    b_less_cert,
-    bound3_value,
     conjugate,
     hook_length_dim,
     is_p_regular,
-    k_sum_bound,
     k_sum_exact,
     k_sum_majorant,
     mullineux,
     p_regular_partitions,
-    partition_bound,
     partition_count,
-    sym_rn_bound,
 )
 from .rootdata import root_datum
 from .witness import ENGINES, a5_good_family

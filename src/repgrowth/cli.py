@@ -41,7 +41,7 @@ WITNESS_RANK_MAX = 300
 # tests/test_cli.py: the families (rootdata), the suites (checks), the
 # single witness engines (witness), the report and ceiling precisions
 # (intervals), the saturated-set cap (dominance) and the primality ceiling
-# (bounds).
+# (partitions).
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 SUITE_NAMES = ("typeA", "char2", "nonA", "partitions", "symmetric")
 ENGINE_NAMES = ("incr", "middle", "m-good", "middle2", "good")
@@ -232,7 +232,7 @@ def _margin(value, count: int) -> dict:
 
 
 def cmd_enumerate(args) -> int:
-    from . import bounds, dominance, rootdata
+    from . import bounds, dominance, partitions, rootdata
     top = BOX_MAX[args.bound]
     # p ** rank is over the budget once rank passes its bit length
     if args.p > 1 and args.p ** min(args.rank, top.bit_length()) > top:
@@ -241,7 +241,7 @@ def cmd_enumerate(args) -> int:
     if args.n_max > ROWS_MAX:
         raise ValueError(f"--n-max {args.n_max} is over the budget of "
                          f"{ROWS_MAX} rows")
-    if args.p < 2 or not bounds._is_prime(args.p):
+    if args.p < 2 or not partitions.is_prime(args.p):
         raise dominance.HypothesisError(
             "enumeration needs a prime characteristic; the restricted "
             "coefficient box is finite only then")

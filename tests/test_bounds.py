@@ -6,12 +6,11 @@ from math import factorial, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repgrowth import bounds
+from repgrowth import partitions
 from repgrowth.bounds import (
     ExactValue,
     IntervalValue,
     DISPLAYS,
-    PRIME_CEILING,
     Root2Power,
     bound2_iv,
     char2_counts,
@@ -27,6 +26,7 @@ from repgrowth.bounds import (
 )
 from repgrowth.dominance import HypothesisError
 from repgrowth.intervals import FALSE, TRUE, enclosure
+from repgrowth.partitions import PRIME_CEILING
 from repgrowth.rootdata import RootDataError, root_datum
 
 from oracles import BudgetError, brute_g_count, g_count, harmonic
@@ -82,7 +82,7 @@ def test_premet_lower_rejects_composite_characteristic():
 
 def test_is_prime_matches_trial_division_below_1e5():
     for n in range(-3, 10 ** 5):
-        assert bounds._is_prime(n) == (
+        assert partitions.is_prime(n) == (
             n > 1 and all(n % d for d in range(2, isqrt(n) + 1))), n
 
 
@@ -92,20 +92,22 @@ def test_is_prime_matches_trial_division_below_1e5():
                                      (3825123056546413051, 11),
                                      (318665857834031151167461, 12)])
 def test_is_prime_exposes_the_strong_pseudoprimes(n, bases, monkeypatch):
-    assert not bounds._is_prime(n)
-    monkeypatch.setattr(bounds, "_MR_BASES", bounds._MR_BASES[:bases])
-    assert bounds._is_prime(n)
+    assert not partitions.is_prime(n)
+    monkeypatch.setattr(partitions, "_MR_BASES",
+                        partitions._MR_BASES[:bases])
+    assert partitions.is_prime(n)
 
 
 def test_is_prime_decides_large_numbers_and_refuses_the_ceiling():
-    assert bounds._is_prime(10 ** 18 + 3) and bounds._is_prime(2 ** 61 - 1)
+    assert partitions.is_prime(10 ** 18 + 3)
+    assert partitions.is_prime(2 ** 61 - 1)
     # Cole: 2^67 - 1 = 193707721 * 761838257287
     assert 193707721 * 761838257287 == 2 ** 67 - 1
-    assert not bounds._is_prime(2 ** 67 - 1)
-    assert not bounds._is_prime((10 ** 18 + 3) * 1000003)
+    assert not partitions.is_prime(2 ** 67 - 1)
+    assert not partitions.is_prime((10 ** 18 + 3) * 1000003)
     assert PRIME_CEILING == 3317044064679887385961981
     with pytest.raises(ValueError, match="only below"):
-        bounds._is_prime(PRIME_CEILING)
+        partitions.is_prime(PRIME_CEILING)
 
 
 def test_premet_lower_requires_restricted():

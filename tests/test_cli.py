@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import repgrowth
+from repgrowth.bounds import partition_bound, sym_rn_bound
 from repgrowth.cli import BOUND_RANK_MAX, N_DIGITS_MAX, main, record
-from repgrowth.partitions import partition_bound, sym_rn_bound
 
 
 def parse_csv(text: str) -> list[dict]:
@@ -510,7 +510,7 @@ def test_a_large_prime_characteristic_answers_quickly(capsys, argv):
     ("mullineux", "--partition", "1"),
 ], ids=("bound", "mullineux"))
 def test_a_characteristic_past_the_primality_ceiling_is_refused(capsys, argv):
-    from repgrowth.bounds import PRIME_CEILING
+    from repgrowth.partitions import PRIME_CEILING
 
     code, out, err = run(capsys, *argv, "--p", str(PRIME_CEILING))
     assert (code, out) == (1, "")
@@ -521,7 +521,7 @@ def test_a_characteristic_past_the_primality_ceiling_is_refused(capsys, argv):
 
 @pytest.mark.parametrize("command", ("bound", "enumerate", "mullineux"))
 def test_p_help_states_the_primality_ceiling(capsys, command):
-    from repgrowth.bounds import PRIME_CEILING
+    from repgrowth.partitions import PRIME_CEILING
 
     with pytest.raises(SystemExit):
         main([command, "--help"])
@@ -691,7 +691,7 @@ def test_parser_built_once_and_answers_as_a_fresh_process(capsys,
 
 
 def test_parser_literals_are_their_layers_values():
-    from repgrowth import (bounds, checks, cli, dominance, intervals,
+    from repgrowth import (checks, cli, dominance, intervals, partitions,
                            rootdata, witness)
 
     assert cli.FAMILIES == rootdata.FAMILIES
@@ -700,7 +700,7 @@ def test_parser_literals_are_their_layers_values():
     assert cli.DEFAULT_REPORT_BITS == intervals.DEFAULT_REPORT_BITS
     assert cli.DEFAULT_CEILING_BITS == intervals.DEFAULT_CEILING_BITS
     assert cli.DEFAULT_CAP == dominance.DEFAULT_CAP
-    assert cli.PRIME_CEILING == bounds.PRIME_CEILING
+    assert cli.PRIME_CEILING == partitions.PRIME_CEILING
 
 
 def test_engine_table_is_the_witness_layers_own():

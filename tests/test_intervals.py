@@ -20,13 +20,12 @@ from hypothesis import strategies as st
 from mpmath import iv
 
 from repgrowth import intervals
-from repgrowth.bounds import f_interval, ratio_iv
+from repgrowth.bounds import f_interval, partition_envelope_iv, ratio_iv
 from repgrowth.checks import CHECKS
 from repgrowth.intervals import (FALSE, POWER_GUARD_BITS, TRUE, UNKNOWN,
                                  _dirichlet_terms, _euler_maclaurin_tail,
                                  _fixed_power, certify_cmp, contains, exact,
                                  exact_compare_cert, power, zeta_iv)
-from repgrowth.partitions import partition_envelope_iv
 
 from oracles import (_iv_power, direct_zeta_iv, divided_exact,
                      envelope_reference, fraction_euler_maclaurin_tail)

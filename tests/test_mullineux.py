@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from repgrowth import partitions
+from repgrowth import bounds, partitions
+from repgrowth.bounds import bound3_value
 from repgrowth.dominance import HypothesisError
-from repgrowth.partitions import (bound3_value, conjugate, is_p_regular, m_p,
-                                  mullineux, p_regular_partitions)
+from repgrowth.partitions import (conjugate, hook_length_dim, is_p_regular,
+                                  m_p, mullineux, p_regular_partitions)
 
 from oracles import (
     LADDER_CONVENTION,
@@ -145,9 +146,11 @@ def test_each_twist_entry_checks_its_partition_once(monkeypatch, p):
         return check(lam)
 
     monkeypatch.setattr(partitions, "check_partition", counted)
-    for entry in (mullineux, m_p, bound3_value):
+    monkeypatch.setattr(bounds, "check_partition", counted)
+    for entry, args in ((mullineux, (p,)), (m_p, (p,)), (bound3_value, (p,)),
+                        (hook_length_dim, ())):
         seen.clear()
-        entry((5, 3, 1), p)
+        entry((5, 3, 1), *args)
         assert len(seen) == 1, entry.__name__
 
 

@@ -69,7 +69,7 @@ MUTANTS = (
      "width * 2 ** (bits + 1) <= top",
      "width * 2 ** (bits - 1) <= top",
      ["test_intervals.py::test_contains_starts_at_the_band_rung"]),
-    ("primality-base-dropped", "bounds.py",
+    ("primality-base-dropped", "partitions.py",
      "19, 23, 29, 31, 37, 41)", "19, 23, 29, 31, 37)",
      ["test_bounds.py::test_is_prime_exposes_the_strong_pseudoprimes"]),
     ("fixed-power-never-exact", "intervals.py",
@@ -135,7 +135,7 @@ MUTANTS = (
      ["test_dominance.py::test_dominance_witness_adjoint_a2"]),
     ("root-combination-drops-entry", "rootdata.py",
      "total += c * coeffs[j]", "total += coeffs[j]",
-     ["test_rootdata.py::test_root_combination_matches_dense_product[A-3]"]),
+     ["test_rootdata.py::test_root_combination_matches_simple_roots[A-3]"]),
     ("verify-catches-only-asserts", "cli.py",
      "except Exception as e:", "except AssertionError as e:",
      ["test_checks.py::test_verify_reports_a_raising_check_as_failed"]),
@@ -153,6 +153,11 @@ MUTANTS = (
      "from functools import cache\n\nfrom . import bounds\n",
      ["test_package.py::"
       "test_the_parser_help_and_usage_errors_load_no_layer"]),
+    ("partitions-imports-bounds", "partitions.py",
+     "    return q\n",
+     "    return q\n\n\nfrom . import bounds  # noqa: E402, F401\n",
+     ["test_package.py::"
+      "test_combinatorial_layers_import_without_the_interval_stack"]),
     ("cli-family-literal-drops-G", "cli.py",
      '"F", "G")', '"F")',
      ["test_cli.py::test_parser_literals_are_their_layers_values"]),

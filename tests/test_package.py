@@ -35,6 +35,7 @@ def test_combinatorial_layers_import_without_the_interval_stack():
     done = _fresh("-c", """
 import sys
 import repgrowth, repgrowth.rootdata, repgrowth.dominance, repgrowth.witness
+import repgrowth.partitions
 print(sorted(m for m in ("mpmath", "repgrowth.bounds", "repgrowth.intervals",
                          "repgrowth.checks") if m in sys.modules))
 """)
@@ -59,19 +60,36 @@ print(sorted(m for m in sys.modules if m == "mpmath"
     assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
 
 
-def test_a_witness_command_loads_no_certification_layer():
+@pytest.mark.parametrize("argv,header,layer,unused", [
+    (("witness", "good", "--rank", "3", "--weight", "2,2,2"),
+     "engine,rank,m,input,witness,", "repgrowth.witness",
+     {"repgrowth.partitions"}),
+    (("mullineux", "--p", "3", "--partition", "5,3,1"),
+     "p,partition,image,", "repgrowth.partitions", set()),
+], ids=("witness", "mullineux"))
+def test_a_witness_command_loads_no_certification_layer(argv, header, layer,
+                                                        unused):
     # -X importtime names on stderr each module the run imports
-    done = _fresh("-X", "importtime", "-m", "repgrowth", "witness", "good",
-                  "--rank", "3", "--weight", "2,2,2", "--format", "csv")
+    done = _fresh("-X", "importtime", "-m", "repgrowth", *argv,
+                  "--format", "csv")
     assert done.returncode == 0
-    assert done.stdout.startswith("engine,rank,m,input,witness,")
+    assert done.stdout.startswith(header)
     loaded = {line.rsplit("|", 1)[1].strip()
               for line in done.stderr.splitlines()
               if line.startswith("import time:")}
-    assert {"repgrowth.cli", "repgrowth.witness"} <= loaded
+    assert {"repgrowth.cli", layer} <= loaded
     assert loaded.isdisjoint({"mpmath", "repgrowth.bounds",
-                              "repgrowth.intervals", "repgrowth.partitions",
-                              "repgrowth.checks"})
+                              "repgrowth.intervals", "repgrowth.checks",
+                              *unused})
+
+
+def test_partition_bound_is_the_bounds_layers_own():
+    from repgrowth import bounds, partitions
+
+    assert partitions.partition_bound is bounds.partition_bound
+    assert "partition_bound" not in vars(partitions)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        partitions.no_such_name
 
 
 def test_each_public_name_is_its_layers_own_object():

@@ -5,24 +5,28 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repgrowth.bounds import ExactValue, ExternalValue, Root2Power
-from repgrowth.dominance import HypothesisError
-from repgrowth.partitions import (
+from repgrowth.bounds import (
+    ExactValue,
+    ExternalValue,
+    Root2Power,
     b_iv,
     bound3_value,
+    k_sum_bound,
+    partition_bound,
+    sym_rn_bound,
+)
+from repgrowth.dominance import HypothesisError
+from repgrowth.partitions import (
     check_partition,
     conjugate,
     hook_length_dim,
     is_p_regular,
-    k_sum_bound,
     k_sum_exact,
     k_sum_majorant,
     m_p,
     mullineux,
     p_regular_partitions,
-    partition_bound,
     partition_count,
-    sym_rn_bound,
 )
 from repgrowth.intervals import enclosure
 

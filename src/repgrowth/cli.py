@@ -63,19 +63,16 @@ def __getattr__(name: str):
 # Serialization.
 
 def record(x) -> dict:
-    """JSON form of a bound report or of a kind-tagged value."""
-    import dataclasses
-
-    from . import bounds
-    if isinstance(x, bounds.BoundReport):
-        return {"name": x.name, "inputs": dict(x.inputs),
-                "value": record(x.value), "valid": x.valid,
-                "guard_detail": x.guard_detail,
-                "certificates": [{"verdict": c.verdict,
-                                  "prec_bits": c.prec_bits,
-                                  "lhs": c.lhs, "rhs": c.rhs}
-                                 for c in x.certificates]}
-    return {"kind": x.kind, **dataclasses.asdict(x)}
+    """JSON form of a bound report or of a kind-tagged value, a flat
+    dataclass whose class names its kind."""
+    if hasattr(x, "kind"):
+        return {"kind": x.kind, **vars(x)}
+    return {"name": x.name, "inputs": dict(x.inputs),
+            "value": record(x.value), "valid": x.valid,
+            "guard_detail": x.guard_detail,
+            "certificates": [{"verdict": c.verdict, "prec_bits": c.prec_bits,
+                              "lhs": c.lhs, "rhs": c.rhs}
+                             for c in x.certificates]}
 
 
 def _cells(key: str, value) -> dict:
@@ -220,18 +217,19 @@ def cmd_witness(args) -> int:
 # ---------------------------------------------------------------------------
 # enumerate
 
-def _margin(value, count: int) -> dict:
-    """Bound minus exact count; lower endpoint is used for intervals."""
-    from . import bounds
-    if isinstance(value, bounds.ExactValue):
+def _margin(value, count: int, mpmath) -> dict:
+    """Bound minus exact count; lower endpoint is used for intervals.  The
+    caller hands in mpmath, which the bounds layer has loaded."""
+    if value.kind == "exact":
         return {"kind": "exact", "value": value.value - count}
-    import mpmath
     with mpmath.workprec(64):
         return {"kind": "interval",
                 "value": mpmath.nstr(mpmath.mpf(value.lo) - count, 12)}
 
 
 def cmd_enumerate(args) -> int:
+    import mpmath
+
     from . import bounds, dominance, partitions, rootdata
     top = BOX_MAX[args.bound]
     # p ** rank is over the budget once rank passes its bit length
@@ -269,7 +267,7 @@ def cmd_enumerate(args) -> int:
         count = bisect_right(values, n)
         rep = bounds.rn_upper(args.family, args.rank, n, args.p, bits=bits)
         rows.append({"n": n, "count": count, "bound": record(rep.value),
-                     "margin": _margin(rep.value, count),
+                     "margin": _margin(rep.value, count, mpmath),
                      "overflow": overflow})
     payload = {"family": args.family, "rank": args.rank, "p": args.p,
                "bound": args.bound, "cap": args.cap, "n_max": args.n_max,

@@ -19,8 +19,8 @@ from math import ceil, comb, floor, isqrt, lcm
 
 import mpmath
 from mpmath import iv
-from mpmath.libmp import (from_man_exp, from_rational, mpf_shift, mpi_str,
-                          round_ceiling, round_floor, to_int)
+from mpmath.libmp import (from_int, from_man_exp, from_rational, mpf_shift,
+                          mpi_str, round_ceiling, round_floor, to_int)
 
 DEFAULT_START_BITS = 64
 DEFAULT_CEILING_BITS = 1024
@@ -53,10 +53,12 @@ class Certificate:
 
 
 def exact(q):
-    """Enclose an int or Fraction at the current working precision, a
-    Fraction by one correctly rounded division per endpoint."""
+    """Enclose an int or Fraction at the current working precision, each
+    endpoint rounded once: an int's outward, a Fraction's by one correctly
+    rounded division."""
     if isinstance(q, int):
-        return iv.mpf(q)
+        return iv.make_mpf((from_int(q, iv.prec, round_floor),
+                            from_int(q, iv.prec, round_ceiling)))
     q = Fraction(q)
     n, d = q.numerator, q.denominator
     return iv.make_mpf((from_rational(n, d, iv.prec, round_floor),

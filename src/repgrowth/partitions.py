@@ -165,8 +165,21 @@ def conjugate(lam) -> Partition:
 
 
 def _conjugate(lam: Partition) -> Partition:
-    return tuple(sum(1 for a in lam if a >= j)
-                 for j in range(1, (lam[0] if lam else 0) + 1))
+    """Column lengths in one pass: i counts the rows reaching column j."""
+    conj, i = [], len(lam)
+    for j in range(1, (lam[0] if lam else 0) + 1):
+        while lam[i - 1] < j:
+            i -= 1
+        conj.append(i)
+    return tuple(conj)
+
+
+def _is_core(lam: Partition, p: int) -> bool:
+    """Whether lam is a p-core: no bead of its beta-set lam_i + len - 1 - i
+    slides p places down into a gap (no hook length is divisible by p)."""
+    top = len(lam) - 1
+    beta = {a + top - i for i, a in enumerate(lam)}
+    return all(x < p or x - p in beta for x in beta)
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +207,17 @@ def _signature(neg: list[int], i: int, p: int) -> tuple[list, list]:
 
 
 def mullineux(lam, p: int) -> Partition:
-    """The sign-twist involution on p-regular partitions; conjugation at
-    p = 0 and at p > |lam|, where the group algebra is semisimple, and the
-    identity at p = 2.  Otherwise it is the crystal automorphism
-    i -> -i (Kleshchev, J. reine angew. Math. 459, 1995; Ford and Kleshchev,
-    Math. Z. 226, 1997): any path of good-cell removals to the empty
-    partition, replayed with negated residues, gives the image.  A step
-    removes all good cells of the residue i of the topmost removable cell,
-    which ends the first r < p equal rows: the only + above it ends row 0,
-    has residue i + r, and so cannot cancel it."""
+    """The sign-twist involution on p-regular partitions; the identity at
+    p = 2, and conjugation at p = 0 and on p-cores, every partition when
+    p > |lam|: a p-core's Specht module is simple and projective (a block
+    of defect zero), so D^lam (x) sgn = S^lam' (James, LNM 682, 1978).
+    Otherwise it is the crystal automorphism i -> -i (Kleshchev, J. reine
+    angew. Math. 459, 1995; Ford and Kleshchev, Math. Z. 226, 1997): any
+    path of good-cell removals to the empty partition, replayed with negated
+    residues, gives the image.  A step removes all good cells of the residue
+    i of the topmost removable cell, which ends the first r < p equal rows:
+    the only + above it ends row 0, has residue i + r, and so cannot cancel
+    it."""
     return _twist(check_partition(lam), p)
 
 
@@ -211,10 +226,10 @@ def _twist(lam: Partition, p: int) -> Partition:
     check_char(p)
     if p and (part := _first_repeat(lam, p)) is not None:
         raise HypothesisError(f"part {part} repeats {p} times (p = {p})")
-    if p == 0 or p > sum(lam):
-        return _conjugate(lam)
     if p == 2:
         return lam
+    if p == 0 or _is_core(lam, p):
+        return _conjugate(lam)
     neg = [-a for a in lam] + [0]
     path = []
     while neg[0]:

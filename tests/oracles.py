@@ -444,6 +444,18 @@ def brute_syt_count(lam: tuple[int, ...]) -> int:
     return total
 
 
+def brute_is_core(lam: tuple[int, ...], p: int) -> bool:
+    """lam is a p-core: no cell of its diagram has a hook length divisible
+    by p, each hook counted cell by cell (no beta-numbers)."""
+    cells = {(r, c) for r, part in enumerate(lam) for c in range(part)}
+    for r, c in cells:
+        arm = sum(1 for cc in range(c + 1, lam[r]) if (r, cc) in cells)
+        leg = sum(1 for rr in range(r + 1, len(lam)) if (rr, c) in cells)
+        if (arm + leg + 1) % p == 0:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # The ladder route to the sign twist: crystal operators on partitions.
 #

@@ -77,6 +77,24 @@ def test_check_reports_fail(cid, name, fake, detail, monkeypatch):
     assert check.run(64, "desk") == ("fail", detail)
 
 
+@pytest.mark.parametrize("scale,calls", [("desk", 330), ("extended", 1104)])
+def test_involution_check_twists_each_partition_once(scale, calls,
+                                                     monkeypatch):
+    seen = []
+    twist = checks.mullineux
+
+    def counted(lam, p):
+        seen.append((lam, p))
+        return twist(lam, p)
+
+    monkeypatch.setattr(checks, "mullineux", counted)
+    check, = (c for c in checks.CHECKS if c.id == "p-041")
+    assert check.run(64, scale) == (
+        "pass", f"{calls} regular partitions up to size "
+        f"{14 if scale == 'extended' else 10}: twist twice returns the start")
+    assert len(seen) == len(set(seen)) == calls
+
+
 @pytest.mark.parametrize("error", [
     AssertionError("(3,) has no good cell"), TypeError("bad operand")])
 def test_verify_reports_a_raising_check_as_failed(error, monkeypatch,

@@ -329,7 +329,7 @@ def _representable(q: Fraction, bits: int) -> bool:
 PARTS = st.integers(1, 10 ** 300) | st.integers(1, 2 ** 20)
 
 
-def _check_exact(q: Fraction) -> None:
+def _check_exact(q: int | Fraction) -> None:
     for bits in (16, 24, 32, 64, 128, 256, 512, 1024):
         lo, hi = map(_fraction, _at(bits, lambda: exact(q))._mpi_)
         old_lo, old_hi = map(_fraction,
@@ -345,6 +345,17 @@ def test_exact_rounds_fixed_examples_each_end_once():
     # dyadic each precision represents
     for q in (Fraction(1, 3), Fraction(-2, 7), Fraction(10 ** 40 + 1, 3),
               Fraction(-1, 10 ** 30 + 7), Fraction(-5, 16)):
+        _check_exact(q)
+
+
+def test_exact_rounds_fixed_ints_each_end_once():
+    # 0, +-1, and +-(2^k +- 1) for k one below, at and one above each
+    # precision, so each int is exact at some precisions and rounded at
+    # the rest
+    ks = [bits + d for bits in (16, 24, 32, 64, 128, 256, 512, 1024)
+          for d in (-1, 0, 1)]
+    for q in (0, 1, -1, *(s * (2 ** k + d) for k in ks for d in (1, -1)
+                          for s in (1, -1))):
         _check_exact(q)
 
 

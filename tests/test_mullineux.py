@@ -17,6 +17,7 @@ from repgrowth.partitions import (conjugate, hook_length_dim, is_p_regular,
 from oracles import (
     LADDER_CONVENTION,
     LADDER_CONVENTIONS,
+    brute_is_core,
     brute_partitions,
     brute_regular,
     ladder_mullineux,
@@ -87,6 +88,28 @@ def test_large_p_degenerates_to_conjugation():
     for n in range(1, 11):
         for lam in brute_partitions(n):
             assert mullineux(lam, 11) == conjugate(lam)
+
+
+CORE_PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+@pytest.mark.parametrize("p", CORE_PRIMES)
+def test_core_test_matches_hook_lengths(p):
+    for n in range(17):
+        for lam in brute_partitions(n):
+            assert partitions._is_core(lam, p) == brute_is_core(lam, p), lam
+
+
+@pytest.mark.parametrize("p", CORE_PRIMES)
+def test_cores_twist_to_their_conjugate(p):
+    """A p-core's Specht module is simple and projective, so its twist is
+    its conjugate; the ladder route, which knows no cores, agrees."""
+    cores = [lam for n in range(17) for lam in brute_partitions(n)
+             if brute_is_core(lam, p)]
+    assert max(map(sum, cores)) >= p  # cores past the sizes below p
+    for lam in cores:
+        assert mullineux(lam, p) == conjugate(lam) == \
+            ladder_mullineux(lam, p), lam
 
 
 def test_rejects_irregular_with_located_part():
@@ -183,7 +206,7 @@ def test_library_matches_rim_route_exhaustive(p):
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
 def test_library_matches_ladder_route_exhaustive(p):
     """The ladder route removes one good cell per step, the library a
-    whole residue block, or none at p > n, where it conjugates."""
+    whole residue block, or none on a p-core, which it conjugates."""
     for n in range(1, 19):
         for lam in brute_regular(n, p):
             assert mullineux(lam, p) == ladder_mullineux(lam, p), lam

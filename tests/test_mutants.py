@@ -43,6 +43,12 @@ MUTANTS = (
      "(from_rational(n, d, iv.prec, round_ceiling),\n"
      "                        from_rational(n, d, iv.prec, round_floor))",
      ["test_intervals.py::test_exact_rounds_fixed_examples_each_end_once"]),
+    ("exact-int-rounding-swapped", "intervals.py",
+     "(from_int(q, iv.prec, round_floor),\n"
+     "                            from_int(q, iv.prec, round_ceiling))",
+     "(from_int(q, iv.prec, round_ceiling),\n"
+     "                            from_int(q, iv.prec, round_floor))",
+     ["test_intervals.py::test_exact_rounds_fixed_ints_each_end_once"]),
     ("window-admits-zero", "witness.py",
      "if m is not None and not 1 <= m <= k:",
      "if m is not None and not 0 <= m <= k:",
@@ -82,8 +88,11 @@ MUTANTS = (
      "_signature(neg, -i % p, p)", "_signature(neg, i % p, p)",
      ["test_mullineux.py::test_library_matches_ladder_route_exhaustive"]),
     ("twist-shortcut-at-p-equals-n", "partitions.py",
-     "p > sum(lam)", "p >= sum(lam)",
-     ["test_mullineux.py::test_library_matches_ladder_route_exhaustive"]),
+     "x < p or", "x <= p or",
+     ["test_mullineux.py::test_core_test_matches_hook_lengths"]),
+    ("core-bead-slides-p-minus-one", "partitions.py",
+     "x - p in beta", "x - p + 1 in beta",
+     ["test_mullineux.py::test_core_test_matches_hook_lengths"]),
     ("run-multiplicity-one", "witness.py",
      "kvec[t - 1] += times", "kvec[t - 1] += 1",
      ["test_witness.py::test_middle_pins"]),
@@ -100,7 +109,7 @@ MUTANTS = (
      "- i - j + 1", "- i - j + 2",
      ["test_partitions.py::test_hook_length_matches_brute"]),
     ("conjugate-strict", "partitions.py",
-     "a >= j", "a > j",
+     "lam[i - 1] < j", "lam[i - 1] <= j",
      ["test_partitions.py::test_conjugate_matches_brute"]),
     ("parabolic-height-shifted", "dominance.py",
      "height + 1", "height + 2",

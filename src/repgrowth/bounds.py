@@ -142,17 +142,27 @@ def ratio_iv(r: int, n: int):
 def ratio_holds(r: int, n: int,
                 ceiling_bits: int = DEFAULT_CEILING_BITS) -> Certificate:
     """Certificate for 5*(r+1)*loglog n < 9*log n (the exact form of the
-    1.8-ratio inequality), on its stated domain n >= max(6, (r+1)!)."""
+    1.8-ratio inequality), on its stated domain n >= max(6, (r+1)!).
+
+    log n is computed once per precision tried and shared by the two
+    sides; it is the enclosure each side would compute on its own, so the
+    certificate is the one with two logs."""
     if r < 1:
         raise HypothesisError("rank must be >= 1")
     if n < max(6, factorial(r + 1)):
         raise HypothesisError(
             f"ratio inequality needs n >= max(6, (r+1)!) = "
             f"{max(6, factorial(r + 1))}")
-    return certify_less(
-        lambda: iv.mpf(5 * (r + 1)) * iv.log(iv.log(iv.mpf(n))),
-        lambda: iv.mpf(9) * iv.log(iv.mpf(n)),
-        ceiling_bits=ceiling_bits)
+    logs = {}  # log n at each precision tried, shared by the two sides
+
+    def log_n():
+        if iv.prec not in logs:
+            logs[iv.prec] = iv.log(iv.mpf(n))
+        return logs[iv.prec]
+
+    return certify_less(lambda: iv.mpf(5 * (r + 1)) * iv.log(log_n()),
+                        lambda: iv.mpf(9) * log_n(),
+                        ceiling_bits=ceiling_bits)
 
 
 def exp_envelope(lead, inner):
@@ -184,6 +194,18 @@ _ENVELOPES = {
 F_NAMES = tuple(_ENVELOPES)
 
 
+def envelope_terms(name: str, arg: int):
+    """The exact (lead, inner) with f_name(arg) = E(lead, inner), or None
+    for f5, which is not of that form; the guards of `f_interval`."""
+    if name not in _ENVELOPES:
+        raise HypothesisError(
+            f"unknown envelope {name!r}; choose from {F_NAMES}")
+    what, least, terms = _ENVELOPES[name]
+    if arg < least:
+        raise HypothesisError(f"{name} needs {what} >= {least}")
+    return terms and terms(arg)
+
+
 def f_interval(name: str, arg: int):
     """Exponential count envelopes, evaluated at the working precision.
 
@@ -198,14 +220,9 @@ def f_interval(name: str, arg: int):
         f4(m) = E(2(m+1)^2, 2m/3)
         f5(n) = 4 g exp(2*pi*sqrt(g/3)), with g = log2 n
     """
-    if name not in _ENVELOPES:
-        raise HypothesisError(
-            f"unknown envelope {name!r}; choose from {F_NAMES}")
-    what, least, terms = _ENVELOPES[name]
-    if arg < least:
-        raise HypothesisError(f"{name} needs {what} >= {least}")
+    terms = envelope_terms(name, arg)
     if terms is not None:
-        return exp_envelope(*terms(arg))
+        return exp_envelope(*terms)
     lg = iv.log(iv.mpf(arg)) / iv.log(iv.mpf(2))
     return 4 * lg * iv.exp(2 * iv.pi * iv.sqrt(lg / 3))
 

@@ -12,8 +12,10 @@ a check is read from its id prefix.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial
 from typing import Callable
 
@@ -32,6 +34,7 @@ from .bounds import (
     d1,
     d2,
     d3,
+    envelope_terms,
     f_interval,
     k_sum_bound,
     n_lambda,
@@ -49,6 +52,7 @@ from .dominance import (
     weyl_stabilizer_order,
 )
 from .intervals import (
+    DEFAULT_START_BITS,
     FALSE,
     TRUE,
     UNKNOWN,
@@ -120,26 +124,125 @@ def by_scale(desk, extended) -> Callable[[str], object]:
     return lambda scale: extended if scale == "extended" else desk
 
 
-def sweep(var: str, points, make, ok) -> Runner:
-    """Certificate make(x, bits) at every point x; the points and the pass
-    text ok may be functions of the scale."""
-    def run(bits: int, scale: str) -> tuple[str, str]:
-        last_bits = 0
-        for x in points(scale) if callable(points) else points:
-            cert = make(x, bits)
-            if cert.verdict != TRUE:
-                verdict, detail = _cert_result(cert)
+def sweep(var: str, points, step, ok) -> Runner:
+    """A certificate at every point x; the points and the pass text ok may
+    be functions of the scale.
+
+    step is make(x, bits), one certificate per point, or the (lhs, rhs,
+    keys) of `f_below`.  Then, when the keys show both sides nondecreasing
+    along the points, blocks cover the sweep from the top point x_j down:
+    x_j is certified on the full ladder, and the block reaches down to the
+    smallest x_i with lhs(x_j) < rhs(x_i) decided at the ladder's first
+    rung (galloping down from x_j, then bisecting).  Each side is
+    evaluated at most once per point and precision in a run, so a sweep
+    that passes makes no more evaluations than the pointwise loop.  When
+    the keys are not monotone, or an end point's certificate is not true,
+    the pointwise loop runs from the first point, and its first failure
+    and detail are those of a sweep without blocks.  The pass text gives
+    the highest precision of the certificates used.  The runner is a
+    partial of `_sweep`, so its args are the row's.
+    """
+    return partial(_sweep, var, points, step, ok)
+
+
+def _sweep(var: str, points, step, ok, bits: int,
+           scale: str) -> tuple[str, str]:
+    xs = list(points(scale) if callable(points) else points)
+    cert = _certifier(step, xs, bits)
+    top = _cover(cert, len(xs), bits) if _monotone(step, xs) else None
+    if top is None:
+        top = 0
+        for i, x in enumerate(xs):
+            c = cert(i, i)
+            if c.verdict != TRUE:
+                verdict, detail = _cert_result(c)
                 return verdict, f"{var} = {x}: {detail}"
-            last_bits = max(last_bits, cert.prec_bits)
-        text = ok(scale) if callable(ok) else ok
-        return "pass", f"{text} (up to {last_bits} bits)"
-    return run
+            top = max(top, c.prec_bits)
+    text = ok(scale) if callable(ok) else ok
+    return "pass", f"{text} (up to {top} bits)"
 
 
-def f_below(name: str, rhs):
-    """Sweep step: certified f_name(x) < rhs(x)."""
-    return lambda x, bits: certify_less(lambda: f_interval(name, x),
-                                        lambda: rhs(x), ceiling_bits=bits)
+def _certifier(step, xs, bits: int):
+    """cert(j, i, ceiling): lhs(x_j) < rhs(x_i), up to the ceiling; a make
+    step certifies only j == i."""
+    if callable(step):
+        return lambda j, i, ceiling=bits: step(xs[j], ceiling)
+    memo = {}
+
+    def side(k: int, i: int):
+        def value():
+            key = (k, i, iv.prec)
+            if key not in memo:
+                memo[key] = step[k](xs[i])
+            return memo[key]
+        return value
+
+    return lambda j, i, ceiling=bits: certify_less(side(0, j), side(1, i),
+                                                   ceiling_bits=ceiling)
+
+
+def _monotone(step, xs) -> bool:
+    """Whether the exact keys of an `f_below` step make both sides
+    nondecreasing along xs: in range, and none falls between consecutive
+    points."""
+    if callable(step):
+        return False
+    # below the first point: the least (lead, inner, base, expo) in range,
+    # lead also > 0; keys are read up to the first that falls
+    prev = (0, 0, 1, 0)
+    for x in xs:
+        key = step[2](x)
+        if key[0] <= 0 or any(map(operator.gt, prev, key)):
+            return False
+        prev = key
+    return True
+
+
+def _cover(cert, n: int, bits: int):
+    """Cover points 0 .. n-1 by blocks from the top down; the highest
+    precision used, or None when an end point's certificate is not true."""
+    rung = min(DEFAULT_START_BITS, bits)
+    top, j = 0, n - 1
+    while j >= 0:
+        end = cert(j, j)
+        if end.verdict != TRUE:
+            return None
+        top = max(top, end.prec_bits)
+        # the block is good .. j; probes gallop down from j to the first
+        # that fails (bad), then bisect between bad and good
+        good, bad, d = j, -1, 1
+        while good > 0 and bad < 0:
+            i = max(j - d, 0)
+            if cert(j, i, rung).verdict == TRUE:
+                good, d = i, 2 * d
+            else:
+                bad = i
+        while good - bad > 1:
+            i = (good + bad) // 2
+            if cert(j, i, rung).verdict == TRUE:
+                good = i
+            else:
+                bad = i
+        j = good - 1
+    return top
+
+
+def f_below(name: str, base, expo):
+    """Sweep step: certified f_name(x) < base(x)^expo(x), as (lhs, rhs,
+    keys) functions of x.
+
+    The keys are exact: (lead, inner) of f_name(x) = lead exp(2 pi
+    sqrt(inner)), read from `bounds.envelope_terms`, and (base, expo) of
+    the power.  Lemma: lead exp(2 pi sqrt(inner)) rises in lead > 0 and
+    in inner >= 0, and base^expo rises in base >= 1 and in expo >= 0.  So
+    when the keys are in those ranges and none falls from one point to the
+    next, both sides are nondecreasing along the points, and for i <= k <=
+    j, f(x_j) < g(x_i) gives f(x_k) <= f(x_j) < g(x_i) <= g(x_k): one
+    certificate covers the block x_i .. x_j (see `sweep`).
+    """
+    return (lambda x: f_interval(name, x),
+            lambda x: power(base(x), expo(x)),
+            lambda x: (*envelope_terms(name, x), base(x), Fraction(expo(x))))
 
 
 def pin(got, want) -> Runner:
@@ -417,30 +520,31 @@ CHECKS: tuple[Check, ...] = (
                "; readout one rank below the quoted threshold")),
     Check("a-040", "f4(m) < 2^(m+1) for 80 <= m <= 200",
           sweep("m", range(80, 201),
-                f_below("f4", lambda m: exact(2 ** (m + 1))),
+                f_below("f4", lambda m: 2, lambda m: m + 1),
                 "all m in [80, 200] certified")),
     Check("a-041", "f4(m) < (2^(m+1))^(19/5) for 6 <= m <= 79",
           sweep("m", range(6, 80),
-                f_below("f4", lambda m: power(2, Fraction(19 * (m + 1), 5))),
+                f_below("f4", lambda m: 2,
+                        lambda m: Fraction(19 * (m + 1), 5)),
                 "all m in [6, 79] certified")),
     Check("a-050", "f1(r) < d2(r)^(94/25) on the mid-range rank sweep",
           sweep("r", by_scale(_SPOT_RANKS, range(19, 730)),
-                f_below("f1", lambda r: power(d2(r), Fraction(94, 25))),
+                f_below("f1", d2, lambda r: Fraction(94, 25)),
                 by_scale("ranks [19, 100, 365, 729] certified",
                          "ranks [19, 20, 21, 22]... certified"))),
     Check("a-051", "f2(r) < d1(r)^(94/25) on the mid-range rank sweep",
           sweep("r", by_scale(_SPOT_RANKS + (1000,), range(19, 730)),
-                f_below("f2", lambda r: power(d1(r), Fraction(94, 25))),
+                f_below("f2", d1, lambda r: Fraction(94, 25)),
                 "spot ranks certified; the exponent gap widens with the "
                 "rank")),
     Check("a-052", "f1(r) < d3(r)^(29/10) for 11 <= r <= 19",
           sweep("r", range(11, 20),
-                f_below("f1", lambda r: power(d3(r), Fraction(29, 10))),
+                f_below("f1", d3, lambda r: Fraction(29, 10)),
                 "all r in [11, 19] certified")),
     Check("a-053", "f3(r) < n^(329/100) at n = (r+1)^4 for 11 <= r <= 18",
           sweep("r", range(11, 19),
-                f_below("f3", lambda r: power((r + 1) ** 4,
-                                              Fraction(329, 100))),
+                f_below("f3", lambda r: (r + 1) ** 4,
+                        lambda r: Fraction(329, 100)),
                 "all r in [11, 18] at the floor n = (r+1)^4; rises with n")),
     Check("a-060", "5(r+1)loglog n < 9 log n at n = (r+1)! for "
           "5 <= r <= 69",

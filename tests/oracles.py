@@ -428,6 +428,36 @@ def envelope_reference(name: str, arg: int):
 
 
 # ---------------------------------------------------------------------------
+# Certified sweeps and the ratio inequality, one plain certificate at a time.
+
+def pointwise_sweep(var: str, points, step, ok, bits: int, scale: str):
+    """`checks.sweep` with no blocks and no shared evaluations: lhs(x) <
+    rhs(x) on its own ladder at each point in order; (verdict, detail) of
+    the first that is not certified, else the pass text with the highest
+    precision used.  Takes a sweep row's args, then the run's bits and
+    scale."""
+    lhs, rhs, _ = step
+    top = 0
+    for x in points(scale) if callable(points) else points:
+        cert = certify_less(lambda: lhs(x), lambda: rhs(x),
+                            ceiling_bits=bits)
+        if not cert.certified:
+            verdict = "fail" if cert.verdict == "false" else "unknown"
+            return verdict, (f"{var} = {x}: lhs = {cert.lhs}, rhs = "
+                             f"{cert.rhs} ({cert.prec_bits} bits)")
+        top = max(top, cert.prec_bits)
+    text = ok(scale) if callable(ok) else ok
+    return "pass", f"{text} (up to {top} bits)"
+
+
+def ratio_two_logs(r: int, n: int, ceiling_bits: int) -> Certificate:
+    """5(r+1) loglog n < 9 log n with each side taking its own log n."""
+    return certify_less(
+        lambda: iv.mpf(5 * (r + 1)) * iv.log(iv.log(iv.mpf(n))),
+        lambda: iv.mpf(9) * iv.log(iv.mpf(n)), ceiling_bits=ceiling_bits)
+
+
+# ---------------------------------------------------------------------------
 # Standard tableaux by corner recursion (no hook products).
 
 @lru_cache(maxsize=None)

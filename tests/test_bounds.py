@@ -6,7 +6,7 @@ from math import factorial, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repgrowth import partitions
+from repgrowth import bounds, partitions
 from repgrowth.bounds import (
     ExactValue,
     IntervalValue,
@@ -17,6 +17,7 @@ from repgrowth.bounds import (
     d1,
     d2,
     d3,
+    envelope_terms,
     f_interval,
     n_lambda,
     premet_lower,
@@ -25,11 +26,12 @@ from repgrowth.bounds import (
     zeta_tail_check,
 )
 from repgrowth.dominance import HypothesisError
-from repgrowth.intervals import FALSE, TRUE, enclosure
+from repgrowth.intervals import FALSE, TRUE, UNKNOWN, enclosure
 from repgrowth.partitions import PRIME_CEILING
 from repgrowth.rootdata import RootDataError, root_datum
 
-from oracles import BudgetError, brute_g_count, g_count, harmonic
+from oracles import (BudgetError, brute_g_count, g_count, harmonic,
+                     ratio_two_logs)
 
 
 def interval_holds(value: IntervalValue, point) -> bool:
@@ -171,6 +173,33 @@ def test_ratio_holds_rank_guard():
     assert str(err.value) == "rank must be >= 1"
 
 
+# r = 38: 9 log n - 195 loglog n changes sign between NEAR and NEAR + 1
+NEAR = 20262839404940409998235145445533516852460681
+
+
+@pytest.mark.parametrize("r,n,bits,verdict,decided", [
+    (1, 6, 1024, TRUE, 64),
+    (5, 720, 1024, TRUE, 64),
+    (10, factorial(11), 1024, TRUE, 64),
+    (10, factorial(11), 24, TRUE, 24),
+    (69, factorial(70), 1024, TRUE, 64),
+    # below the stated domain, where the two sides come close
+    (4, 29, 1024, FALSE, 64),
+    (38, NEAR, 1024, FALSE, 256),
+    (38, NEAR + 1, 1024, TRUE, 256),
+    (38, NEAR, 128, UNKNOWN, 128),
+])
+def test_ratio_holds_matches_the_two_log_oracle(r, n, bits, verdict, decided,
+                                                monkeypatch):
+    # lift the domain guard n >= (r+1)! so that near ties can be reached
+    monkeypatch.setattr(bounds, "factorial", lambda k: 1)
+    got, want = ratio_holds(r, n, ceiling_bits=bits), ratio_two_logs(r, n,
+                                                                     bits)
+    assert (got.verdict, got.prec_bits) == (verdict, decided)
+    assert (got.verdict, got.prec_bits, got.lhs, got.rhs) == \
+        (want.verdict, want.prec_bits, want.lhs, want.rhs)
+
+
 # --- exponential envelopes ---------------------------------------------------
 
 def test_f4_at_zero_is_two():
@@ -202,9 +231,17 @@ def test_f_interval_guards():
               "('f1', 'f2', 'f3', 'f4', 'f5')"),
 ])
 def test_f_interval_refuses_below_the_least_argument(name, arg, message):
-    with pytest.raises(HypothesisError) as err:
-        f_interval(name, arg)
-    assert str(err.value) == message
+    for fn in (f_interval, envelope_terms):
+        with pytest.raises(HypothesisError) as err:
+            fn(name, arg)
+        assert str(err.value) == message
+
+
+def test_envelope_terms_are_the_exact_lead_and_inner():
+    assert envelope_terms("f4", 3) == (32, 2)
+    assert envelope_terms("f1", 2) == (Fraction(81, 8), Fraction(5, 6))
+    assert envelope_terms("f2", 3) == (Fraction(361, 18), Fraction(13, 9))
+    assert envelope_terms("f5", 10) is None
 
 
 def test_threshold_pins():

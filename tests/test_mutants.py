@@ -1,16 +1,19 @@
 """The mutation table: each row breaks one line of `src/` on purpose and
 names the tests that must catch it.
 
-A row is (module, exact old text, new text, node ids).  The test copies
+A row is (name, module, exact old text, new text, node ids).  One helper
+process, `mutant_runner.py`, runs the whole table: for each row it copies
 `src/` to a temporary directory, checks that the old text occurs exactly
-once there (so a row breaks loudly when the code it mutates moves), applies
-the mutant and runs the named node ids against the copy in a subprocess,
-Hypothesis seeded so each run draws the same examples.  They must fail:
-exit status 1, which pytest gives for failed tests and not for a collection
-error or an unknown node id."""
+once there (so a row breaks loudly when the code it mutates moves),
+applies the mutant and runs the named node ids against the copy in a
+forked child, Hypothesis seeded so each run draws the same examples.  They
+must fail: exit status 1, which pytest gives for failed tests and not for
+a collection error or an unknown node id.  A control run of every row's
+node ids on an unmutated copy, in the same environment, must pass: so a
+row is not caught by a failure that has nothing to do with its mutant."""
 
+import json
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +23,6 @@ import pytest
 pytestmark = pytest.mark.mutants
 
 TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src"
 
 MUTANTS = (
     ("lazy-text-at-ambient-precision", "intervals.py",
@@ -83,10 +85,10 @@ MUTANTS = (
      ["test_intervals.py::test_power_is_a_point_exactly_when_it_is_dyadic"]),
     ("signature-never-cancels", "partitions.py",
      "if minus:", "if False:",
-     ["test_mullineux.py::test_library_matches_ladder_route_exhaustive"]),
+     ["test_mullineux.py::test_library_matches_ladder_route_exhaustive[3]"]),
     ("twist-rebuild-unnegated", "partitions.py",
      "_signature(neg, -i % p, p)", "_signature(neg, i % p, p)",
-     ["test_mullineux.py::test_library_matches_ladder_route_exhaustive"]),
+     ["test_mullineux.py::test_library_matches_ladder_route_exhaustive[3]"]),
     ("twist-shortcut-at-p-equals-n", "partitions.py",
      "x < p or", "x <= p or",
      ["test_mullineux.py::test_core_test_matches_hook_lengths"]),
@@ -174,24 +176,51 @@ MUTANTS = (
      "step[parent - w]", "step[parent - w][::-1]",
      ["test_dominance.py::"
       "test_dominance_witness_matches_brute_search[B-2-lam2]"]),
+    ("block-probe-reads-f-at-i", "checks.py",
+     "certify_less(side(0, j), side(1, i),",
+     "certify_less(side(0, i), side(1, i),",
+     ["test_checks.py::"
+      "test_a_monotone_claim_failing_inside_a_block_is_reported"]),
+    ("key-check-always-passes", "checks.py",
+     "if key[0] <= 0 or any(map(operator.gt, prev, key)):", "if False:",
+     ["test_checks.py::test_a_base_that_dips_falls_back_and_reports_the_dip"]),
+    ("ratio-memo-ignores-precision", "bounds.py",
+     "if iv.prec not in logs:\n"
+     "            logs[iv.prec] = iv.log(iv.mpf(n))\n"
+     "        return logs[iv.prec]",
+     "if 0 not in logs:\n"
+     "            logs[0] = iv.log(iv.mpf(n))\n"
+     "        return logs[0]",
+     ["test_bounds.py::test_ratio_holds_matches_the_two_log_oracle"]),
 )
+
+
+@pytest.fixture(scope="module")
+def table(request):
+    """The helper's result for the rows selected in this session."""
+    chosen = {item.callspec.params["name"] for item in request.session.items
+              if item.originalname == "test_mutant_is_caught"}
+    rows = [row for row in MUTANTS if row[0] in chosen] or list(MUTANTS)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(TESTS / "mutant_runner.py")],
+                          input=json.dumps(rows), capture_output=True,
+                          text=True, env=env, timeout=900)
+    assert done.returncode == 0, done.stdout + done.stderr
+    return rows, json.loads(done.stdout)
 
 
 @pytest.mark.parametrize("name,module,old,new,node_ids", MUTANTS,
                          ids=[row[0] for row in MUTANTS])
-def test_mutant_is_caught(name, module, old, new, node_ids, tmp_path):
-    src = tmp_path / "src"
-    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-    path = src / "repgrowth" / module
-    text = path.read_text()
-    assert text.count(old) == 1, f"{name}: old text not found exactly once"
-    path.write_text(text.replace(old, new))
-    env = {**os.environ, "PYTHONPATH": str(src),
-           "PYTHONDONTWRITEBYTECODE": "1"}
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--hypothesis-seed=0",
-         *(str(TESTS / node) for node in node_ids)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-    assert run.returncode == 1, (f"{name}: exit {run.returncode}, not 1\n"
-                                 f"{run.stdout}{run.stderr}")
+def test_mutant_is_caught(name, module, old, new, node_ids, table):
+    status, output = table[1]["rows"][name]
+    assert status == 1, f"{name}: exit {status}, not 1\n{output}"
+
+
+def test_every_row_passes_on_the_unmutated_copy(table):
+    rows, result = table
+    status, output, failed = result["control"]
+    named = [name for name, *_, nodes in rows
+             if any(f == f"tests/{node}" or f.startswith(f"tests/{node}[")
+                    for node in nodes for f in failed)]
+    assert status == 0, (f"control exit {status}; rows whose nodes fail "
+                         f"unmutated: {named}\n{output}")

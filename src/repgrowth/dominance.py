@@ -58,6 +58,7 @@ def bracket(datum: RootDatum, w: Weight) -> int:
     return _bracket(datum.rank, check_dominant(datum, w))
 
 
+@lru_cache(maxsize=None)
 def _bracket_weights(r: int) -> tuple[int, ...]:
     """min(i, r+1-i) for 1 <= i <= r: 1, 2, ..., 2, 1."""
     h = (r + 1) // 2

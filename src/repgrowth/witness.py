@@ -18,6 +18,7 @@ k+2 for even r.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 from .dominance import (HypothesisError, WitnessChain, _bracket,
@@ -83,22 +84,39 @@ def _incr_step(a: list[int], kvec: list[int], m: int) -> None:
         raise HypothesisError(
             f"hypothesis Σ i·a_i > m fails: "
             f"sum over i <= {m} is {_left_sum(a, m)}")
+    _incr_walk(a, kvec, m)
+
+
+def _incr_walk(a: list[int], kvec: list[int], m: int) -> None:
+    """The walk of _incr_step, on an a whose hypothesis the caller checked.
+
+    A shed at j < m loads a_{j+1}, and a_{j+1..m} were empty, so the next
+    largest loaded index is j + 1.
+    """
+    j = m
+    while not a[j - 1]:
+        j -= 1
     while True:
-        j = max(t for t in range(1, m + 1) if a[t - 1] > 0)
         if a[j - 1] >= 2:
             _sub_consec(a, kvec, j, j)
         else:
-            i = max(t for t in range(1, j) if a[t - 1] > 0)
+            # The scan cannot pass index 1: each shed with j < m keeps
+            # sum(i*a_i : i <= m) > m, which a unit a_j with nothing loaded
+            # below it would contradict, as the sum would be j <= m.
+            i = j - 1
+            while not a[i - 1]:
+                i -= 1
             _sub_consec(a, kvec, i, j)
         if j == m:
             return
+        j += 1
 
 
 def _feed(a: list[int], kvec: list[int], m: int) -> None:
     """_incr_step from the left when sum(i*a_i : i <= m) > m, else its
     mirror image on the last m coefficients, which raises a_{r-m}."""
     if _left_sum(a, m) > m:
-        _incr_step(a, kvec, m)
+        _incr_walk(a, kvec, m)
         return
     a.reverse()
     kvec.reverse()
@@ -248,6 +266,15 @@ def good_witness(datum: RootDatum, w) -> tuple[Weight, WitnessChain]:
 _RANK5_BETA = (0, 1, 3, 1, 0)  # alpha_2 + 3*alpha_3 + alpha_4
 
 
+@lru_cache(maxsize=None)
+def _a5_steps() -> tuple[tuple[Weight, Weight], ...]:
+    """The family's 243 root steps (delta, sum delta_i*alpha_i), delta over
+    {0, 1, 2}^5 lexicographically; a constant table, built on first use."""
+    datum = root_datum("A", 5)
+    return tuple((delta, datum.root_combination(delta))
+                 for delta in product(range(3), repeat=5))
+
+
 def a5_good_family(w) -> list[tuple[Weight, WitnessChain]]:
     """243 distinct good weights dominated by w (rank 5), each with a chain.
 
@@ -255,6 +282,8 @@ def a5_good_family(w) -> list[tuple[Weight, WitnessChain]]:
     case repeated bracket-preserving raises feed the middle coefficient
     until it reaches 25, then the family mu - 5*beta - delta is emitted for
     all delta with root coefficients in {0, 1, 2}, lexicographically.
+    Each member is the base minus a tabulated step, and its chain check
+    sums kvec + delta from w, so the two computations stay independent.
     """
     datum = root_datum("A", 5)
     w, _, _ = _require_type_a(datum, w)
@@ -273,9 +302,9 @@ def a5_good_family(w) -> list[tuple[Weight, WitnessChain]]:
     if not all(c >= 5 for c in gamma):
         raise AssertionError(f"family base {gamma} has a coefficient below 5")
     family = []
-    for delta in product(range(3), repeat=5):
-        member = sub(gamma, datum.root_combination(delta))
-        if not is_good(member):
+    for delta, step in _a5_steps():
+        member = sub(gamma, step)
+        if min(member) <= 0:
             raise AssertionError(f"member {member} has a zero coefficient")
         chain = WitnessChain(target=member, root_coeffs=add(kvec, delta))
         if not chain.verify(datum, w):

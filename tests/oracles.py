@@ -337,6 +337,50 @@ def brute_saturated_walk(datum, lam):
 
 
 # ---------------------------------------------------------------------------
+# The bracket-preserving raise of the type-A witness engines.
+
+def _shed_run(a: list[int], kvec: list[int], i: int, j: int) -> None:
+    """a -= alpha_i + ... + alpha_j through the dense type-A Cartan matrix;
+    the run goes into kvec."""
+    for t, row in enumerate(cartan_matrix("A", len(a))):
+        a[t] -= sum(row[s - 1] for s in range(i, j + 1))
+    for s in range(i, j + 1):
+        kvec[s - 1] += 1
+
+
+def scan_incr_step(a: list[int], kvec: list[int], m: int) -> None:
+    """The raise of `witness._incr_step` by rescanning: check the
+    hypothesis sum(i*a_i : i <= m) > m, then find the largest loaded index
+    j <= m, and a unit entry's partner below it, afresh before every shed."""
+    left = sum(i * a[i - 1] for i in range(1, m + 1))
+    if not left > m:
+        raise HypothesisError(
+            f"hypothesis Σ i·a_i > m fails: sum over i <= {m} is {left}")
+    while True:
+        j = max(t for t in range(1, m + 1) if a[t - 1] > 0)
+        if a[j - 1] >= 2:
+            _shed_run(a, kvec, j, j)
+        else:
+            i = max(t for t in range(1, j) if a[t - 1] > 0)
+            _shed_run(a, kvec, i, j)
+        if j == m:
+            return
+
+
+def scan_feed(a: list[int], kvec: list[int], m: int) -> None:
+    """`witness._feed` over scan_incr_step: from the left when
+    sum(i*a_i : i <= m) > m, else its mirror image."""
+    if sum(i * a[i - 1] for i in range(1, m + 1)) > m:
+        scan_incr_step(a, kvec, m)
+        return
+    a.reverse()
+    kvec.reverse()
+    scan_incr_step(a, kvec, m)
+    a.reverse()
+    kvec.reverse()
+
+
+# ---------------------------------------------------------------------------
 # Riemann zeta term by term.
 
 def divided_exact(q):

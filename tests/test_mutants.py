@@ -192,6 +192,12 @@ MUTANTS = (
      "            logs[0] = iv.log(iv.mpf(n))\n"
      "        return logs[0]",
      ["test_bounds.py::test_ratio_holds_matches_the_two_log_oracle"]),
+    ("a5-step-of-reversed-delta", "witness.py",
+     "datum.root_combination(delta))", "datum.root_combination(delta[::-1]))",
+     ["test_witness.py::test_a5_family_canonical_input"]),
+    ("unit-scan-starts-at-j", "witness.py",
+     "i = j - 1", "i = j",
+     ["test_witness.py::test_incr_pins"]),
 )
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -14,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from repgrowth.dominance import HypothesisError, WitnessChain, bracket, is_good
 from repgrowth.rootdata import RootDataError, root_datum
 from repgrowth.witness import (
+    _feed,
+    _incr_step,
     a5_good_family,
     good_witness,
     incr_witness,
@@ -23,7 +26,7 @@ from repgrowth.witness import (
 )
 
 from oracles import (brute_weights_up_to, dense_root_combination,
-                     simple_root_coefficients)
+                     scan_feed, scan_incr_step, simple_root_coefficients)
 
 
 def centre(r):
@@ -43,6 +46,8 @@ def window(r, m):
 INCR_PINS = [
     (3, (3, 1, 0), 1, (1, 2, 0), (1, 0, 0)),
     (5, (0, 3, 0, 0, 1), 2, (1, 1, 1, 0, 1), (0, 1, 0, 0, 0)),
+    # two unit sheds, the second past the empty a_2
+    (7, (2, 1, 0, 0, 0, 0, 0), 3, (0, 0, 0, 1, 0, 0, 0), (2, 2, 1, 0, 0, 0, 0)),
 ]
 
 MIDDLE_PINS = [
@@ -303,6 +308,38 @@ def test_exhaustive_sweep_small_ranks():
     assert all(count > 50 for count in hits.values()), hits
 
 
+def _raise(step, w, m):
+    """(a, kvec) after step on w, or the refusal's message."""
+    a, kvec = list(w), [0] * len(w)
+    try:
+        step(a, kvec, m)
+    except HypothesisError as e:
+        return str(e)
+    return tuple(a), tuple(kvec)
+
+
+def test_raise_matches_the_scanning_oracle():
+    """_incr_step and _feed leave the oracle's (a, kvec), and refuse with
+    its message on exactly its refusals, on every dominant weight of ranks
+    1..7 with coefficient sum <= 8 and every 1 <= m <= k.  The weights are
+    closed under reversal, so _feed runs on both sides."""
+    sides = Counter()
+    for rank in range(1, 8):
+        for w in brute_weights_up_to(rank, 8):
+            for m in range(1, centre(rank) + 1):
+                assert _raise(_incr_step, w, m) == _raise(scan_incr_step,
+                                                          w, m)
+                expect = _raise(scan_feed, w, m)
+                assert _raise(_feed, w, m) == expect
+                if isinstance(expect, str):
+                    sides["refused"] += 1
+                else:
+                    left = sum(i * w[i - 1] for i in range(1, m + 1)) > m
+                    sides["left" if left else "mirror"] += 1
+    # 13,338 fed from the left, 7,566 from the mirror, 7,641 refused
+    assert min(sides.values()) > 1000, sides
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(3, 9), st.data())
 def test_good_witness_property(rank, data):
@@ -371,6 +408,8 @@ def test_a5_family_bracket_route():
 @pytest.mark.parametrize("w,base", [
     ((0, 0, 25, 0, 0), (0, 5, 15, 5, 0)),
     ((20, 10, 1, 10, 20), None),
+    ((30, 3, 0, 5, 40), None),   # fed from the left, then the mirror
+    ((0, 1, 0, 25, 30), None),   # fed from the mirror only
 ])
 def test_a5_family_matches_dense_rebuild(w, base):
     # Rebuild every member from scratch with the dense product: the chain

@@ -22,7 +22,7 @@ from .dominance import (DEFAULT_CAP, HypothesisError, check_dominant,
                         saturated_weight_total)
 from .intervals import (Certificate, DEFAULT_CEILING_BITS,
                         DEFAULT_REPORT_BITS, certify_cmp, certify_less, exact,
-                        exact_compare_cert, power, zeta_iv)
+                        exact_compare_cert, per_precision, power, zeta_iv)
 from .partitions import (_twist, check_char, check_partition, is_prime,
                          k_sum_majorant, partition_count)
 from .rootdata import RootDatum, _check_family_rank, is_restricted
@@ -153,13 +153,7 @@ def ratio_holds(r: int, n: int,
         raise HypothesisError(
             f"ratio inequality needs n >= max(6, (r+1)!) = "
             f"{max(6, factorial(r + 1))}")
-    logs = {}  # log n at each precision tried, shared by the two sides
-
-    def log_n():
-        if iv.prec not in logs:
-            logs[iv.prec] = iv.log(iv.mpf(n))
-        return logs[iv.prec]
-
+    log_n = per_precision(lambda: iv.log(iv.mpf(n)))
     return certify_less(lambda: iv.mpf(5 * (r + 1)) * iv.log(log_n()),
                         lambda: iv.mpf(9) * log_n(),
                         ceiling_bits=ceiling_bits)
@@ -278,6 +272,15 @@ DISPLAYS = {
     "F4": (Fraction(2), Fraction(1, 4), 25, False),
 }
 
+# B2 = C2 and D3 = A3 have 4-dimensional modules, below the B and D floors
+_ISOGENY_ROUTES = {
+    "B2": "B2 = C2: the C display certifies n^2 from floor 4 (n-010), and "
+          "n^2 <= n^(9/4)",
+    "D3": "D3 = A3: 2(n+3)(1+log((n+3)/4))^2 < n^2 <= n^(9/4) from n = 24 "
+          "(n-020, n-021); n <= 23 rests on published tables (n-900, "
+          "external)",
+}
+
 
 def a_large_iv(r: int, n: int):
     """Interval value of n^(17/5)/r^3, the type-A bound for n >= (r+1)!."""
@@ -336,13 +339,14 @@ def rn_upper(family: str, rank: int, n: int, p: int,
     if family == "G":
         return report("family-pow-2", ExactValue(n * n),
                       "rank-2 argument: n^2; no dimension threshold consumed")
-    s, _, n0, _ = DISPLAYS.get(f"{family}{rank}") or DISPLAYS[family]
+    label = f"{family}{rank}"
+    s, _, n0, _ = DISPLAYS.get(label) or DISPLAYS[family]
     value = (ExactValue(n * n) if s == 2
              else _interval_value(lambda: power(n, s), bits))
-    return report(f"family-pow-{s}", value,
-                  f"display threshold n >= {n0} (external minimal-degree "
-                  f"fact) {'met' if n >= n0 else 'not met'}; bound holds "
-                  "throughout by the recursion")
+    return report(f"family-pow-{s}", value, _ISOGENY_ROUTES.get(label) or (
+        f"display threshold n >= {n0} (external minimal-degree fact) "
+        f"{'met' if n >= n0 else 'not met'}; bound holds throughout by the "
+        "recursion"))
 
 
 def zeta_tail_check(s, extra, n0: int, double: bool = False,

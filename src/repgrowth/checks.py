@@ -15,7 +15,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import factorial
 from typing import Callable
 
@@ -61,6 +61,7 @@ from .intervals import (
     contains,
     exact,
     exact_compare_cert,
+    per_precision,
     power,
 )
 from .partitions import (
@@ -167,15 +168,10 @@ def _certifier(step, xs, bits: int):
     step certifies only j == i."""
     if callable(step):
         return lambda j, i, ceiling=bits: step(xs[j], ceiling)
-    memo = {}
 
+    @cache
     def side(k: int, i: int):
-        def value():
-            key = (k, i, iv.prec)
-            if key not in memo:
-                memo[key] = step[k](xs[i])
-            return memo[key]
-        return value
+        return per_precision(partial(step[k], xs[i]))
 
     return lambda j, i, ceiling=bits: certify_less(side(0, j), side(1, i),
                                                    ceiling_bits=ceiling)

@@ -194,16 +194,10 @@ def cmd_witness(args) -> int:
         raise ValueError(f"rank {args.rank} is over the witness budget of "
                          f"rank {WITNESS_RANK_MAX}")
     datum = rootdata.root_datum("A", args.rank)
-    if takes_m:
-        if args.m is None:
-            raise dominance.HypothesisError(
-                f"engine {args.engine} needs --m")
-        mu, chain = fn(datum, w, args.m)
-    else:
-        if args.m is not None:
-            raise dominance.HypothesisError(
-                f"engine {args.engine} takes no --m")
-        mu, chain = fn(datum, w)
+    if takes_m != (args.m is not None):
+        raise dominance.HypothesisError(
+            f"engine {args.engine} {'needs' if takes_m else 'takes no'} --m")
+    mu, chain = fn(datum, w, *([args.m] if takes_m else []))
     _emit(args, {
         "engine": args.engine, "rank": args.rank, "m": args.m,
         "input": list(w), "witness": list(mu),

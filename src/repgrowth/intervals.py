@@ -128,6 +128,18 @@ def enclosure(fn, bits: int) -> tuple[str, str]:
         iv.prec = saved
 
 
+def per_precision(fn):
+    """fn() as a zero-argument callable that evaluates fn at most once per
+    working precision, and never returns an enclosure made at another."""
+    values = {}
+
+    def value():
+        if iv.prec not in values:
+            values[iv.prec] = fn()
+        return values[iv.prec]
+    return value
+
+
 def contains(fn, lo: Fraction, hi: Fraction,
              ceiling_bits: int = DEFAULT_CEILING_BITS) -> Certificate:
     """Certificate that the value of fn lies in the open interval (lo, hi).
@@ -138,23 +150,16 @@ def contains(fn, lo: Fraction, hi: Fraction,
     tried: the upper comparison reuses the enclosure from the rung that
     decided the lower one.
     """
-    values = {}
-
-    def value():
-        if iv.prec not in values:
-            values[iv.prec] = fn()
-        return values[iv.prec]
-
-    ceiling = max(8, int(ceiling_bits))
-    bits = min(DEFAULT_START_BITS, ceiling)
+    value = per_precision(fn)
+    bits = DEFAULT_START_BITS  # certify_cmp lowers it to the ceiling
     # A true verdict at b bits needs distinct b-bit floats x < z in [lo, hi]
     # (exact(lo)'s upper end and an end above it).  Floats at magnitude m
     # are more than m 2^-b apart, and |x|, |z| >= M - w for M = max(|lo|,
     # |hi|) and w = hi - lo, so w > (M - w) 2^-b.  A rung with w 2^(b+1)
     # <= M rules that out and is skipped.
     width, top = hi - lo, max(abs(lo), abs(hi))
-    while width > 0 and bits < ceiling and width * 2 ** (bits + 1) <= top:
-        bits = min(2 * bits, ceiling)
+    while bits < ceiling_bits and 0 < width * 2 ** (bits + 1) <= top:
+        bits *= 2
     low = certify_cmp(lambda: exact(lo), value, strict=True,
                       start_bits=bits, ceiling_bits=ceiling_bits)
     if low.verdict != TRUE:

@@ -365,6 +365,36 @@ def test_rn_upper_family_fractional_exponents():
     assert e7.name == "family-pow-9/4"
 
 
+def display_detail(n0: int):
+    return lambda n: (f"display threshold n >= {n0} (external minimal-degree "
+                      f"fact) {'met' if n >= n0 else 'not met'}; bound holds "
+                      "throughout by the recursion")
+
+
+# B2 = C2 and D3 = A3 have 4-dimensional modules, below the B and D
+# floors: they keep the n^(9/4) report, and its detail names the route
+# that bounds each; B3 and D4 keep the display's detail
+SMALL_BD_DETAILS = {
+    ("B", 2): lambda n: "B2 = C2: the C display certifies n^2 from floor 4 "
+                        "(n-010), and n^2 <= n^(9/4)",
+    ("D", 3): lambda n: "D3 = A3: 2(n+3)(1+log((n+3)/4))^2 < n^2 <= "
+                        "n^(9/4) from n = 24 (n-020, n-021); n <= 23 rests "
+                        "on published tables (n-900, external)",
+    ("B", 3): display_detail(7),
+    ("D", 4): display_detail(8),
+}
+
+
+@pytest.mark.parametrize("family,rank", SMALL_BD_DETAILS)
+@pytest.mark.parametrize("n", [2, 5, 7, 8, 23, 24, 100])
+def test_rn_upper_details_at_the_small_b_and_d_ranks(family, rank, n):
+    report = rn_upper(family, rank, n, 3)
+    assert (report.name, report.value.kind, report.valid,
+            report.certificates) == ("family-pow-9/4", "interval", True, ())
+    assert float(report.value.lo) == pytest.approx(n ** 2.25, rel=1e-12)
+    assert report.guard_detail == SMALL_BD_DETAILS[family, rank](n)
+
+
 def test_rn_upper_guards():
     with pytest.raises(HypothesisError, match="prime"):
         rn_upper("A", 3, 10, 6)

@@ -228,3 +228,15 @@ def test_no_self_check_is_a_bare_assert():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_only_intervals_reads_the_working_precision():
+    # which precision an enclosure belongs to is decided in one module:
+    # elsewhere a memo of shared sides is `intervals.per_precision`
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(repgrowth.__file__).parent.glob("*.py"))
+             if path.name != "intervals.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "prec"
+             and isinstance(node.value, ast.Name) and node.value.id == "iv"]
+    assert found == []

@@ -3,7 +3,8 @@ the running Fraction sum, fixed-point powers and Dirichlet terms against
 exact integer inequalities, powers against exp and log, the exponential
 envelopes against plain high-precision floats, exact rationals against the
 interval division, `contains` against the full precision ladder with one
-evaluation per rung from the band's rung, and certificates formatted once,
+evaluation per rung from the band's rung, `per_precision` keeping one
+enclosure per precision, and certificates formatted once,
 when first read, and equal only when their texts are."""
 
 import re
@@ -25,7 +26,8 @@ from repgrowth.checks import CHECKS
 from repgrowth.intervals import (FALSE, POWER_GUARD_BITS, TRUE, UNKNOWN,
                                  _dirichlet_terms, _euler_maclaurin_tail,
                                  _fixed_power, certify_cmp, contains, exact,
-                                 exact_compare_cert, power, zeta_iv)
+                                 exact_compare_cert, per_precision, power,
+                                 zeta_iv)
 
 from oracles import (_iv_power, direct_zeta_iv, divided_exact,
                      envelope_reference, fraction_euler_maclaurin_tail)
@@ -417,6 +419,28 @@ READOUTS = (
     ("far-outside", lambda: zeta_iv(Fraction(2)), Fraction(1),
      1 + _tenth(100), 64, 512),
 )
+
+
+def test_per_precision_evaluates_once_per_precision():
+    seen = []
+
+    def fn():
+        seen.append(iv.prec)
+        return iv.log(iv.mpf(3))
+
+    value = per_precision(fn)
+    saved = iv.prec
+    try:
+        iv.prec = 64
+        low = value()
+        assert value() is low
+        iv.prec = 128
+        assert value().delta < low.delta  # fresh, not the 64-bit enclosure
+        iv.prec = 64
+        assert value() is low
+    finally:
+        iv.prec = saved
+    assert seen == [64, 128]
 
 
 @pytest.mark.parametrize("name,fn,lo_gap,hi_gap,low_bits,bits", READOUTS,

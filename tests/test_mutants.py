@@ -184,14 +184,20 @@ MUTANTS = (
     ("key-check-always-passes", "checks.py",
      "if key[0] <= 0 or any(map(operator.gt, prev, key)):", "if False:",
      ["test_checks.py::test_a_base_that_dips_falls_back_and_reports_the_dip"]),
-    ("ratio-memo-ignores-precision", "bounds.py",
-     "if iv.prec not in logs:\n"
-     "            logs[iv.prec] = iv.log(iv.mpf(n))\n"
-     "        return logs[iv.prec]",
-     "if 0 not in logs:\n"
-     "            logs[0] = iv.log(iv.mpf(n))\n"
-     "        return logs[0]",
-     ["test_bounds.py::test_ratio_holds_matches_the_two_log_oracle"]),
+    ("side-memo-per-call", "checks.py",
+     "    @cache\n    def side(", "    def side(",
+     ["test_checks.py::"
+      "test_monotone_f4_sweeps_make_a_quarter_of_the_evaluations"]),
+    ("ratio-memo-ignores-precision", "intervals.py",
+     "if iv.prec not in values:\n"
+     "            values[iv.prec] = fn()\n"
+     "        return values[iv.prec]",
+     "if 0 not in values:\n"
+     "            values[0] = fn()\n"
+     "        return values[0]",
+     ["test_bounds.py::test_ratio_holds_matches_the_two_log_oracle",
+      "test_intervals.py::test_contains_evaluates_once_per_rung",
+      "test_intervals.py::test_per_precision_evaluates_once_per_precision"]),
     ("a5-step-of-reversed-delta", "witness.py",
      "datum.root_combination(delta))", "datum.root_combination(delta[::-1]))",
      ["test_witness.py::test_a5_family_canonical_input"]),

@@ -417,13 +417,14 @@ def k_sum_bound(cap: int, bits: int = DEFAULT_REPORT_BITS) -> BoundReport:
                                ceiling_bits=bits))
 
 
-def bound3_value(lam, p: int) -> BoundReport:
-    """Dimension lower bound 2^((n - m_p)/2) as an exact half-power of 2."""
+def bound3_value(lam, p: int, image=None) -> BoundReport:
+    """Dimension lower bound 2^((n - m_p)/2) as an exact half-power of 2;
+    image, the twist of lam when the caller already has it."""
     lam = check_partition(lam)
     n = sum(lam)
     if n < 5:
         raise HypothesisError("the half-power bound needs |partition| >= 5")
-    m = max(lam[0], _twist(lam, p)[0])
+    m = max(lam[0], (image or _twist(lam, p))[0])
     return _report(_inputs(partition=",".join(map(str, lam)), p=p),
                    "half-power-lower", Root2Power(halves=n - m),
                    f"statistic m = {m}; compare by squaring only")

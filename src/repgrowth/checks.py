@@ -72,6 +72,7 @@ from .partitions import (
     mullineux,
     p_regular_partitions,
     partition_count,
+    twist_levels,
 )
 from .rootdata import root_datum
 from .witness import ENGINES, a5_good_family
@@ -417,12 +418,11 @@ def _k_boundary(bits: int, scale: str) -> tuple[str, str]:
 
 def _twist_involution(bits: int, scale: str) -> tuple[str, str]:
     n_hi = 14 if scale == "extended" else 10
+    tables = {p: twist_levels(n_hi, p) for p in (3, 5, 7)}
     checked = 0
     for n in range(1, n_hi + 1):
         for p in (3, 5, 7):
-            # the level's regular partitions of size n, each twisted once
-            image = {lam: mullineux(lam, p)
-                     for lam in p_regular_partitions(n, p)}
+            image = tables[p][n]
             for lam, img in image.items():
                 if img not in image:
                     return "fail", f"{lam} at p = {p}: image {img}"
@@ -443,14 +443,16 @@ def _twist_conjugation(bits: int, scale: str) -> tuple[str, str]:
     return "pass", f"{checked} partitions up to size 10: p = 0 conjugates"
 
 
-def _halfpower_vs_hooks(bits: int, scale: str) -> tuple[str, str]:
+def _halfpower_vs_hooks(levels: Callable, bits: int,
+                        scale: str) -> tuple[str, str]:
     n_hi = 14 if scale == "extended" else 10
+    tables = {p: levels(n_hi, p) for p in (3, 5)}
     checked = 0
     for n in range(5, n_hi + 1):
         for p in (3, 5):
-            for lam in p_regular_partitions(n, p):
+            for lam, img in tables[p][n].items():
                 dim = hook_length_dim(lam)
-                rep = bound3_value(lam, p)
+                rep = bound3_value(lam, p, img)
                 if not rep.value.le_int(dim):
                     return "fail", (f"{lam} at p = {p}: half-power floor "
                                     f"{rep.value} exceeds straight-shape "
@@ -640,7 +642,10 @@ CHECKS: tuple[Check, ...] = (
                "{0}: dimension {got}, pinned {want}",
                "{n} straight-shape dimensions reproduced")),
     Check("p-060", "half-power dimension floor never exceeds the "
-          "straight-shape dimension", _halfpower_vs_hooks),
+          "straight-shape dimension",
+          # bound when the registry is built, as p-050 binds
+          # hook_length_dim, so a rebinding of twist_levels reaches p-041
+          partial(_halfpower_vs_hooks, twist_levels)),
     Check("p-900", "true modular irreducible dimensions are consumed "
           "as table facts", _DIMENSIONS),
     # -- symmetric and alternating groups

@@ -2,8 +2,9 @@
 
 The sign-twist involution on p-regular partitions removes all good cells of
 one residue i at a time down to the empty diagram, then adds as many good
-cells of residue -i mod p, in reverse order.  The certified bounds built
-from these counts live in :mod:`repgrowth.bounds`.
+cells of residue -i mod p, in reverse order.  Its level tables are built
+bottom up, each twist seeded by the levels below.  The certified bounds
+built from these counts live in :mod:`repgrowth.bounds`.
 """
 
 from __future__ import annotations
@@ -221,8 +222,14 @@ def mullineux(lam, p: int) -> Partition:
     return _twist(check_partition(lam), p)
 
 
-def _twist(lam: Partition, p: int) -> Partition:
-    """mullineux on a partition already checked."""
+def _twist(lam: Partition, p: int,
+           seed: dict[Partition, Partition] | None = None) -> Partition:
+    """mullineux on a partition already checked.  seed, a map {mu: M(mu)}:
+    the removals stop at the first partition in it, and only the steps
+    taken are replayed, from its image.  That is exact: each step is chosen
+    from the current partition alone, so the path from mu is the tail of
+    the path from lam, and M(mu) is where replaying that tail ends.  A
+    p-core seed is exact too, as its conjugate is M(mu) (see mullineux)."""
     check_char(p)
     if p and (part := _first_repeat(lam, p)) is not None:
         raise HypothesisError(f"part {part} repeats {p} times (p = {p})")
@@ -240,6 +247,10 @@ def _twist(lam: Partition, p: int) -> Partition:
         for row in minus:
             neg[row] += 1
         path.append((i, len(minus)))
+        if seed is not None and (
+                start := seed.get(tuple(-a for a in neg if a))) is not None:
+            neg = [-a for a in start] + [0]
+            break
     for i, count in reversed(path):
         _, plus = _signature(neg, -i % p, p)
         if len(plus) < count:
@@ -249,6 +260,21 @@ def _twist(lam: Partition, p: int) -> Partition:
         if neg[-1]:
             neg.append(0)
     return tuple(-a for a in neg if a)
+
+
+def twist_levels(n_hi: int, p: int) -> list[dict[Partition, Partition]]:
+    """The twist tables {lam: M(lam)} of the p-regular partitions of each
+    size 0..n_hi, built bottom up: each twist is seeded by the levels below
+    it, so each entry that is not a p-core takes one removal step and one
+    addition step."""
+    levels: list[dict[Partition, Partition]] = [{(): ()}]
+    seed: dict[Partition, Partition] = {}
+    for n in range(1, n_hi + 1):
+        level = {lam: _twist(lam, p, seed)
+                 for lam in p_regular_partitions(n, p)}
+        seed.update(level)
+        levels.append(level)
+    return levels
 
 
 def m_p(lam, p: int) -> int:

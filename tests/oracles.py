@@ -59,6 +59,17 @@ def brute_regular(n: int, p: int):
             yield lam
 
 
+def distinct_odd_parts_prime_to(n: int, p: int) -> int:
+    """Partitions of n into distinct odd parts none divisible by p, by a
+    0/1 knapsack over the allowed parts (no partition is listed)."""
+    ways = [1] + [0] * n
+    for part in range(1, n + 1, 2):
+        if part % p:
+            for total in range(n, part - 1, -1):
+                ways[total] += ways[total - part]
+    return ways[n]
+
+
 def brute_conjugate(lam) -> tuple[int, ...]:
     if not lam:
         return ()

@@ -4,8 +4,10 @@ Each row rebinds one library name that a check reads from
 ``repgrowth.checks`` at run time and pins the fail detail the check then
 reports.  Check p-050 is left out: ``pins(hook_length_dim, ...)`` binds the
 function when the registry is built, so a rebinding does not reach it; its
-fail branch is the shared one of ``pins``, which p-040 reaches.  The
-weight generator of the sweeps is checked against its recursive oracle.
+fail branch is the shared one of ``pins``, which p-040 reaches.  p-060 binds
+the twist-level builder the same way, so a rebinding of it reaches p-041
+alone.  The weight generator of the sweeps is checked against its recursive
+oracle.
 A check that raises is reported by ``verify`` as that check's failure.
 Every block-covered sweep gives what the pointwise loop gives.
 """
@@ -21,7 +23,7 @@ import pytest
 from mpmath import iv
 
 import repgrowth
-from repgrowth import checks
+from repgrowth import checks, partitions
 from repgrowth.bounds import f_interval
 from repgrowth.cli import main
 from repgrowth.dominance import HypothesisError
@@ -36,6 +38,13 @@ def _invalid(*args, **kw):
 
 def _refuse(*args):
     raise HypothesisError("refused")
+
+
+def _levels(twist):
+    """A twist-level builder whose entries are twist's images."""
+    return lambda n_hi, p: [{lam: twist(lam, p)
+                             for lam in partitions.p_regular_partitions(n, p)}
+                            for n in range(n_hi + 1)]
 
 
 # (check id, name rebound in checks, replacement, fail detail).  In a-040
@@ -72,9 +81,9 @@ FAILS = [
     ("p-031", "k_sum_bound", _invalid, "forced invalid"),
     ("p-040", "mullineux", lambda lam, p: lam,
      "(3,) at p = 3: got (3,), pinned (2, 1)"),
-    ("p-041", "mullineux", lambda lam, p: lam + (1,),
+    ("p-041", "twist_levels", _levels(lambda lam, p: lam + (1,)),
      "(1,) at p = 3: image (1, 1)"),
-    ("p-041", "mullineux", lambda lam, p: (sum(lam),),
+    ("p-041", "twist_levels", _levels(lambda lam, p: (sum(lam),)),
      "(1, 1) at p = 3: not an involution"),
     ("p-042", "mullineux", lambda lam, p: lam,
      "(2,): p = 0 image differs from conjugate"),
@@ -99,18 +108,46 @@ def test_check_reports_fail(cid, name, fake, detail, monkeypatch):
 def test_involution_check_twists_each_partition_once(scale, calls,
                                                      monkeypatch):
     seen = []
-    twist = checks.mullineux
+    twist = partitions._twist
 
-    def counted(lam, p):
+    def counted(lam, p, seed):
         seen.append((lam, p))
-        return twist(lam, p)
+        return twist(lam, p, seed)
 
-    monkeypatch.setattr(checks, "mullineux", counted)
+    monkeypatch.setattr(partitions, "_twist", counted)
     check, = (c for c in checks.CHECKS if c.id == "p-041")
     assert check.run(64, scale) == (
         "pass", f"{calls} regular partitions up to size "
         f"{14 if scale == 'extended' else 10}: twist twice returns the start")
     assert len(seen) == len(set(seen)) == calls
+
+
+@pytest.mark.parametrize("cid,twists", [("p-041", 330), ("p-060", 199)])
+def test_each_table_entry_takes_one_removal_step(cid, twists, monkeypatch):
+    # every twist is seeded by the levels below it, so a p-core conjugates
+    # with no signature scan and any other entry scans once to remove and
+    # once to add; bound3_value takes p-060's image instead of twisting
+    scans, seen = [], []
+    signature, twist = partitions._signature, partitions._twist
+
+    def counted_scan(neg, i, p):
+        scans.append(i)
+        return signature(neg, i, p)
+
+    def counted(lam, p, seed=None):
+        before = len(scans)
+        image = twist(lam, p, seed)
+        seen.append((lam, p, seed is not None, len(scans) - before))
+        return image
+
+    monkeypatch.setattr(partitions, "_signature", counted_scan)
+    monkeypatch.setattr(partitions, "_twist", counted)
+    monkeypatch.setattr(repgrowth.bounds, "_twist", counted)
+    assert _check(cid).run(64, "desk")[0] == "pass"
+    assert len(seen) == twists
+    assert [(lam, p) for lam, p, seeded, _ in seen if not seeded] == []
+    assert [(lam, p) for lam, p, _, steps in seen
+            if steps != (0 if partitions._is_core(lam, p) else 2)] == []
 
 
 @pytest.mark.parametrize("error", [
@@ -120,6 +157,7 @@ def test_verify_reports_a_raising_check_as_failed(error, monkeypatch,
     def broken(lam, p):
         raise error
     monkeypatch.setattr(checks, "mullineux", broken)
+    monkeypatch.setattr(checks, "twist_levels", broken)
     code = main(["verify", "--suite", "partitions"])
     out, err = capsys.readouterr()
     assert (code, err) == (1, "")

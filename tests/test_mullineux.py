@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -12,14 +13,16 @@ from repgrowth import bounds, partitions
 from repgrowth.bounds import bound3_value
 from repgrowth.dominance import HypothesisError
 from repgrowth.partitions import (conjugate, hook_length_dim, is_p_regular,
-                                  m_p, mullineux, p_regular_partitions)
+                                  m_p, mullineux)
 
 from oracles import (
     LADDER_CONVENTION,
     LADDER_CONVENTIONS,
+    brute_conjugate,
     brute_is_core,
     brute_partitions,
     brute_regular,
+    distinct_odd_parts_prime_to,
     ladder_mullineux,
     rim_mullineux,
 )
@@ -280,18 +283,42 @@ def test_ladder_convention_is_the_unique_match():
     assert survivors == [LADDER_CONVENTION]
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_andrews_olsson_fixed_point_count(p):
     # Andrews-Olsson (J. reine angew. Math. 413, 1991): the twist fixes as
     # many p-regular partitions of n as there are partitions of n into
-    # distinct odd parts not divisible by p.
+    # distinct odd parts not divisible by p.  Read off each level table.
+    for n, level in enumerate(partitions.twist_levels(22, p)):
+        fixed = sum(lam == image for lam, image in level.items())
+        assert fixed == distinct_odd_parts_prime_to(n, p), n
+
+
+# --- the level tables, each twist seeded by the levels below it -------------
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5, 7, 11])
+def test_twist_levels_match_the_plain_twist_and_the_ladder(p):
+    """Every entry equals the unseeded twist and the ladder route, which
+    recurses on the same one-step-smaller partition; at p = 0 residues are
+    not taken mod p, and the route is conjugation."""
+    route = brute_conjugate if p == 0 else partial(ladder_mullineux, p=p)
+    levels = partitions.twist_levels(20, p)
+    assert [sorted(level) for level in levels] == \
+        [sorted(brute_regular(n, p)) for n in range(21)]
+    for level in levels:
+        for lam, image in level.items():
+            assert image == mullineux(lam, p) == route(lam), lam
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_a_seed_of_p_cores_gives_the_plain_twist(p):
+    """The removals stop at the first p-core on the path, and the replay
+    starts from its conjugate."""
+    cores = {lam: conjugate(lam) for n in range(21)
+             for lam in brute_partitions(n) if brute_is_core(lam, p)}
+    assert max(map(sum, cores)) >= p  # cores past the sizes below p
     for n in range(1, 21):
-        fixed = sum(1 for lam in p_regular_partitions(n, p)
-                    if mullineux(lam, p) == lam)
-        odd = sum(1 for lam in brute_partitions(n)
-                  if len(set(lam)) == len(lam)
-                  and all(part % 2 and part % p for part in lam))
-        assert fixed == odd, n
+        for lam in brute_regular(n, p):
+            assert partitions._twist(lam, p, cores) == mullineux(lam, p), lam
 
 
 def test_twist_without_a_good_cell_fails_under_optimize():

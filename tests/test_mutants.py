@@ -95,6 +95,16 @@ MUTANTS = (
     ("core-bead-slides-p-minus-one", "partitions.py",
      "x - p in beta", "x - p + 1 in beta",
      ["test_mullineux.py::test_core_test_matches_hook_lengths"]),
+    ("seed-hit-replays-nothing", "partitions.py",
+     "neg = [-a for a in start] + [0]",
+     "neg, path = [-a for a in start] + [0], []",
+     ["test_mullineux.py::"
+      "test_twist_levels_match_the_plain_twist_and_the_ladder[3]"]),
+    ("seed-from-another-prime", "partitions.py",
+     "seed.update(level)",
+     "seed.update((lam, _twist(lam, p + 2)) for lam in level)",
+     ["test_mullineux.py::"
+      "test_twist_levels_match_the_plain_twist_and_the_ladder[3]"]),
     ("run-multiplicity-one", "witness.py",
      "kvec[t - 1] += times", "kvec[t - 1] += 1",
      ["test_witness.py::test_middle_pins"]),

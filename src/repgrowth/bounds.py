@@ -23,8 +23,8 @@ from .dominance import (DEFAULT_CAP, HypothesisError, check_dominant,
 from .intervals import (Certificate, DEFAULT_CEILING_BITS,
                         DEFAULT_REPORT_BITS, certify_cmp, certify_less, exact,
                         exact_compare_cert, per_precision, power, zeta_iv)
-from .partitions import (_twist, check_char, check_partition, is_prime,
-                         k_sum_majorant, partition_count)
+from .partitions import (_twist, check_char, check_partition, check_regular,
+                         is_prime, k_sum_majorant, partition_count)
 from .rootdata import RootDatum, _check_family_rank, is_restricted
 
 
@@ -418,12 +418,14 @@ def k_sum_bound(cap: int, bits: int = DEFAULT_REPORT_BITS) -> BoundReport:
 
 
 def bound3_value(lam, p: int, image=None) -> BoundReport:
-    """Dimension lower bound 2^((n - m_p)/2) as an exact half-power of 2;
-    image, the twist of lam when the caller already has it."""
+    """Dimension lower bound 2^((n - m_p)/2) as an exact half-power of 2.
+    p and the regularity of lam are checked on both paths; image, when
+    given, must be M(lam) (the caller's table entry) and is not re-derived."""
     lam = check_partition(lam)
     n = sum(lam)
     if n < 5:
         raise HypothesisError("the half-power bound needs |partition| >= 5")
+    check_regular(lam, p)
     m = max(lam[0], (image or _twist(lam, p))[0])
     return _report(_inputs(partition=",".join(map(str, lam)), p=p),
                    "half-power-lower", Root2Power(halves=n - m),

@@ -443,10 +443,9 @@ def _twist_conjugation(bits: int, scale: str) -> tuple[str, str]:
     return "pass", f"{checked} partitions up to size 10: p = 0 conjugates"
 
 
-def _halfpower_vs_hooks(levels: Callable, bits: int,
-                        scale: str) -> tuple[str, str]:
+def _halfpower_vs_hooks(bits: int, scale: str) -> tuple[str, str]:
     n_hi = 14 if scale == "extended" else 10
-    tables = {p: levels(n_hi, p) for p in (3, 5)}
+    tables = {p: twist_levels(n_hi, p) for p in (3, 5)}
     checked = 0
     for n in range(5, n_hi + 1):
         for p in (3, 5):
@@ -642,10 +641,7 @@ CHECKS: tuple[Check, ...] = (
                "{0}: dimension {got}, pinned {want}",
                "{n} straight-shape dimensions reproduced")),
     Check("p-060", "half-power dimension floor never exceeds the "
-          "straight-shape dimension",
-          # bound when the registry is built, as p-050 binds
-          # hook_length_dim, so a rebinding of twist_levels reaches p-041
-          partial(_halfpower_vs_hooks, twist_levels)),
+          "straight-shape dimension", _halfpower_vs_hooks),
     Check("p-900", "true modular irreducible dimensions are consumed "
           "as table facts", _DIMENSIONS),
     # -- symmetric and alternating groups

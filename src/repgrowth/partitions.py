@@ -121,6 +121,14 @@ def check_char(p: int) -> None:
         raise HypothesisError(f"characteristic {p} is neither 0 nor prime")
 
 
+def check_regular(lam: Partition, p: int) -> Partition:
+    """Return checked lam if p is 0 or prime and no part repeats p times."""
+    check_char(p)
+    if p and (part := _first_repeat(lam, p)) is not None:
+        raise HypothesisError(f"part {part} repeats {p} times (p = {p})")
+    return lam
+
+
 def is_p_regular(lam, p: int) -> bool:
     lam = check_partition(lam)
     check_char(p)
@@ -144,21 +152,16 @@ def p_regular_partitions(n: int, p: int):
     if n < 0:
         raise HypothesisError("need n >= 0")
     check_char(p)
-    acc: list[int] = []
-
-    def gen(remaining: int, maxpart: int, last: int, run: int):
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        for v in range(min(maxpart, remaining), 0, -1):
-            new_run = run + 1 if v == last else 1
-            if p and new_run >= p:
-                continue
-            acc.append(v)
-            yield from gen(remaining - v, v, v, new_run)
-            acc.pop()
-
-    yield from gen(n, n, 0, 0)
+    # (prefix, cells left, largest next part, copies of it ending prefix);
+    # children are pushed smallest part first, so they pop in order
+    stack: list[tuple[Partition, int, int, int]] = [((), n, n, 0)]
+    while stack:
+        prefix, remaining, top, run = stack.pop()
+        if not remaining:
+            yield prefix
+        for v in range(1, min(top, remaining) + 1):
+            if (r := run + 1 if v == top else 1) != p:  # r < p, or p = 0
+                stack.append((prefix + (v,), remaining - v, v, r))
 
 
 def conjugate(lam) -> Partition:
@@ -219,20 +222,17 @@ def mullineux(lam, p: int) -> Partition:
     i of the topmost removable cell, which ends the first r < p equal rows:
     the only + above it ends row 0, has residue i + r, and so cannot cancel
     it."""
-    return _twist(check_partition(lam), p)
+    return _twist(check_regular(check_partition(lam), p), p)
 
 
 def _twist(lam: Partition, p: int,
            seed: dict[Partition, Partition] | None = None) -> Partition:
-    """mullineux on a partition already checked.  seed, a map {mu: M(mu)}:
+    """mullineux on input that check_regular passed.  seed, a map {mu: M(mu)}:
     the removals stop at the first partition in it, and only the steps
     taken are replayed, from its image.  That is exact: each step is chosen
     from the current partition alone, so the path from mu is the tail of
     the path from lam, and M(mu) is where replaying that tail ends.  A
     p-core seed is exact too, as its conjugate is M(mu) (see mullineux)."""
-    check_char(p)
-    if p and (part := _first_repeat(lam, p)) is not None:
-        raise HypothesisError(f"part {part} repeats {p} times (p = {p})")
     if p == 2:
         return lam
     if p == 0 or _is_core(lam, p):
@@ -266,8 +266,9 @@ def twist_levels(n_hi: int, p: int) -> list[dict[Partition, Partition]]:
     """The twist tables {lam: M(lam)} of the p-regular partitions of each
     size 0..n_hi, built bottom up: each twist is seeded by the levels below
     it, so each entry that is not a p-core takes one removal step and one
-    addition step."""
-    levels: list[dict[Partition, Partition]] = [{(): ()}]
+    addition step.  Level 0 (the empty partition, its own twist) comes from
+    p_regular_partitions too, which decides p and refuses a negative n_hi."""
+    levels = [{lam: lam for lam in p_regular_partitions(min(n_hi, 0), p)}]
     seed: dict[Partition, Partition] = {}
     for n in range(1, n_hi + 1):
         level = {lam: _twist(lam, p, seed)
@@ -280,7 +281,7 @@ def twist_levels(n_hi: int, p: int) -> list[dict[Partition, Partition]]:
 def m_p(lam, p: int) -> int:
     """max of the first part and the sign-twist image's first part (0 for
     the empty partition); HypothesisError unless lam is p-regular."""
-    lam = check_partition(lam)
+    lam = check_regular(check_partition(lam), p)
     return max(lam[:1] + _twist(lam, p)[:1], default=0)
 
 

@@ -4,10 +4,8 @@ Each row rebinds one library name that a check reads from
 ``repgrowth.checks`` at run time and pins the fail detail the check then
 reports.  Check p-050 is left out: ``pins(hook_length_dim, ...)`` binds the
 function when the registry is built, so a rebinding does not reach it; its
-fail branch is the shared one of ``pins``, which p-040 reaches.  p-060 binds
-the twist-level builder the same way, so a rebinding of it reaches p-041
-alone.  The weight generator of the sweeps is checked against its recursive
-oracle.
+fail branch is the shared one of ``pins``, which p-040 reaches.  The weight
+generator of the sweeps is checked against its recursive oracle.
 A check that raises is reported by ``verify`` as that check's failure.
 Every block-covered sweep gives what the pointwise loop gives.
 """
@@ -166,7 +164,7 @@ def test_verify_reports_a_raising_check_as_failed(error, monkeypatch,
     detail = f"{type(error).__name__}: {error}"
     assert {r["id"]: r["detail"] for r in results
             if r["verdict"] == "fail"} == dict.fromkeys(
-                ["p-040", "p-041", "p-042"], detail)
+                ["p-040", "p-041", "p-042", "p-060"], detail)
 
 
 def _check(cid):

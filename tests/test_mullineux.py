@@ -146,7 +146,13 @@ ENTRY_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("entry", [mullineux, m_p, bound3_value])
+def bound3_given_image(lam, p):
+    """bound3_value on its image path, where no twist is taken."""
+    return bound3_value(lam, p, image=(1,))
+
+
+@pytest.mark.parametrize("entry", [mullineux, m_p, bound3_value,
+                                   bound3_given_image])
 @pytest.mark.parametrize("lam,p,message", ENTRY_ERRORS)
 def test_twist_entry_errors_pinned(entry, lam, p, message):
     with pytest.raises(HypothesisError) as info:
@@ -307,6 +313,30 @@ def test_twist_levels_match_the_plain_twist_and_the_ladder(p):
     for level in levels:
         for lam, image in level.items():
             assert image == mullineux(lam, p) == route(lam), lam
+
+
+@pytest.mark.parametrize("n_hi,p,message", [
+    (0, 4, "characteristic 4 is neither 0 nor prime"),
+    (-3, 3, "need n >= 0"),
+])
+def test_twist_levels_refuses_what_the_generator_refuses(n_hi, p, message):
+    with pytest.raises(HypothesisError) as info:
+        partitions.twist_levels(n_hi, p)
+    assert str(info.value) == message
+
+
+def test_twist_levels_decides_the_characteristic_once_a_level(monkeypatch):
+    calls = []
+    is_prime = partitions.is_prime
+
+    def counted(p):
+        calls.append(p)
+        return is_prime(p)
+
+    monkeypatch.setattr(partitions, "is_prime", counted)
+    levels = partitions.twist_levels(10, 3)
+    assert len(levels) == 11
+    assert len(calls) <= len(levels)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])

@@ -95,6 +95,10 @@ MUTANTS = (
     ("core-bead-slides-p-minus-one", "partitions.py",
      "x - p in beta", "x - p + 1 in beta",
      ["test_mullineux.py::test_core_test_matches_hook_lengths"]),
+    ("regular-check-admits-repeats", "partitions.py",
+     "if p and (part := _first_repeat(lam, p)) is not None:",
+     "if p and (part := None) is not None:",
+     ["test_mullineux.py::test_twist_entry_errors_pinned"]),
     ("seed-hit-replays-nothing", "partitions.py",
      "neg = [-a for a in start] + [0]",
      "neg, path = [-a for a in start] + [0], []",
@@ -112,7 +116,7 @@ MUTANTS = (
      "else -1", "else 1",
      ["test_partitions.py::test_partition_count_matches_brute"]),
     ("regular-run-admits-p", "partitions.py",
-     "new_run >= p", "new_run > p",
+     "else 1) != p:", "else 1) != p + 1:",
      ["test_partitions.py::test_regular_partitions_match_brute"]),
     ("k-table-skips-a-part", "partitions.py",
      "range(w, cap + 1)", "range(w + 1, cap + 1)",

@@ -185,7 +185,6 @@ _ENVELOPES = {
     "f4": ("m", 0, lambda m: (2 * (m + 1) ** 2, Fraction(2 * m, 3))),
     "f5": ("n", 2, None),
 }
-F_NAMES = tuple(_ENVELOPES)
 
 
 def envelope_terms(name: str, arg: int):
@@ -193,7 +192,7 @@ def envelope_terms(name: str, arg: int):
     for f5, which is not of that form; the guards of `f_interval`."""
     if name not in _ENVELOPES:
         raise HypothesisError(
-            f"unknown envelope {name!r}; choose from {F_NAMES}")
+            f"unknown envelope {name!r}; choose from {tuple(_ENVELOPES)}")
     what, least, terms = _ENVELOPES[name]
     if arg < least:
         raise HypothesisError(f"{name} needs {what} >= {least}")
@@ -282,9 +281,16 @@ _ISOGENY_ROUTES = {
 }
 
 
+# Type-A exponents e, for n^e at rank 5 (n <= A5_TABLES rests on published
+# tables), in general, and for n^e/r^3 once n >= (r+1)!.
+A5_EXPONENT, A5_TABLES = Fraction(5, 2), 2500
+A_EXPONENT = Fraction(19, 5)
+A_LARGE_EXPONENT = Fraction(17, 5)
+
+
 def a_large_iv(r: int, n: int):
-    """Interval value of n^(17/5)/r^3, the type-A bound for n >= (r+1)!."""
-    return power(n, Fraction(17, 5)) / exact(r ** 3)
+    """n^A_LARGE_EXPONENT/r^3 as an interval: type A with n >= (r+1)!."""
+    return power(n, A_LARGE_EXPONENT) / exact(r ** 3)
 
 
 def _int_text(value: int, symbol: str) -> str:
@@ -317,9 +323,9 @@ def rn_upper(family: str, rank: int, n: int, p: int,
         if rank == 5:
             return report(
                 "a5-pow",
-                _interval_value(lambda: power(n, Fraction(5, 2)), bits),
-                "rank-5 strengthening: n^2.5; n <= 2500 rests on external "
-                "tables")
+                _interval_value(lambda: power(n, A5_EXPONENT), bits),
+                f"rank-5 strengthening: n^{float(A5_EXPONENT)}; "
+                f"n <= {A5_TABLES} rests on external tables")
         big = 1  # (r+1)!, built only until it passes n
         for i in range(2, rank + 2):
             if (big := big * i) > n:
@@ -328,14 +334,16 @@ def rn_upper(family: str, rank: int, n: int, p: int,
             return report(
                 "a-large", _interval_value(lambda: a_large_iv(rank, n), bits),
                 f"large range n >= (r+1)! = {_int_text(big, f'{rank + 1}!')}: "
-                "n^3.4/r^3; low-rank low-n windows rest on external tables")
+                f"n^{float(A_LARGE_EXPONENT)}/r^3; low-rank low-n windows "
+                "rest on external tables")
         mid = d1(rank)
         return report(
             "a-general",
-            _interval_value(lambda: power(n, Fraction(19, 5)), bits),
+            _interval_value(lambda: power(n, A_EXPONENT), bits),
             f"{'mid' if n >= mid else 'small'} range (d1 = "
             f"{_int_text(mid, f'C({rank + 1}, {(rank + 1) // 2})')}): "
-            "n^3.8; rank <= 10 and table windows rest on external facts")
+            f"n^{float(A_EXPONENT)}; rank <= 10 and table windows rest on "
+            "external facts")
     if family == "G":
         return report("family-pow-2", ExactValue(n * n),
                       "rank-2 argument: n^2; no dimension threshold consumed")
@@ -449,6 +457,7 @@ def a_combination_cert() -> Certificate:
 
 # (n_low, r_cap): a dimension n >= n_low forces the rank r <= r_cap.
 SYM_WINDOWS = ((677, 60), (172, 39), (53, 21))
+SUBLINEAR_FROM = 1503  # from here on f5(n) < b(n), past every window
 
 # group -> (what lies below degree 11, name and reason of the combination
 # b(n) + 2 b(2n) reported above it)
@@ -501,11 +510,11 @@ def sym_rn_bound(r: int, n: int, p: int, group: str = "S",
                       exact_compare_cert(val * val, n ** 5))
 
     if group == "S":
-        if n >= 1503:
+        if n >= SUBLINEAR_FROM:
             return report("sym-sublinear",
                           _interval_value(lambda: b_iv(n), bits),
-                          "n >= 1503: the sublinear envelope stays below "
-                          "n^2.5/12.32",
+                          f"n >= {SUBLINEAR_FROM}: the sublinear envelope "
+                          "stays below n^2.5/12.32",
                           certify_cmp(lambda: f_interval("f5", n),
                                       lambda: b_iv(n), strict=True,
                                       ceiling_bits=bits))

@@ -3,10 +3,10 @@
 Each check states one result as a row ``Check(id, claim, run)``, where
 ``run(bits, scale)`` returns ``(verdict, detail)`` and the verdict is
 ``pass``, ``fail``, ``unknown`` or ``external-assumption``.  Most runners
-come from a few shaped constructors: one certificate, one exact certificate,
-a certified sweep, an equality pin, a table of pins and an external
-assumption.  Checks with their own logic are plain functions.  The suite of
-a check is read from its id prefix.
+come from a few shaped constructors: one certificate, a certified sweep, an
+equality pin, a table of pins and an external assumption.  Checks with their
+own logic are plain functions.  The suite of a check is read from its id
+prefix.
 """
 
 from __future__ import annotations
@@ -22,7 +22,12 @@ from typing import Callable
 from mpmath import iv
 
 from .bounds import (
+    A5_EXPONENT,
+    A5_TABLES,
+    A_EXPONENT,
+    A_LARGE_EXPONENT,
     DISPLAYS,
+    SUBLINEAR_FROM,
     SYM_WINDOWS,
     a_combination_cert,
     a_large_iv,
@@ -100,14 +105,12 @@ def _cert_result(cert) -> tuple[str, str]:
     return verdict, f"lhs = {cert.lhs}, rhs = {cert.rhs} ({where})"
 
 
-def certificate(make, note: str = "", on_pass: bool = False) -> Runner:
-    """One certificate make(bits); the note is appended to every detail, or
-    to a pass only when on_pass is set."""
+def certificate(make, note: str = "") -> Runner:
+    """One certificate make(bits); the note, an argument that holds only
+    when the certificate does, is appended on a pass."""
     def run(bits: int, scale: str) -> tuple[str, str]:
         verdict, detail = _cert_result(make(bits))
-        if verdict == "pass" or not on_pass:
-            detail += note
-        return verdict, detail
+        return verdict, detail + note if verdict == "pass" else detail
     return run
 
 
@@ -115,11 +118,6 @@ def less(lhs, rhs, note: str = "", strict: bool = True) -> Runner:
     """Certified lhs() < rhs() (<= unless strict) up to the ceiling."""
     return certificate(lambda bits: certify_cmp(lhs, rhs, strict=strict,
                                                 ceiling_bits=bits), note)
-
-
-def exact_cert(make, note: str = "") -> Runner:
-    """The exact certificate make(); the note is appended on a pass."""
-    return certificate(lambda bits: make(), note, on_pass=True)
 
 
 def by_scale(desk, extended) -> Callable[[str], object]:
@@ -486,14 +484,14 @@ def _display(cid: str, label: str, s: Fraction, extra, n0: int,
     return Check(cid, claim, certificate(
         lambda bits: zeta_tail_check(s, extra, n0, double=double,
                                      ceiling_bits=bits),
-        "; the right side rises with n, so all n >= n0 follow", on_pass=True))
+        "; the right side rises with n, so all n >= n0 follow"))
 
 
 def _window(cid: str, n_low: int, r_cap: int) -> Check:
     claim = (f"window floor {n_low}: (308 p({r_cap}))^2 < 625 * "
              f"{n_low}^5, the squared form of p({r_cap}) < 25 n^(5/2)/308")
-    return Check(cid, claim, exact_cert(
-        lambda: b_less_cert(partition_count(r_cap), n_low),
+    return Check(cid, claim, certificate(
+        lambda bits: b_less_cert(partition_count(r_cap), n_low),
         "; p is monotone, so every rank under the cap follows"))
 
 
@@ -503,26 +501,26 @@ CHECKS: tuple[Check, ...] = (
     # -- type A
     Check("a-010", "weighted 5-tuple count at cap 76 equals 2415231",
           pin(lambda: k_sum_exact(5, 76), 2415231)),
-    Check("a-011", "2415231 < 2500^(5/2), squared form "
-          "2415231^2 < 2500^5", exact_cert(
-              lambda: exact_compare_cert(2415231 ** 2, 2500 ** 5))),
+    Check("a-011", f"2415231 < {A5_TABLES}^({A5_EXPONENT}), squared form "
+          f"2415231^2 < {A5_TABLES}^{2 * A5_EXPONENT}", certificate(
+              lambda bits: exact_compare_cert(
+                  2415231 ** 2, A5_TABLES ** int(2 * A5_EXPONENT)))),
     Check("a-020", "good family at rank 5: 243 members with orbit "
           "total 174960, clearing the window cap 57750", _a5_family),
-    Check("a-030", "f1(730) < d1(730)^(19/5)",
+    Check("a-030", f"f1(730) < d1(730)^({A_EXPONENT})",
           less(lambda: f_interval("f1", 730),
-               lambda: power(d1(730), Fraction(19, 5)))),
-    Check("a-031", "f1(729) against d1(729)^(19/5), reported",
+               lambda: power(d1(730), A_EXPONENT))),
+    Check("a-031", f"f1(729) against d1(729)^({A_EXPONENT}), reported",
           less(lambda: f_interval("f1", 729),
-               lambda: power(d1(729), Fraction(19, 5)),
+               lambda: power(d1(729), A_EXPONENT),
                "; readout one rank below the quoted threshold")),
     Check("a-040", "f4(m) < 2^(m+1) for 80 <= m <= 200",
           sweep("m", range(80, 201),
                 f_below("f4", lambda m: 2, lambda m: m + 1),
                 "all m in [80, 200] certified")),
-    Check("a-041", "f4(m) < (2^(m+1))^(19/5) for 6 <= m <= 79",
+    Check("a-041", f"f4(m) < (2^(m+1))^({A_EXPONENT}) for 6 <= m <= 79",
           sweep("m", range(6, 80),
-                f_below("f4", lambda m: 2,
-                        lambda m: Fraction(19 * (m + 1), 5)),
+                f_below("f4", lambda m: 2, lambda m: A_EXPONENT * (m + 1)),
                 "all m in [6, 79] certified")),
     Check("a-050", "f1(r) < d2(r)^(94/25) on the mid-range rank sweep",
           sweep("r", by_scale(_SPOT_RANKS, range(19, 730)),
@@ -552,19 +550,19 @@ CHECKS: tuple[Check, ...] = (
                 "[5, 69]")),
     Check("a-061", "(r+1)loglog n / log n at r = 10, n = 11! lies in "
           "(1.79885, 1.79895)", _ratio_readout),
-    Check("a-070", "2^5 d (1+log d)^4 < n^(5/2) at n = 57750",
+    Check("a-070", f"2^5 d (1+log d)^4 < n^({A5_EXPONENT}) at n = 57750",
           less(lambda: bound2_iv(5, 57750),
-               lambda: power(57750, Fraction(5, 2)))),
-    Check("a-071", "envelope growth exponent 1 + 4/(1+log d) < 5/2 "
-          "at d = 9625",
+               lambda: power(57750, A5_EXPONENT))),
+    Check("a-071", "envelope growth exponent 1 + 4/(1+log d) < "
+          f"{A5_EXPONENT} at d = 9625",
           less(lambda: 1 + 4 / (1 + iv.log(exact(9625))),
-               lambda: exact(Fraction(5, 2)),
+               lambda: exact(A5_EXPONENT),
                "; the local exponent falls as d grows")),
     Check("a-080", "2^3 d (1+log d)^2 < 5*10^5 at n = 3787",
           less(lambda: bound2_iv(3, 3787), lambda: exact(5 * 10 ** 5))),
-    Check("a-081", "n^(17/5)/27 > 200 at n = 24",
+    Check("a-081", f"n^({A_LARGE_EXPONENT})/27 > 200 at n = 24",
           less(lambda: exact(200), lambda: a_large_iv(3, 24), _TABLE_BOUNDS)),
-    Check("a-082", "n^(17/5)/64 > 10^5 at n = 120",
+    Check("a-082", f"n^({A_LARGE_EXPONENT})/64 > 10^5 at n = 120",
           less(lambda: exact(10 ** 5), lambda: a_large_iv(4, 120),
                _TABLE_BOUNDS)),
     Check("a-090", "witness engines: every produced chain re-verifies "
@@ -578,7 +576,7 @@ CHECKS: tuple[Check, ...] = (
     Check("a-901", "R_719 <= 170 for the rank-4 special linear group "
           "(published degree tables)", _PUBLISHED),
     Check("a-902", "rank-5 special linear group: R_n <= n for "
-          "n <= 2500 (published degree tables)", _PUBLISHED),
+          f"n <= {A5_TABLES} (published degree tables)", _PUBLISHED),
     Check("a-903", "ranks below 11 in the mid and small windows rest "
           "on explicit degree tables", _TABLES),
     Check("a-904", "true irreducible-module dimensions are consumed "
@@ -650,17 +648,17 @@ CHECKS: tuple[Check, ...] = (
                strict=False)),
     Check("s-011", "f5(10^44) < 10^22",
           less(lambda: f_interval("f5", 10 ** 44), lambda: exact(10 ** 22))),
-    Check("s-020", "f5(n) < 25 n^(5/2)/308 at n = 1503",
-          less(lambda: f_interval("f5", 1503), lambda: b_iv(1503),
-               "; the left side grows slower than any power, so larger n "
-               "only widen the gap")),
+    Check("s-020", f"f5(n) < 25 n^(5/2)/308 at n = {SUBLINEAR_FROM}",
+          less(lambda: f_interval("f5", SUBLINEAR_FROM),
+               lambda: b_iv(SUBLINEAR_FROM), "; the left side grows "
+               "slower than any power, so larger n only widen the gap")),
     *(_window(f"s-03{i}", *window) for i, window in enumerate(SYM_WINDOWS)),
     Check("s-040", "(4 p(r))^2 < 2^(5 floor((r-3)/2)) on the rank "
           "sweep", _power_vs_pr),
     Check("s-050", "625*128 < 283^2, the exact combination step",
-          exact_cert(a_combination_cert,
-                     "; unpacks to 1 + 2^(7/2) < 308/25, the combination "
-                     "step for one degree and its double")),
+          certificate(lambda bits: a_combination_cert(),
+                      "; unpacks to 1 + 2^(7/2) < 308/25, the combination "
+                      "step for one degree and its double")),
     Check("s-900", "modules of degree below r-2 are classified "
           "(published classification)",
           external("minimal-degree facts, not computed here")),

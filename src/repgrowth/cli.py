@@ -233,7 +233,7 @@ def cmd_enumerate(args) -> int:
     if args.n_max > ROWS_MAX:
         raise ValueError(f"--n-max {args.n_max} is over the budget of "
                          f"{ROWS_MAX} rows")
-    if args.p < 2 or not partitions.is_prime(args.p):
+    if not partitions.is_prime(args.p):
         raise dominance.HypothesisError(
             "enumeration needs a prime characteristic; the restricted "
             "coefficient box is finite only then")

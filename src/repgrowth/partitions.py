@@ -129,12 +129,6 @@ def check_regular(lam: Partition, p: int) -> Partition:
     return lam
 
 
-def is_p_regular(lam, p: int) -> bool:
-    lam = check_partition(lam)
-    check_char(p)
-    return p == 0 or _first_repeat(lam, p) is None
-
-
 def _first_repeat(lam, p: int) -> int | None:
     """The first part repeated p times, or None."""
     run = 0

@@ -19,8 +19,6 @@ from itertools import repeat
 
 Weight = tuple[int, ...]
 
-FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
-
 
 class RootDataError(ValueError):
     """Unsupported family/rank combination or malformed weight."""

@@ -7,7 +7,7 @@ not an echo.  Oracles favor clarity over speed; keep inputs small.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -49,13 +49,16 @@ def brute_partition_count(n: int) -> int:
     return _brute_count(n, n)
 
 
+def is_regular(lam, p: int) -> bool:
+    """Whether no part of lam occurs p or more times (always at p = 0),
+    read from the part multiplicities."""
+    return p == 0 or max(Counter(lam).values(), default=0) < p
+
+
 def brute_regular(n: int, p: int):
     """p-regular partitions of n by filtering the full list."""
     for lam in brute_partitions(n):
-        if p == 0:
-            yield lam
-            continue
-        if all(lam.count(v) < p for v in set(lam)):
+        if is_regular(lam, p):
             yield lam
 
 

@@ -18,15 +18,15 @@ from repgrowth.dominance import WitnessChain, bracket, is_good, orbit_length, \
     weyl_order, weyl_stabilizer_order
 from repgrowth.bounds import n_lambda, premet_lower
 from repgrowth.intervals import certify_cmp, certify_less, contains, power
-from repgrowth.partitions import (hook_length_dim, is_p_regular, m_p,
-                                  mullineux, conjugate, k_sum_exact,
-                                  partition_count)
+from repgrowth.partitions import (hook_length_dim, m_p, mullineux,
+                                  conjugate, k_sum_exact, partition_count)
 from repgrowth.rootdata import root_datum
 from repgrowth.witness import (a5_good_family, good_witness, incr_witness,
                                m_good_witness, middle2_witness, middle_witness)
 
 import conftest
-from oracles import brute_partitions, brute_regular, ladder_mullineux
+from oracles import (brute_partitions, brute_regular, is_regular,
+                     ladder_mullineux)
 
 
 def report(num, budget, elapsed, ok, detail):
@@ -224,7 +224,7 @@ def test_criterion_09_mullineux_and_halfpower():
         for n in range(1, 19):
             for lam in brute_regular(n, p):
                 image = mullineux(lam, p)
-                ok &= (sum(image) == n and is_p_regular(image, p)
+                ok &= (sum(image) == n and is_regular(image, p)
                        and mullineux(image, p) == lam)
     for p in (3, 5, 7):
         for n in range(1, 13):
@@ -238,7 +238,7 @@ def test_criterion_09_mullineux_and_halfpower():
         for lam in brute_partitions(n):
             dim = hook_length_dim(lam)
             for p in (0, 2, 3, 5, 7):
-                if not is_p_regular(lam, p):
+                if not is_regular(lam, p):
                     continue
                 halves = n - m_p(lam, p)
                 # 2^(halves/2) <= dim, squared to stay exact

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import factorial, isqrt
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -296,12 +297,6 @@ def test_rn_upper_char2():
     assert report.value == ExactValue(17)
 
 
-def test_rn_upper_a5():
-    report = rn_upper("A", 5, 100, 5)
-    assert report.name == "a5-pow"
-    assert interval_holds(report.value, 100 ** 2 * 10)  # 100^2.5
-
-
 def test_rn_upper_a_large_window():
     # Rank 3 switches branch at n = (r+1)! = 24.
     large = rn_upper("A", 3, 24, 5)
@@ -310,6 +305,33 @@ def test_rn_upper_a_large_window():
     general = rn_upper("A", 3, 23, 5)
     assert general.name == "a-general"
 
+
+# (rank, n, report, the exponent as its guard shows it, the value at 1500
+# bits from integer powers and a fifth root)
+TYPE_A_VALUES = [
+    (5, 100, "a5-pow", "n^2.5;", lambda: mpmath.mpf(10) ** 5),
+    (3, 23, "a-general", "n^3.8;",
+     lambda: mpmath.root(mpmath.mpf(23) ** 19, 5)),
+    (3, 24, "a-large", "n^3.4/r^3;",
+     lambda: mpmath.root(mpmath.mpf(24) ** 17, 5) / 27),
+]
+
+
+@pytest.mark.parametrize("rank,n,name,shown,value", TYPE_A_VALUES,
+                         ids=[row[2] for row in TYPE_A_VALUES])
+def test_type_a_values_match_1500_bit_references(rank, n, name, shown,
+                                                 value):
+    """Both 24-digit ends of the report are the reference's, and so is n to
+    the decimal its guard shows (over r^3 in the large range)."""
+    report = rn_upper("A", rank, n, 5)
+    assert report.name == name
+    assert shown in report.guard_detail
+    over = rank ** 3 if name == "a-large" else 1
+    with mpmath.workprec(1500):
+        want = mpmath.nstr(value(), 24)
+        shown_value = mpmath.mpf(n) ** mpmath.mpf(shown[2:5]) / over
+        assert mpmath.nstr(shown_value, 24) == want
+    assert (report.value.lo, report.value.hi) == (want, want)
 
 
 @pytest.mark.parametrize("rank", [*range(6, 13), 1000, 1004, 1010, 3000])

@@ -87,6 +87,10 @@ FAILS = [
      "(2,): p = 0 image differs from conjugate"),
     ("p-060", "hook_length_dim", lambda lam: 0,
      "(5,) at p = 3: half-power floor 1 exceeds straight-shape dimension 0"),
+    # a failed certificate carries no note: s-020's holds only on a pass
+    ("s-020", "b_iv", lambda n: exact(1),
+     "lhs = [5540018.1082078298263696, 5540018.1082078298536544], "
+     "rhs = [1.0, 1.0] (64 bits)"),
     ("s-040", "sym_rn_bound",
      lambda r, n, p, group: SimpleNamespace(
          certificates=(exact_compare_cert(5, 3),)),

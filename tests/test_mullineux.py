@@ -12,8 +12,7 @@ import pytest
 from repgrowth import bounds, partitions
 from repgrowth.bounds import bound3_value
 from repgrowth.dominance import HypothesisError
-from repgrowth.partitions import (conjugate, hook_length_dim, is_p_regular,
-                                  m_p, mullineux)
+from repgrowth.partitions import conjugate, hook_length_dim, m_p, mullineux
 
 from oracles import (
     LADDER_CONVENTION,
@@ -23,6 +22,7 @@ from oracles import (
     brute_partitions,
     brute_regular,
     distinct_odd_parts_prime_to,
+    is_regular,
     ladder_mullineux,
     rim_mullineux,
 )
@@ -71,7 +71,7 @@ def test_involution_exhaustive(p):
         for lam in brute_regular(n, p):
             image = mullineux(lam, p)
             assert sum(image) == n
-            assert is_p_regular(image, p)
+            assert is_regular(image, p)
             assert mullineux(image, p) == lam
 
 
@@ -241,7 +241,7 @@ def _random_regular(rnd, n, p):
         while sum(parts) < n:
             parts.append(rnd.randint(1, n - sum(parts)))
         lam = tuple(sorted(parts, reverse=True))
-        if is_p_regular(lam, p):
+        if is_regular(lam, p):
             return lam
 
 

@@ -218,6 +218,17 @@ MUTANTS = (
     ("unit-scan-starts-at-j", "witness.py",
      "i = j - 1", "i = j",
      ["test_witness.py::test_incr_pins"]),
+    ("general-exponent-literal", "bounds.py",
+     "power(n, A_EXPONENT), bits)", "power(n, Fraction(7, 2)), bits)",
+     ["test_bounds.py::"
+      "test_type_a_values_match_1500_bit_references[a-general]"]),
+    ("general-guard-decimal-literal", "bounds.py",
+     'f"n^{float(A_EXPONENT)}; rank', '"n^3.5; rank',
+     ["test_bounds.py::"
+      "test_type_a_values_match_1500_bit_references[a-general]"]),
+    ("sublinear-floor-literal", "bounds.py",
+     "if n >= SUBLINEAR_FROM:", "if n >= 1502:",
+     ["test_partitions.py::test_sym_sublinear_from_1503"]),
 )
 
 

@@ -18,9 +18,9 @@ from repgrowth.bounds import (
 from repgrowth.dominance import HypothesisError
 from repgrowth.partitions import (
     check_partition,
+    check_regular,
     conjugate,
     hook_length_dim,
-    is_p_regular,
     k_sum_exact,
     k_sum_majorant,
     m_p,
@@ -39,6 +39,7 @@ from oracles import (
     brute_partitions,
     brute_regular,
     brute_syt_count,
+    is_regular,
     rim_symbol,
 )
 
@@ -159,7 +160,7 @@ def test_regular_partitions_match_brute(p):
     for n in range(13):
         got = set(p_regular_partitions(n, p))
         assert got == set(brute_regular(n, p))
-        assert all(is_p_regular(lam, p) for lam in got)
+        assert all(is_regular(lam, p) for lam in got)
 
 
 def test_zero_characteristic_yields_all_partitions():
@@ -167,10 +168,12 @@ def test_zero_characteristic_yields_all_partitions():
         assert set(p_regular_partitions(n, 0)) == set(brute_partitions(n))
 
 
-def test_is_p_regular_spots():
-    assert not is_p_regular((2, 2, 2), 3)
-    assert is_p_regular((2, 2, 2), 5)
-    assert is_p_regular((), 3)
+def test_check_regular_spots():
+    with pytest.raises(HypothesisError) as err:
+        check_regular((2, 2, 2), 3)
+    assert str(err.value) == "part 2 repeats 3 times (p = 3)"
+    assert check_regular((2, 2, 2), 5) == (2, 2, 2)
+    assert check_regular((), 3) == ()
 
 
 def test_check_partition_guards():
@@ -342,6 +345,13 @@ def test_sym_windows(r, n, window, count):
     assert report.value == ExactValue(count)
     assert report.valid
     assert partition_count(r) == count
+
+
+def test_sym_sublinear_from_1503():
+    assert sym_rn_bound(13, 1502, 5).name == "sym-window-677"
+    sub = sym_rn_bound(13, 1503, 5)
+    assert sub.name == "sym-sublinear"
+    assert sub.guard_detail.startswith("n >= 1503: ")
 
 
 def test_alt_branches():

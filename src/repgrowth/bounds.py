@@ -440,19 +440,32 @@ def bound3_value(lam, p: int, image=None) -> BoundReport:
                    f"statistic m = {m}; compare by squaring only")
 
 
+# The symmetric-group envelope b(n) = B_COEFFICIENT n^B_EXPONENT, written
+# B_TEXT in claims and in decimals in guard texts.
+B_COEFFICIENT, B_EXPONENT = Fraction(25, 308), Fraction(5, 2)
+B_TEXT = (f"{B_COEFFICIENT.numerator} n^({B_EXPONENT})/"
+          f"{B_COEFFICIENT.denominator}")
+
+
 def b_iv(n: int):
-    """Interval value of n^2.5/12.32 (exactly 25*n^2.5/308)."""
-    return exact(Fraction(25, 308)) * power(n, Fraction(5, 2))
+    """Interval value of b(n) = B_COEFFICIENT n^B_EXPONENT."""
+    return exact(B_COEFFICIENT) * power(n, B_EXPONENT)
 
 
 def b_less_cert(value: int, n: int) -> Certificate:
-    """value < 25*n^2.5/308, squared to stay in integers."""
-    return exact_compare_cert((308 * value) ** 2, 625 * n ** 5)
+    """value < b(n) = (c/d) n^(a/b), raised to the b-th power to stay in
+    integers: (d value)^b < c^b n^a."""
+    c, d = B_COEFFICIENT.numerator, B_COEFFICIENT.denominator
+    a, b = B_EXPONENT.numerator, B_EXPONENT.denominator
+    return exact_compare_cert((d * value) ** b, c ** b * n ** a)
 
 
 def a_combination_cert() -> Certificate:
-    """(1 + 2^3.5) < 308/25, squared form of 2^3.5 < 283/25."""
-    return exact_compare_cert(625 * 128, 283 ** 2)
+    """1 + 2^(1+a/b) < d/c for b(n) = (c/d) n^(a/b), raised to the b-th
+    power: c^b 2^(a+b) < (d - c)^b."""
+    c, d = B_COEFFICIENT.numerator, B_COEFFICIENT.denominator
+    a, b = B_EXPONENT.numerator, B_EXPONENT.denominator
+    return exact_compare_cert(c ** b * 2 ** (a + b), (d - c) ** b)
 
 
 # (n_low, r_cap): a dimension n >= n_low forces the rank r <= r_cap.
@@ -470,7 +483,8 @@ _SMALL_DEGREE = {
     "A": ("degree (external): at most the trivial module and one companion",
           "alt-combination",
           "restriction argument: count at n plus twice the count at 2n for "
-          "the symmetric group; the combined coefficient (1+2^3.5)/12.32 is "
+          "the symmetric group; the combined coefficient "
+          f"(1+2^{float(1 + B_EXPONENT)})/{float(1 / B_COEFFICIENT)} is "
           "below 1"),
 }
 
@@ -514,7 +528,8 @@ def sym_rn_bound(r: int, n: int, p: int, group: str = "S",
             return report("sym-sublinear",
                           _interval_value(lambda: b_iv(n), bits),
                           f"n >= {SUBLINEAR_FROM}: the sublinear envelope "
-                          "stays below n^2.5/12.32",
+                          f"stays below n^{float(B_EXPONENT)}/"
+                          f"{float(1 / B_COEFFICIENT)}",
                           certify_cmp(lambda: f_interval("f5", n),
                                       lambda: b_iv(n), strict=True,
                                       ceiling_bits=bits))

@@ -26,6 +26,9 @@ from .bounds import (
     A5_TABLES,
     A_EXPONENT,
     A_LARGE_EXPONENT,
+    B_COEFFICIENT,
+    B_EXPONENT,
+    B_TEXT,
     DISPLAYS,
     SUBLINEAR_FROM,
     SYM_WINDOWS,
@@ -488,11 +491,24 @@ def _display(cid: str, label: str, s: Fraction, extra, n0: int,
 
 
 def _window(cid: str, n_low: int, r_cap: int) -> Check:
-    claim = (f"window floor {n_low}: (308 p({r_cap}))^2 < 625 * "
-             f"{n_low}^5, the squared form of p({r_cap}) < 25 n^(5/2)/308")
+    c, d = B_COEFFICIENT.numerator, B_COEFFICIENT.denominator
+    a, b = B_EXPONENT.numerator, B_EXPONENT.denominator
+    claim = (f"window floor {n_low}: ({d} p({r_cap}))^{b} < {c ** b} * "
+             f"{n_low}^{a}, the squared form of p({r_cap}) < {B_TEXT}")
     return Check(cid, claim, certificate(
         lambda bits: b_less_cert(partition_count(r_cap), n_low),
         "; p is monotone, so every rank under the cap follows"))
+
+
+def _combination(cid: str) -> Check:
+    c, d = B_COEFFICIENT.numerator, B_COEFFICIENT.denominator
+    a, b = B_EXPONENT.numerator, B_EXPONENT.denominator
+    return Check(cid, f"{c ** b}*{2 ** (a + b)} < {d - c}^{b}, the exact "
+                 "combination step", certificate(
+                     lambda bits: a_combination_cert(),
+                     f"; unpacks to 1 + 2^({1 + B_EXPONENT}) < "
+                     f"{1 / B_COEFFICIENT}, the combination step for one "
+                     "degree and its double"))
 
 
 _SPOT_RANKS = (19, 100, 365, 729)
@@ -648,17 +664,14 @@ CHECKS: tuple[Check, ...] = (
                strict=False)),
     Check("s-011", "f5(10^44) < 10^22",
           less(lambda: f_interval("f5", 10 ** 44), lambda: exact(10 ** 22))),
-    Check("s-020", f"f5(n) < 25 n^(5/2)/308 at n = {SUBLINEAR_FROM}",
+    Check("s-020", f"f5(n) < {B_TEXT} at n = {SUBLINEAR_FROM}",
           less(lambda: f_interval("f5", SUBLINEAR_FROM),
                lambda: b_iv(SUBLINEAR_FROM), "; the left side grows "
                "slower than any power, so larger n only widen the gap")),
     *(_window(f"s-03{i}", *window) for i, window in enumerate(SYM_WINDOWS)),
     Check("s-040", "(4 p(r))^2 < 2^(5 floor((r-3)/2)) on the rank "
           "sweep", _power_vs_pr),
-    Check("s-050", "625*128 < 283^2, the exact combination step",
-          certificate(lambda bits: a_combination_cert(),
-                      "; unpacks to 1 + 2^(7/2) < 308/25, the combination "
-                      "step for one degree and its double")),
+    _combination("s-050"),
     Check("s-900", "modules of degree below r-2 are classified "
           "(published classification)",
           external("minimal-degree facts, not computed here")),

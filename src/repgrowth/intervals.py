@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import ceil, comb, floor, isqrt, lcm
+from math import ceil, floor, isqrt, lcm
 
 import mpmath
 from mpmath import iv
@@ -213,19 +213,21 @@ def power(base, expo) -> "iv.mpf":
 
 
 @lru_cache(maxsize=None)
-def _bernoulli(n: int) -> Fraction:
-    # B_0 = 1, B_1 = -1/2, odd indices beyond vanish; defining recurrence
-    # sum_{k=0..m} C(m+1,k) B_k = 0.
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(-1, 2)
-    if n % 2:
-        return Fraction(0)
-    acc = Fraction(0)
-    for k in range(n):
-        acc += comb(n + 1, k) * _bernoulli(k)
-    return -acc / (n + 1)
+def _bernoulli(count: int) -> tuple[int, tuple[int, ...]]:
+    """(D, (D B_2, D B_4, ..., D B_2count)), D the least common denominator
+    of B_2 ... B_2count: from the integer tangent numbers T_k, computed in
+    place (Brent and Harvey, "Fast computation of Bernoulli, tangent and
+    secant numbers", 2011), as B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    t = [0, 1] + [0] * (count - 1)
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    bern = [Fraction((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1))
+            for k in range(1, count + 1)]
+    lcd = lcm(*(c.denominator for c in bern))
+    return lcd, tuple(c.numerator * (lcd // c.denominator) for c in bern)
 
 
 def _smallest_prime_factors(m: int) -> list[int]:
@@ -250,13 +252,12 @@ def _euler_maclaurin_tail(s: Fraction, m: int, terms: int):
     once at the end.
     """
     a, b = s.numerator, s.denominator
-    bern = [_bernoulli(2 * j) for j in range(1, terms + 1)]
-    lcd = lcm(*(c.denominator for c in bern))
+    lcd, bern = _bernoulli(terms + 1)
     # s(s+1)...(s+2j-2) / ((2j)! m^2j) is num/den, here at j = 1; the
     # corrections before j sum to acc / (lcd den)
     acc, num, den = 0, a, 2 * m * m * b
-    for j, c in enumerate(bern, 1):
-        acc += c.numerator * (lcd // c.denominator) * num
+    for j, c in enumerate(bern[:terms], 1):
+        acc += c * num
         step = (2 * j + 1) * (2 * j + 2) * m * m * b * b
         acc *= step
         den *= step
@@ -264,8 +265,7 @@ def _euler_maclaurin_tail(s: Fraction, m: int, terms: int):
     # 1/(s-1) - 1/(2m) = (2mb - a + b) / (2m(a - b))
     head, scale = 2 * m * b - a + b, 2 * m * (a - b)
     total = Fraction(head * lcd * den + scale * acc, scale * lcd * den)
-    last = _bernoulli(2 * terms + 2)
-    return total, Fraction(abs(last.numerator) * num, last.denominator * den)
+    return total, Fraction(abs(bern[terms]) * num, lcd * den)
 
 
 def _scaled_power(base: int, expo: Fraction, k: int) -> tuple[int, int]:
@@ -282,11 +282,12 @@ def _dirichlet_terms(s: Fraction, m: int, k: int):
     """Lists lo, hi with lo[n] <= 2^k n^-s <= hi[n] for 1 <= n <= m: a power
     per prime, and composites as products, n^-s being multiplicative."""
     spf = _smallest_prime_factors(m)
+    expo = -s
     lo, hi = [0, 1 << k], [0, 1 << k]
     for n in range(2, m + 1):
         p = spf[n]
         if p == n:
-            low, high = _scaled_power(n, -s, k)
+            low, high = _scaled_power(n, expo, k)
         else:
             low = lo[p] * lo[n // p] >> k
             high = -(-hi[p] * hi[n // p] >> k)
@@ -295,26 +296,39 @@ def _dirichlet_terms(s: Fraction, m: int, k: int):
     return lo, hi
 
 
+def zeta_cut_and_order(prec: int) -> tuple[int, int]:
+    """(M, J) for `zeta_iv` at prec bits: the Dirichlet sum runs to n = M
+    and the tail takes J Euler-Maclaurin corrections.
+
+    Up to 64 bits this is M = 16 and J = prec/13 + 2, where every check of
+    the zeta displays is decided.  Above, M = prec/5 and J = prec/7 keep
+    the remainder below the working precision: at s = 2, 9/4, 5/2, 3 and
+    7/2 the enclosure is 2^-(prec-1) wide at 128, 256, 512 and 1024 bits,
+    and at most 2^-(prec-8) wide at every prec from 65 to 1099, so a
+    readout whose band names a rung is decided there.
+    """
+    if prec <= 64:
+        return 16, prec // 13 + 2
+    return prec // 5, prec // 7
+
+
 def zeta_iv(s: Fraction):
     """Riemann zeta at rational s > 1, enclosed at the working precision.
 
-    Truncated Dirichlet sum with Euler-Maclaurin corrections; the remainder
-    is enclosed by the magnitude of the first omitted correction term, which
-    bounds the truncation error for real s > 1.  Each term and the tail
-    M^(1-s) (T +- R), T and R exact, is bracketed by integers at scale 2^K,
-    and the sum becomes one interval.
+    Truncated Dirichlet sum with Euler-Maclaurin corrections, cut and order
+    from `zeta_cut_and_order`; the remainder is enclosed by the magnitude of
+    the first omitted correction term, which bounds the truncation error
+    for real s > 1.  Each term and the tail M^(1-s) (T +- R), T and R
+    exact, is bracketed by integers at scale 2^K, and the sum becomes one
+    interval.
     """
     s = Fraction(s)
     if s <= 1:
         raise ValueError("zeta enclosure requires s > 1")
     prec = iv.prec
-    M = max(16, prec // 8)
+    M, J = zeta_cut_and_order(prec)
     K = prec + POWER_GUARD_BITS + M.bit_length()
     lo, hi = _dirichlet_terms(s, M, K)
-    # Correction order.  At s = 9/4 the enclosure is about 2^-58, 2^-83,
-    # 2^-159, 2^-310 and 2^-608 wide at 64, 128, 256, 512 and 1024 bits, so
-    # above 64 bits the remainder R, not the working precision, sets it.
-    J = prec // 13 + 2
     t, r = _euler_maclaurin_tail(s, M, J)
     # M^(1-s) > 0 times T -/+ R, whose sign is not assumed
     m_lo, m_hi = _scaled_power(M, 1 - s, K)

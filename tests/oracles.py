@@ -17,7 +17,8 @@ import mpmath
 from mpmath import iv
 
 from repgrowth.dominance import HypothesisError
-from repgrowth.intervals import Certificate, certify_less, exact
+from repgrowth.intervals import (Certificate, certify_less, exact,
+                                 zeta_cut_and_order)
 
 
 # ---------------------------------------------------------------------------
@@ -413,18 +414,16 @@ def direct_zeta_iv(s):
     """zeta(s) for rational s > 1 at the working interval precision: an exp
     and a log for every n <= M in the Dirichlet sum, and every
     Euler-Maclaurin correction enclosed on its own, the first omitted one
-    bounding the remainder.  Same M and J as `intervals.zeta_iv`."""
+    bounding the remainder.  M and J are `intervals.zeta_cut_and_order`'s."""
     s = Fraction(s)
-    prec = iv.prec
+    M, J = zeta_cut_and_order(iv.prec)
     sv = divided_exact(s)
-    M = max(16, prec // 8)
     total = iv.mpf(0)
     for n in range(1, M + 1):
         total += _iv_power(n, -s)
     logM = iv.log(iv.mpf(M))
     total += iv.exp((1 - sv) * logM) / (sv - 1)
     total -= iv.exp(-sv * logM) / 2
-    J = prec // 13 + 2
     rise = sv
     for j in range(1, J + 2):
         coef = (divided_exact(Fraction(*mpmath.bernfrac(2 * j)))

@@ -1,5 +1,6 @@
-"""Zeta enclosures against the term-by-term oracle, the exact tail against
-the running Fraction sum, fixed-point powers and Dirichlet terms against
+"""Zeta enclosures against the term-by-term oracle and as narrow as their
+rung, Bernoulli numbers against mpmath, the exact tail against the running
+Fraction sum, fixed-point powers and Dirichlet terms against
 exact integer inequalities, powers against exp and log, the exponential
 envelopes against plain high-precision floats, exact rationals against the
 interval division, `contains` against the full precision ladder with one
@@ -12,7 +13,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import ceil, factorial, floor, isqrt
+from math import ceil, factorial, floor, isqrt, lcm
 
 import mpmath
 import pytest
@@ -24,10 +25,11 @@ from repgrowth import intervals
 from repgrowth.bounds import f_interval, partition_envelope_iv, ratio_iv
 from repgrowth.checks import CHECKS
 from repgrowth.intervals import (FALSE, POWER_GUARD_BITS, TRUE, UNKNOWN,
-                                 _dirichlet_terms, _euler_maclaurin_tail,
-                                 _fixed_power, certify_cmp, contains, exact,
+                                 _bernoulli, _dirichlet_terms,
+                                 _euler_maclaurin_tail, _fixed_power,
+                                 certify_cmp, contains, exact,
                                  exact_compare_cert, per_precision, power,
-                                 zeta_iv)
+                                 zeta_cut_and_order, zeta_iv)
 
 from oracles import (_iv_power, direct_zeta_iv, divided_exact,
                      envelope_reference, fraction_euler_maclaurin_tail)
@@ -67,6 +69,53 @@ def test_zeta_iv_encloses_and_is_no_wider_than_direct(s, prec):
         ref = mpmath.zeta(mpmath.mpf(s.numerator) / s.denominator)
         assert lo <= ref <= hi
         assert hi - lo <= old_hi - old_lo
+
+
+# Ends of zeta_iv(s) at 16, 24 and 64 bits as (mantissa, exponent): the
+# checks of the zeta displays are decided at 64 bits and print them.
+ZETA_LOW_ENDS = {
+    (16, Fraction(2)): ((53901, -15), (26951, -14)),
+    (16, Fraction(9, 4)): ((5981, -12), (47849, -15)),
+    (16, Fraction(5, 2)): ((43957, -15), (21979, -14)),
+    (16, Fraction(3)): ((39389, -15), (19695, -14)),
+    (16, Fraction(7, 2)): ((4615, -12), (36921, -15)),
+    (24, Fraction(2)): ((13798707, -23), (3449677, -21)),
+    (24, Fraction(9, 4)): ((1531143, -20), (12249145, -23)),
+    (24, Fraction(5, 2)): ((5626605, -22), (11253211, -23)),
+    (24, Fraction(3)): ((39389, -15), (10083585, -23)),
+    (24, Fraction(7, 2)): ((590733, -19), (9451729, -23)),
+    (64, Fraction(2)): ((7585919437318868099, -62),
+                        (15171838874637736217, -63)),
+    (64, Fraction(9, 4)): ((6734038647105603547, -62),
+                           (13468077294211207111, -63)),
+    (64, Fraction(5, 2)): ((96664344190039989, -56),
+                           (6186518028162559303, -62)),
+    (64, Fraction(3)): ((11087018027310451129, -63),
+                        (5543509013655225569, -62)),
+    (64, Fraction(7, 2)): ((10392285644789379465, -63),
+                           (10392285644789379471, -63)),
+}
+
+
+@pytest.mark.parametrize("s", ZETA_ARGS[:5], ids=str)
+def test_zeta_iv_is_as_narrow_as_its_rung(s):
+    """At most 2^-(P-8) wide at each rung P >= 128, so a b-bit readout
+    decides at b bits; pinned ends at 16, 24 and 64 bits."""
+    for prec in ZETA_PRECS:
+        lo, hi = _ends(_at(prec, lambda: zeta_iv(s)))
+        if prec < 128:
+            assert (lo.man_exp, hi.man_exp) == ZETA_LOW_ENDS[prec, s]
+            continue
+        with mpmath.workprec(REF_BITS):
+            assert hi - lo <= mpmath.ldexp(1, 8 - prec), prec
+
+
+def test_bernoulli_numbers_match_mpmath_to_the_ladders_order():
+    count = zeta_cut_and_order(LADDER[-1])[1] + 1
+    lcd, scaled = _bernoulli(count)
+    want = [Fraction(*mpmath.bernfrac(2 * k)) for k in range(1, count + 1)]
+    assert [Fraction(n, lcd) for n in scaled] == want
+    assert lcd == lcm(*(b.denominator for b in want))
 
 
 # f1 and f2 at odd and even ranks, f3, f4 and the partition envelope
@@ -118,7 +167,7 @@ def test_zeta_iv_takes_an_exp_only_off_the_root_route(bits, monkeypatch):
     assert calls == []
     _at(bits, lambda: zeta_iv(Fraction(11, 10)))
     # one per prime n <= M and one for M^(1-s)
-    M = max(16, bits // 8)
+    M, _ = zeta_cut_and_order(bits)
     assert len(calls) == sum(map(_is_prime, range(M + 1))) + 1
 
 
@@ -137,7 +186,7 @@ def test_dyadic_routes_take_no_root_power_or_exp(s, monkeypatch):
 @pytest.mark.parametrize("prec", ZETA_PRECS)
 @pytest.mark.parametrize("s", ZETA_ARGS, ids=str)
 def test_dirichlet_terms_bracket_each_scaled_power(s, prec):
-    M = max(16, prec // 8)
+    M, _ = zeta_cut_and_order(prec)
     K = prec + POWER_GUARD_BITS + M.bit_length()
     lo, hi = _at(prec, lambda: _dirichlet_terms(s, M, K))
     a, b = s.numerator, s.denominator
@@ -187,7 +236,7 @@ def test_power_is_a_point_exactly_when_it_is_dyadic():
 @pytest.mark.parametrize("prec", ZETA_PRECS)
 @pytest.mark.parametrize("s", ZETA_ARGS, ids=str)
 def test_tail_equals_the_fraction_sum_on_the_ladder(s, prec):
-    M, J = max(16, prec // 8), prec // 13 + 2
+    M, J = zeta_cut_and_order(prec)
     assert (_euler_maclaurin_tail(s, M, J)
             == fraction_euler_maclaurin_tail(s, M, J))
 
@@ -413,7 +462,7 @@ READOUTS = (
     ("envelope", lambda: f_interval("f1", 20), -_tenth(100), _tenth(12),
      512, 512),
     ("zeta", lambda: zeta_iv(Fraction(9, 4)), -_tenth(12), _tenth(100),
-     64, 1024),
+     64, 512),
     ("zeta-outside", lambda: zeta_iv(Fraction(2)), 1 - _tenth(12),
      _tenth(12), 64, 64),
     ("far-outside", lambda: zeta_iv(Fraction(2)), Fraction(1),
@@ -477,6 +526,22 @@ def test_contains_starts_at_the_band_rung():
         seen = []
         contains(lambda: seen.append(iv.prec) or fn(), lo, hi)
         assert seen[0] == _band_rung(lo, hi), (b, d)
+
+
+@pytest.mark.parametrize("s", ZETA_ARGS[:5], ids=str)
+def test_contains_decides_a_zeta_band_at_its_rung(s):
+    """A band 2^(9-b) on each side of zeta(s) starts at rung b, and an
+    enclosure at most 2^(8-b) wide decides it there, in one evaluation."""
+    def fn():
+        return zeta_iv(s)
+
+    value = _value(fn)
+    for b in LADDER:
+        lo, hi = value - Fraction(2) ** (9 - b), value + Fraction(2) ** (9 - b)
+        seen = []
+        cert = contains(lambda: seen.append(iv.prec) or fn(), lo, hi)
+        assert _band_rung(lo, hi) == b
+        assert (cert.verdict, cert.prec_bits, seen) == (TRUE, b, [b])
 
 
 # Values for the readout contract: ratio, envelope and zeta readouts, and
@@ -563,7 +628,7 @@ def test_certify_cmp_formats_only_the_deciding_evaluation(monkeypatch):
     def zeta():
         return zeta_iv(Fraction(2))
 
-    lo = _value(zeta) - _tenth(60)
+    lo = _value(zeta) - _tenth(100)
     for ceiling, verdict, bits in ((1024, TRUE, 512), (256, UNKNOWN, 256)):
         contains(zeta, lo, lo + 1, ceiling_bits=ceiling)
         eager = _at(bits, lambda: (mpmath.nstr(exact(lo), 12),

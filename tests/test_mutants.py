@@ -69,10 +69,16 @@ MUTANTS = (
      ".bit_length() + 1", ".bit_length()",
      ["test_dominance.py::test_saturated_walk_matches_full_walk[A-1-4]"]),
     ("tail-remainder-zero", "intervals.py",
-     "return total, Fraction(abs(last.numerator) * num, "
-     "last.denominator * den)",
+     "return total, Fraction(abs(bern[terms]) * num, lcd * den)",
      "return total, Fraction(0)",
      ["test_intervals.py::test_tail_equals_the_fraction_sum_on_the_ladder"]),
+    ("zeta-order-back-to-p-over-13", "intervals.py",
+     "return prec // 5, prec // 7", "return prec // 5, prec // 13 + 2",
+     ["test_intervals.py::test_zeta_iv_is_as_narrow_as_its_rung"]),
+    ("tangent-step-off-by-one", "intervals.py",
+     "(j - k + 2) * t[j]", "(j - k + 1) * t[j]",
+     ["test_intervals.py::"
+      "test_bernoulli_numbers_match_mpmath_to_the_ladders_order"]),
     ("contains-start-rung-loosened", "intervals.py",
      "width * 2 ** (bits + 1) <= top",
      "width * 2 ** (bits - 1) <= top",

@@ -135,8 +135,8 @@ def bound2_iv(r: int, n: int):
 
 def ratio_iv(r: int, n: int):
     """(r+1) * loglog n / log n as an interval (needs log log n > 0)."""
-    ln = iv.log(iv.mpf(n))
-    return iv.mpf(r + 1) * iv.log(ln) / ln
+    ln = iv.log(exact(n))
+    return exact(r + 1) * iv.log(ln) / ln
 
 
 def ratio_holds(r: int, n: int,
@@ -153,9 +153,9 @@ def ratio_holds(r: int, n: int,
         raise HypothesisError(
             f"ratio inequality needs n >= max(6, (r+1)!) = "
             f"{max(6, factorial(r + 1))}")
-    log_n = per_precision(lambda: iv.log(iv.mpf(n)))
-    return certify_less(lambda: iv.mpf(5 * (r + 1)) * iv.log(log_n()),
-                        lambda: iv.mpf(9) * log_n(),
+    log_n = per_precision(lambda: iv.log(exact(n)))
+    return certify_less(lambda: exact(5 * (r + 1)) * iv.log(log_n()),
+                        lambda: exact(9) * log_n(),
                         ceiling_bits=ceiling_bits)
 
 
@@ -216,7 +216,7 @@ def f_interval(name: str, arg: int):
     terms = envelope_terms(name, arg)
     if terms is not None:
         return exp_envelope(*terms)
-    lg = iv.log(iv.mpf(arg)) / iv.log(iv.mpf(2))
+    lg = iv.log(exact(arg)) / iv.log(exact(2))
     return 4 * lg * iv.exp(2 * iv.pi * iv.sqrt(lg / 3))
 
 
@@ -440,9 +440,11 @@ def bound3_value(lam, p: int, image=None) -> BoundReport:
                    f"statistic m = {m}; compare by squaring only")
 
 
-# The symmetric-group envelope b(n) = B_COEFFICIENT n^B_EXPONENT, written
-# B_TEXT in claims and in decimals in guard texts.
+# The symmetric-group envelope b(n) = B_COEFFICIENT n^B_EXPONENT = (c/d)
+# n^(a/b), (c, d, a, b) = B_PARTS: B_TEXT in claims, decimals in guards.
 B_COEFFICIENT, B_EXPONENT = Fraction(25, 308), Fraction(5, 2)
+B_PARTS = (B_COEFFICIENT.numerator, B_COEFFICIENT.denominator,
+           B_EXPONENT.numerator, B_EXPONENT.denominator)
 B_TEXT = (f"{B_COEFFICIENT.numerator} n^({B_EXPONENT})/"
           f"{B_COEFFICIENT.denominator}")
 
@@ -455,16 +457,14 @@ def b_iv(n: int):
 def b_less_cert(value: int, n: int) -> Certificate:
     """value < b(n) = (c/d) n^(a/b), raised to the b-th power to stay in
     integers: (d value)^b < c^b n^a."""
-    c, d = B_COEFFICIENT.numerator, B_COEFFICIENT.denominator
-    a, b = B_EXPONENT.numerator, B_EXPONENT.denominator
+    c, d, a, b = B_PARTS
     return exact_compare_cert((d * value) ** b, c ** b * n ** a)
 
 
 def a_combination_cert() -> Certificate:
     """1 + 2^(1+a/b) < d/c for b(n) = (c/d) n^(a/b), raised to the b-th
     power: c^b 2^(a+b) < (d - c)^b."""
-    c, d = B_COEFFICIENT.numerator, B_COEFFICIENT.denominator
-    a, b = B_EXPONENT.numerator, B_EXPONENT.denominator
+    c, d, a, b = B_PARTS
     return exact_compare_cert(c ** b * 2 ** (a + b), (d - c) ** b)
 
 

@@ -28,6 +28,7 @@ from .bounds import (
     A_LARGE_EXPONENT,
     B_COEFFICIENT,
     B_EXPONENT,
+    B_PARTS,
     B_TEXT,
     DISPLAYS,
     SUBLINEAR_FROM,
@@ -491,8 +492,7 @@ def _display(cid: str, label: str, s: Fraction, extra, n0: int,
 
 
 def _window(cid: str, n_low: int, r_cap: int) -> Check:
-    c, d = B_COEFFICIENT.numerator, B_COEFFICIENT.denominator
-    a, b = B_EXPONENT.numerator, B_EXPONENT.denominator
+    c, d, a, b = B_PARTS
     claim = (f"window floor {n_low}: ({d} p({r_cap}))^{b} < {c ** b} * "
              f"{n_low}^{a}, the squared form of p({r_cap}) < {B_TEXT}")
     return Check(cid, claim, certificate(
@@ -501,8 +501,7 @@ def _window(cid: str, n_low: int, r_cap: int) -> Check:
 
 
 def _combination(cid: str) -> Check:
-    c, d = B_COEFFICIENT.numerator, B_COEFFICIENT.denominator
-    a, b = B_EXPONENT.numerator, B_EXPONENT.denominator
+    c, d, a, b = B_PARTS
     return Check(cid, f"{c ** b}*{2 ** (a + b)} < {d - c}^{b}, the exact "
                  "combination step", certificate(
                      lambda bits: a_combination_cert(),

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import ceil, floor, isqrt, lcm
+from math import isqrt, lcm
 
 import mpmath
 from mpmath import iv
@@ -242,20 +242,20 @@ def _smallest_prime_factors(m: int) -> list[int]:
 
 
 def _euler_maclaurin_tail(s: Fraction, m: int, terms: int):
-    """Exact (T, R) with sum_{n>m} n^-s = m^(1-s) (T + theta R) for some
-    |theta| <= 1, at real s > 1.
+    """Integers (T D, R D, D), D > 0, with sum_{n>m} n^-s = m^(1-s) (T +
+    theta R) for some |theta| <= 1, at real s > 1.
 
     T = 1/(s-1) - 1/(2m) + sum_{j<=terms} B_2j/(2j)! s(s+1)...(s+2j-2)
     m^-2j, and R is the magnitude of the first omitted (j = terms + 1) term,
     which bounds the remainder for real s > 1.  The corrections are summed
-    by Horner's rule over integers on one common denominator and reduced
-    once at the end.
+    by Horner's rule over integers on the one common denominator D, which
+    is never reduced.
     """
     a, b = s.numerator, s.denominator
     lcd, bern = _bernoulli(terms + 1)
-    # s(s+1)...(s+2j-2) / ((2j)! m^2j) is num/den, here at j = 1; the
-    # corrections before j sum to acc / (lcd den)
-    acc, num, den = 0, a, 2 * m * m * b
+    # s(s+1)...(s+2j-2) / ((2j)! m^2j) is lcd num/den, here at j = 1; the
+    # corrections before j sum to acc / den
+    acc, num, den = 0, a, 2 * m * m * b * lcd
     for j, c in enumerate(bern[:terms], 1):
         acc += c * num
         step = (2 * j + 1) * (2 * j + 2) * m * m * b * b
@@ -264,8 +264,8 @@ def _euler_maclaurin_tail(s: Fraction, m: int, terms: int):
         num *= (a + (2 * j - 1) * b) * (a + 2 * j * b)
     # 1/(s-1) - 1/(2m) = (2mb - a + b) / (2m(a - b))
     head, scale = 2 * m * b - a + b, 2 * m * (a - b)
-    total = Fraction(head * lcd * den + scale * acc, scale * lcd * den)
-    return total, Fraction(abs(bern[terms]) * num, lcd * den)
+    return (head * den + scale * acc, scale * abs(bern[terms]) * num,
+            scale * den)
 
 
 def _scaled_power(base: int, expo: Fraction, k: int) -> tuple[int, int]:
@@ -319,8 +319,8 @@ def zeta_iv(s: Fraction):
     from `zeta_cut_and_order`; the remainder is enclosed by the magnitude of
     the first omitted correction term, which bounds the truncation error
     for real s > 1.  Each term and the tail M^(1-s) (T +- R), T and R
-    exact, is bracketed by integers at scale 2^K, and the sum becomes one
-    interval.
+    exact on one integer denominator, is bracketed by integers at scale
+    2^K, and the sum becomes one interval.
     """
     s = Fraction(s)
     if s <= 1:
@@ -329,10 +329,10 @@ def zeta_iv(s: Fraction):
     M, J = zeta_cut_and_order(prec)
     K = prec + POWER_GUARD_BITS + M.bit_length()
     lo, hi = _dirichlet_terms(s, M, K)
-    t, r = _euler_maclaurin_tail(s, M, J)
+    td, rd, d = _euler_maclaurin_tail(s, M, J)
     # M^(1-s) > 0 times T -/+ R, whose sign is not assumed
     m_lo, m_hi = _scaled_power(M, 1 - s, K)
-    t_lo, t_hi = floor((t - r) * (1 << K)), ceil((t + r) * (1 << K))
+    t_lo, t_hi = (td - rd << K) // d, -(-(td + rd << K) // d)
     tail_lo = min(m_lo * t_lo, m_hi * t_lo) >> K
     tail_hi = -(-max(m_lo * t_hi, m_hi * t_hi) >> K)
     return _interval(sum(lo) + tail_lo, sum(hi) + tail_hi, K, prec)

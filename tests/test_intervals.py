@@ -1,11 +1,11 @@
 """Zeta enclosures against the term-by-term oracle and as narrow as their
-rung, Bernoulli numbers against mpmath, the exact tail against the running
-Fraction sum, fixed-point powers and Dirichlet terms against
-exact integer inequalities, powers against exp and log, the exponential
-envelopes against plain high-precision floats, exact rationals against the
-interval division, `contains` against the full precision ladder with one
-evaluation per rung from the band's rung, `per_precision` keeping one
-enclosure per precision, and certificates formatted once,
+rung, Bernoulli numbers against mpmath, the exact tail and zeta's integer
+readout against the running Fraction sum, fixed-point powers and Dirichlet
+terms against exact integer inequalities, powers against exp and log, the
+exponential envelopes against plain high-precision floats, exact rationals
+against the interval division, `contains` against the full precision
+ladder with one evaluation per rung from the band's rung, `per_precision`
+keeping one enclosure per precision, and certificates formatted once,
 when first read, and equal only when their texts are."""
 
 import re
@@ -27,7 +27,7 @@ from repgrowth.checks import CHECKS
 from repgrowth.intervals import (FALSE, POWER_GUARD_BITS, TRUE, UNKNOWN,
                                  _bernoulli, _dirichlet_terms,
                                  _euler_maclaurin_tail, _fixed_power,
-                                 certify_cmp, contains, exact,
+                                 _scaled_power, certify_cmp, contains, exact,
                                  exact_compare_cert, per_precision, power,
                                  zeta_cut_and_order, zeta_iv)
 
@@ -233,11 +233,17 @@ def test_power_is_a_point_exactly_when_it_is_dyadic():
 
 # --- the exact Euler-Maclaurin tail ---------------------------------------
 
+def _tail_fractions(s, m: int, terms: int):
+    """(T D/D, R D/D) from the integers `_euler_maclaurin_tail` returns."""
+    td, rd, d = _euler_maclaurin_tail(s, m, terms)
+    return Fraction(td, d), Fraction(rd, d)
+
+
 @pytest.mark.parametrize("prec", ZETA_PRECS)
 @pytest.mark.parametrize("s", ZETA_ARGS, ids=str)
 def test_tail_equals_the_fraction_sum_on_the_ladder(s, prec):
     M, J = zeta_cut_and_order(prec)
-    assert (_euler_maclaurin_tail(s, M, J)
+    assert (_tail_fractions(s, M, J)
             == fraction_euler_maclaurin_tail(s, M, J))
 
 
@@ -245,8 +251,39 @@ def test_tail_equals_the_fraction_sum_on_the_ladder(s, prec):
 @pytest.mark.parametrize("s", ZETA_ARGS, ids=str)
 def test_tail_equals_the_fraction_sum_at_every_order(s, m):
     for terms in range(1, 101):
-        assert (_euler_maclaurin_tail(s, m, terms)
+        assert (_tail_fractions(s, m, terms)
                 == fraction_euler_maclaurin_tail(s, m, terms)), terms
+
+
+def _fraction_readout(s, prec: int):
+    """The integers (lo, hi, K, prec) of zeta_iv(s) at prec bits, read out
+    by flooring and ceiling the running Fraction tail at 2^K."""
+    M, J = zeta_cut_and_order(prec)
+    K = prec + POWER_GUARD_BITS + M.bit_length()
+    lo, hi = _dirichlet_terms(s, M, K)
+    t, r = fraction_euler_maclaurin_tail(s, M, J)
+    m_lo, m_hi = _scaled_power(M, 1 - s, K)
+    t_lo, t_hi = floor((t - r) * (1 << K)), ceil((t + r) * (1 << K))
+    tail_lo = min(m_lo * t_lo, m_hi * t_lo) >> K
+    tail_hi = -(-max(m_lo * t_hi, m_hi * t_hi) >> K)
+    return sum(lo) + tail_lo, sum(hi) + tail_hi, K, prec
+
+
+@pytest.mark.parametrize("prec", ZETA_PRECS + (65, 1099))
+@pytest.mark.parametrize("s", ZETA_ARGS, ids=str)
+def test_zeta_iv_reads_out_the_integers_of_the_fraction_tail(s, prec,
+                                                             monkeypatch):
+    """zeta_iv's integer ends before rounding equal the Fraction readout's,
+    so its enclosures do too."""
+    interval, ends = intervals._interval, []
+
+    def record(*args):
+        ends.append(args)
+        return interval(*args)
+
+    monkeypatch.setattr(intervals, "_interval", record)
+    _at(prec, lambda: zeta_iv(s))
+    assert ends == [_at(prec, lambda: _fraction_readout(s, prec))]
 
 
 # --- power ----------------------------------------------------------------

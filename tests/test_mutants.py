@@ -69,9 +69,12 @@ MUTANTS = (
      ".bit_length() + 1", ".bit_length()",
      ["test_dominance.py::test_saturated_walk_matches_full_walk[A-1-4]"]),
     ("tail-remainder-zero", "intervals.py",
-     "return total, Fraction(abs(bern[terms]) * num, lcd * den)",
-     "return total, Fraction(0)",
+     "scale * abs(bern[terms]) * num", "0",
      ["test_intervals.py::test_tail_equals_the_fraction_sum_on_the_ladder"]),
+    ("tail-upper-end-floored", "intervals.py",
+     "-(-(td + rd << K) // d)", "(td + rd << K) // d",
+     ["test_intervals.py::"
+      "test_zeta_iv_reads_out_the_integers_of_the_fraction_tail[11/10-16]"]),
     ("zeta-order-back-to-p-over-13", "intervals.py",
      "return prec // 5, prec // 7", "return prec // 5, prec // 13 + 2",
      ["test_intervals.py::test_zeta_iv_is_as_narrow_as_its_rung"]),

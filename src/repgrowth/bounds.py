@@ -515,13 +515,14 @@ def sym_rn_bound(r: int, n: int, p: int, group: str = "S",
             valid=False,
             guard_detail="n = 1 sits below every branch of the argument")
 
+    _, _, a, b = B_PARTS  # count^b < n^a: count < n^B_EXPONENT
     thr = 2 ** ((r - 3) // 2)
     if group == "cover" and n >= thr:
         val = 4 * partition_count(r)
         return report("cover-class-count", ExactValue(val),
                       f"n >= 2^((r-3)/2) = {thr}: the class count 4*p(r); "
-                      "certificate compares squares against n^5",
-                      exact_compare_cert(val * val, n ** 5))
+                      f"certificate compares squares against n^{a}",
+                      exact_compare_cert(val ** b, n ** a))
 
     if group == "S":
         if n >= SUBLINEAR_FROM:
@@ -537,7 +538,7 @@ def sym_rn_bound(r: int, n: int, p: int, group: str = "S",
             return report("sym-low-dimension", ExactValue(4),
                           "n < (r^2-5r+2)/2: external low-degree "
                           "classification leaves at most 4 modules",
-                          exact_compare_cert(16, n ** 5))
+                          exact_compare_cert(4 ** b, n ** a))
         for n_low, r_cap in SYM_WINDOWS:
             if n >= n_low:
                 if r > r_cap:
@@ -557,7 +558,7 @@ def sym_rn_bound(r: int, n: int, p: int, group: str = "S",
     if n < 11:
         return report("below-min-degree", ExactValue(2),
                       f"n < 11 <= r - 2 <= minimal nontrivial {below}",
-                      exact_compare_cert(4, n ** 5))
+                      exact_compare_cert(2 ** b, n ** a))
     return report(name,
                   _interval_value(lambda: b_iv(n) + 2 * b_iv(2 * n), bits),
                   reason, a_combination_cert())

@@ -134,17 +134,16 @@ def sweep(var: str, points, step, ok) -> Runner:
 
     step is make(x, bits), one certificate per point, or the (lhs, rhs,
     keys) of `f_below`.  Then, when the keys show both sides nondecreasing
-    along the points, blocks cover the sweep from the top point x_j down:
-    x_j is certified on the full ladder, and the block reaches down to the
-    smallest x_i with lhs(x_j) < rhs(x_i) decided at the ladder's first
-    rung (galloping down from x_j, then bisecting).  Each side is
-    evaluated at most once per point and precision in a run, so a sweep
-    that passes makes no more evaluations than the pointwise loop.  When
-    the keys are not monotone, or an end point's certificate is not true,
-    the pointwise loop runs from the first point, and its first failure
-    and detail are those of a sweep without blocks.  The pass text gives
-    the highest precision of the certificates used.  The runner is a
-    partial of `_sweep`, so its args are the row's.
+    along the points, `_covering` takes blocks: x_i .. x_j is one block
+    when lhs(x_j) < rhs(x_i) is decided at the ladder's first rung and x_j
+    is certified on the full ladder; any other range is halved.  Without
+    monotone keys no block is tried and every point is certified in order.
+    Each side is evaluated at most once per point and precision in a run,
+    so a sweep that passes makes no more evaluations than the pointwise
+    loop.  The first certificate that is not true is reported at its
+    point, as by the pointwise loop; else the pass text gives the highest
+    precision of the certificates used.  The runner is a partial of
+    `_sweep`, so its args are the row's.
     """
     return partial(_sweep, var, points, step, ok)
 
@@ -152,18 +151,32 @@ def sweep(var: str, points, step, ok) -> Runner:
 def _sweep(var: str, points, step, ok, bits: int,
            scale: str) -> tuple[str, str]:
     xs = list(points(scale) if callable(points) else points)
-    cert = _certifier(step, xs, bits)
-    top = _cover(cert, len(xs), bits) if _monotone(step, xs) else None
-    if top is None:
-        top = 0
-        for i, x in enumerate(xs):
-            c = cert(i, i)
-            if c.verdict != TRUE:
-                verdict, detail = _cert_result(c)
-                return verdict, f"{var} = {x}: {detail}"
-            top = max(top, c.prec_bits)
+    rung = min(DEFAULT_START_BITS, bits) if _monotone(step, xs) else 0
+    top = 0
+    for i, c in _covering(_certifier(step, xs, bits), 0, len(xs) - 1, rung):
+        if c.verdict != TRUE:
+            verdict, detail = _cert_result(c)
+            return verdict, f"{var} = {xs[i]}: {detail}"
+        top = max(top, c.prec_bits)
     text = ok(scale) if callable(ok) else ok
     return "pass", f"{text} (up to {top} bits)"
+
+
+def _covering(cert, i: int, j: int, rung: int):
+    """Yield, left to right, (point, certificate) pairs that cover points
+    i .. j: the end of a block with its certificate, or, when rung is 0 or
+    i .. j is no block, those of its two halves, down to single points."""
+    if i < j and rung and cert(j, i, rung).verdict == TRUE:
+        end = cert(j, j)
+        if end.verdict == TRUE:
+            yield j, end
+            return
+    if i == j:
+        yield j, cert(j, j)
+    elif i < j:
+        mid = (i + j) // 2
+        yield from _covering(cert, i, mid, rung)
+        yield from _covering(cert, mid + 1, j, rung)
 
 
 def _certifier(step, xs, bits: int):
@@ -195,35 +208,6 @@ def _monotone(step, xs) -> bool:
             return False
         prev = key
     return True
-
-
-def _cover(cert, n: int, bits: int):
-    """Cover points 0 .. n-1 by blocks from the top down; the highest
-    precision used, or None when an end point's certificate is not true."""
-    rung = min(DEFAULT_START_BITS, bits)
-    top, j = 0, n - 1
-    while j >= 0:
-        end = cert(j, j)
-        if end.verdict != TRUE:
-            return None
-        top = max(top, end.prec_bits)
-        # the block is good .. j; probes gallop down from j to the first
-        # that fails (bad), then bisect between bad and good
-        good, bad, d = j, -1, 1
-        while good > 0 and bad < 0:
-            i = max(j - d, 0)
-            if cert(j, i, rung).verdict == TRUE:
-                good, d = i, 2 * d
-            else:
-                bad = i
-        while good - bad > 1:
-            i = (good + bad) // 2
-            if cert(j, i, rung).verdict == TRUE:
-                good = i
-            else:
-                bad = i
-        j = good - 1
-    return top
 
 
 def f_below(name: str, base, expo):

@@ -239,18 +239,25 @@ def test_a_monotone_claim_failing_inside_a_block_is_reported():
     assert checks._monotone(run.args[2], range(33))
 
 
-def test_monotone_f4_sweeps_make_a_quarter_of_the_evaluations(monkeypatch):
+def test_monotone_sweeps_make_an_eighth_of_the_evaluations(monkeypatch):
     calls = []
     for name in ("f_interval", "power"):
         def counted(*args, _fn=getattr(checks, name)):
             calls.append((_fn, args, iv.prec))
             return _fn(*args)
         monkeypatch.setattr(checks, name, counted)
-    for cid in ("a-040", "a-041"):
-        assert _check(cid).run(1024, "desk")[0] == "pass"
+
+    def evaluations(cid, scale):
+        calls.clear()
+        assert _check(cid).run(1024, scale)[0] == "pass"
+        assert len(set(calls)) == len(calls)  # once per point and precision
+        return len(calls)
+
     # pointwise: two sides at each of 121 + 74 points, 390 evaluations
-    assert len(calls) <= 390 // 4
-    assert len(set(calls)) == len(calls)  # once per point and precision
+    assert evaluations("a-040", "desk") + evaluations("a-041", "desk") \
+        <= 390 // 8
+    # pointwise: two sides at each of 711 ranks
+    assert evaluations("a-050", "extended") <= 30
 
 
 def test_weights_up_to_matches_the_recursive_oracle():

@@ -210,7 +210,14 @@ MUTANTS = (
     ("side-memo-per-call", "checks.py",
      "    @cache\n    def side(", "    def side(",
      ["test_checks.py::"
-      "test_monotone_f4_sweeps_make_a_quarter_of_the_evaluations"]),
+      "test_monotone_sweeps_make_an_eighth_of_the_evaluations"]),
+    ("block-probe-reads-the-end-twice", "checks.py",
+     "rung and cert(j, i, rung)", "rung and cert(j, j, rung)",
+     ["test_checks.py::"
+      "test_a_monotone_claim_failing_inside_a_block_is_reported"]),
+    ("block-end-left-uncertified", "checks.py",
+     "if end.verdict == TRUE:", "if True:",
+     ["test_checks.py::test_check_reports_fail[a-041-power]"]),
     ("ratio-memo-ignores-precision", "intervals.py",
      "if iv.prec not in values:\n"
      "            values[iv.prec] = fn()\n"

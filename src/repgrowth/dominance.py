@@ -9,7 +9,7 @@ integer arithmetic alone.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .rootdata import (RootDatum, Weight, add, is_dominant, positive_roots,
@@ -26,12 +26,11 @@ class SaturationCapError(RuntimeError):
     """Saturated-set walk exceeded the configured weight cap."""
 
 
-@dataclass(frozen=True)
-class WitnessChain:
-    """Certificate that source - sum(root_coeffs[i]*alpha_{i+1}) == target."""
+class WitnessChain(namedtuple("WitnessChain", "target root_coeffs")):
+    """Certificate that source - sum(root_coeffs[i]*alpha_{i+1}) == target:
+    a Weight and a tuple of ints."""
 
-    target: Weight
-    root_coeffs: tuple[int, ...]
+    __slots__ = ()
 
     def verify(self, datum: RootDatum, source: Weight) -> bool:
         coeffs = self.root_coeffs

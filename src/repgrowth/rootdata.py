@@ -13,7 +13,6 @@ numbering follows the Bourbaki convention everywhere.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 
@@ -57,13 +56,24 @@ def _bonds(family: str, rank: int) -> list[tuple[int, int, int]]:
     return path
 
 
-@dataclass(frozen=True, eq=False)
 class RootDatum:
-    # root_datum() makes one per (family, rank): identity hashing is exact.
-    family: str
-    rank: int
-    # Row t of the Cartan matrix as its (j, entry) pairs with entry != 0.
-    rows: tuple[tuple[tuple[int, int], ...], ...]
+    # root_datum() makes one per (family, rank): identity hashing is exact,
+    # and a copy or an unpickled datum is that cached one.  Row t of rows
+    # is row t of the Cartan matrix as its (j, entry) pairs with entry != 0.
+    __slots__ = ("family", "rank", "rows")
+
+    def __init__(self, family: str, rank: int,
+                 rows: tuple[tuple[tuple[int, int], ...], ...]) -> None:
+        for name, value in zip(self.__slots__, (family, rank, rows)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"RootDatum field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return root_datum, (self.family, self.rank)
 
     def __repr__(self) -> str:
         return f"RootDatum({self.family}{self.rank})"

@@ -1,7 +1,9 @@
 """Dominance chains, Weyl orbit sizes, and saturated-set walks."""
 
+import copy
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -127,6 +129,24 @@ def test_witness_chain_rejects_malformed():
     assert not WitnessChain((0, 0), (-1, 1)).verify(datum, (1, 1))
     assert not WitnessChain((1, 0), (1, 1)).verify(datum, (1, 1))
 
+
+def test_witness_chain_is_a_read_only_value_record():
+    chain = WitnessChain((1, 0), (1, 1))
+    same = WitnessChain(target=(1, 0), root_coeffs=(1, 1))
+    assert (chain.target, chain.root_coeffs) == ((1, 0), (1, 1))
+    assert chain == same and hash(chain) == hash(same)
+    assert chain != WitnessChain((1, 0), (1, 2))
+    assert repr(chain) == "WitnessChain(target=(1, 0), root_coeffs=(1, 1))"
+    for name in ("target", "root_coeffs", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(chain, name, (0, 0))
+    assert chain == same
+    clones = [copy.copy(chain), copy.deepcopy(chain)] + [
+        pickle.loads(pickle.dumps(chain, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones:
+        assert type(clone) is WitnessChain and clone == chain
+        assert clone.verify(root_datum("A", 2), (2, 1))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 5), ("B", 3), ("G", 2)])

@@ -245,6 +245,30 @@ MUTANTS = (
     ("sublinear-floor-literal", "bounds.py",
      "if n >= SUBLINEAR_FROM:", "if n >= 1502:",
      ["test_partitions.py::test_sym_sublinear_from_1503"]),
+    ("datum-reduces-to-a-fresh-datum", "rootdata.py",
+     "return root_datum, (self.family, self.rank)",
+     "return RootDatum, (self.family, self.rank, self.rows)",
+     ["test_rootdata.py::"
+      "test_datum_is_read_only_and_copies_as_the_cached_datum"]),
+    ("datum-fields-assignable", "rootdata.py",
+     'raise AttributeError(f"RootDatum field {name!r} is read-only")',
+     "object.__setattr__(self, name, value)",
+     ["test_rootdata.py::"
+      "test_datum_is_read_only_and_copies_as_the_cached_datum"]),
+    ("datum-fields-deletable", "rootdata.py",
+     "    __delattr__ = __setattr__\n", "",
+     ["test_rootdata.py::"
+      "test_datum_is_read_only_and_copies_as_the_cached_datum"]),
+    ("datum-init-swaps-family-and-rank", "rootdata.py",
+     "(family, rank, rows)", "(rank, family, rows)",
+     ["test_rootdata.py::"
+      "test_datum_is_read_only_and_copies_as_the_cached_datum"]),
+    ("chain-gains-a-dict", "dominance.py",
+     "    __slots__ = ()\n", "",
+     ["test_dominance.py::test_witness_chain_is_a_read_only_value_record"]),
+    ("chain-fields-swapped", "dominance.py",
+     '"target root_coeffs"', '"root_coeffs target"',
+     ["test_dominance.py::test_witness_chain_is_a_read_only_value_record"]),
 )
 
 

@@ -32,14 +32,22 @@ def _fresh(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_combinatorial_layers_import_without_the_interval_stack():
-    done = _fresh("-c", """
+    # dataclasses would bring inspect, ast, dis and tokenize; modules that
+    # the interpreter (or a site .pth) loaded before the imports are not
+    # the layers' doing
+    code = """
 import sys
+before = set(sys.modules)
 import repgrowth, repgrowth.rootdata, repgrowth.dominance, repgrowth.witness
 import repgrowth.partitions
 print(sorted(m for m in ("mpmath", "repgrowth.bounds", "repgrowth.intervals",
-                         "repgrowth.checks") if m in sys.modules))
-""")
-    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+                         "repgrowth.checks", "dataclasses", "inspect")
+             if m in sys.modules and m not in before))
+"""
+    for flags in ((), ("-S",)):
+        done = _fresh(*flags, "-c", code)
+        assert (flags, done.returncode, done.stderr, done.stdout) == (
+            flags, 0, "", "[]\n")
 
 
 def test_the_parser_help_and_usage_errors_load_no_layer():

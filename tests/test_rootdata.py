@@ -1,9 +1,10 @@
 """Structural checks on the root-system tables."""
 
+import copy
 import itertools
 import operator
+import pickle
 import random
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -76,7 +77,29 @@ def dense(datum) -> list[list[int]]:
 
 
 def test_datum_keeps_only_sparse_rows():
-    assert [f.name for f in fields(RootDatum)] == ["family", "rank", "rows"]
+    assert list(RootDatum.__slots__) == ["family", "rank", "rows"]
+    assert not hasattr(root_datum("A", 3), "__dict__")
+
+
+def test_datum_is_read_only_and_copies_as_the_cached_datum():
+    datum = root_datum("A", 3)
+    assert repr(datum) == "RootDatum(A3)"
+    # a second datum, so that a failed assignment cannot touch the cache
+    twin = RootDatum(family="A", rank=3, rows=datum.rows)
+    assert (twin.family, twin.rank, twin.rows) == ("A", 3, datum.rows)
+    assert twin != datum and hash(twin) != hash(datum)
+    with pytest.raises(AttributeError):
+        twin.rank = 4
+    with pytest.raises(AttributeError):
+        del twin.rows
+    with pytest.raises(AttributeError):
+        twin.extra = 1
+    assert (twin.family, twin.rank, twin.rows) == ("A", 3, datum.rows)
+    clones = [copy.copy(twin), copy.deepcopy(datum)] + [
+        pickle.loads(pickle.dumps(datum, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones:
+        assert clone is datum
 
 
 @pytest.mark.parametrize("family,rank", ALL_DATA)

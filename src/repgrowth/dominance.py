@@ -113,13 +113,17 @@ def _pack(w, width: int) -> int:
 
 
 def _unpack(n: int, width: int, rank: int) -> Weight:
-    return tuple(n >> width * j & ~(-1 << width) for j in range(rank)[::-1])
+    mask = ~(-1 << width)
+    return tuple(n >> s & mask for s in range(width * (rank - 1), -1, -width))
 
 
 @lru_cache(maxsize=None)
 def _packed_roots(datum: RootDatum, width: int) -> tuple[int, tuple, dict]:
     """Field ones, positive_roots rows with weight and need packed, and the
-    walks' memo: guards of the nonzero coordinates -> orbit length."""
+    walks' memo: guards of the nonzero coordinates -> (orbit length, the
+    packed (weight, need) rows whose need vanishes wherever the member
+    does, in positive_roots order); no other row fits, as need_j > 0 =
+    mu_j makes (mu - alpha)_j = -need_j < 0."""
     return (_pack((1,) * datum.rank, width),
             tuple((c, _pack(alpha, width), _pack(need, width))
                   for c, alpha, need in positive_roots(datum)), {})
@@ -140,26 +144,33 @@ def _saturated_walk(datum: RootDatum, lam: Weight, cap: int
     marks of theta^vee are >= 1 and at most ht(theta), theta^vee is
     dominant and lam - mu is in Q+; | 3 holds a need entry of 3 (G2).  So
     no field borrows, and w >= need exactly when (w | guard) - need keeps
-    every guard.
+    every guard.  A member tests only the rows whose need vanishes where mu
+    does (any other fails anyway: mu_j = 0 < alpha_j makes (mu - alpha)_j
+    < 0); need entries of 2 and 3 still need the test.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     lam = check_dominant(datum, lam)
     width = (sum(positive_roots(datum)[-1][0]) * sum(lam) | 3).bit_length() + 1
-    ones, table, orbit_of = _packed_roots(datum, width)
+    ones, table, memo = _packed_roots(datum, width)
     guard, total = ones << width - 1, 0
     queue = [_pack(lam, width)]
     parent_of = {queue[0]: None}
     for w in queue:
         high = w | guard
         key = (high - ones) & guard
-        if key not in orbit_of:
-            orbit_of[key] = orbit_length(datum, _unpack(w, width, datum.rank))
-        total += orbit_of[key]
+        if key not in memo:
+            mu = _unpack(w, width, datum.rank)
+            memo[key] = (orbit_length(datum, mu), tuple(
+                row[1:] for row, (_, _, need) in
+                zip(table, positive_roots(datum))
+                if all(x or not k for x, k in zip(mu, need))))
+        orbit, rows = memo[key]
+        total += orbit
         if total > cap:
             raise SaturationCapError(
                 f"saturated set of {lam} exceeds cap {cap}")
-        for _, alpha, need in table:
+        for alpha, need in rows:
             if (high - need) & guard == guard:
                 v = w - alpha
                 if v not in parent_of:
@@ -181,7 +192,7 @@ def saturated_dominant_set(datum: RootDatum, lam: Weight,
     out = []
     for w, coeffs in sorted(coeffs_of.items(), reverse=True):
         mu = _unpack(w, width, datum.rank)
-        chain = WitnessChain(target=mu, root_coeffs=coeffs)
+        chain = WitnessChain(mu, coeffs)
         if not chain.verify(datum, lam):
             raise AssertionError(f"walk chain for {mu} failed on {lam}")
         out.append((mu, chain))

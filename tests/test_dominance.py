@@ -18,6 +18,9 @@ from repgrowth.dominance import (
     HypothesisError,
     SaturationCapError,
     WitnessChain,
+    _pack,
+    _packed_roots,
+    _saturated_walk,
     bracket,
     dominance_witness,
     orbit_length,
@@ -324,15 +327,18 @@ WALK_BOXES = [
 ]
 
 
+def _walk_weights(rank, top):
+    return (_box(rank, top) if top is not None else
+            [tuple(int(i == j) for j in range(rank)) for i in range(rank)])
+
+
 @pytest.mark.parametrize("family,rank,top", WALK_BOXES)
 def test_saturated_walk_matches_full_walk(family, rank, top):
     """The dominant-only walk against the walk over the whole saturated
     set: same dominant members, same chains, and orbit sums that count
     the whole set."""
     datum = root_datum(family, rank)
-    weights = (_box(rank, top) if top is not None else
-               [tuple(int(i == j) for j in range(rank)) for i in range(rank)])
-    for lam in weights:
+    for lam in _walk_weights(rank, top):
         dominants, size = brute_saturated_walk(datum, lam)
         members = saturated_dominant_set(datum, lam)
         assert [(mu, chain.root_coeffs) for mu, chain in members] == dominants
@@ -361,6 +367,37 @@ def test_packed_walk_holds_members_above_the_weight_sum(family, rank, lam,
     sum(lam) alone would overflow; the ht(theta) factor makes room."""
     dominants = _matches_brute_walk(root_datum(family, rank), lam)
     assert max(max(mu) for mu, _ in dominants) == top > sum(lam)
+
+
+def test_each_member_tests_only_the_rows_its_zero_pattern_admits():
+    """The walk's memo holds, per zero pattern, the orbit length and the
+    packed (weight, need) rows whose need vanishes off the pattern, in
+    positive_roots order; no row it drops passes the guard test on any
+    member of the WALK_BOXES walks, so dropping them loses no member."""
+    for family, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2),
+                         ("F", 4)]:
+        datum = root_datum(family, rank)
+        for pattern in itertools.product((0, 1), repeat=rank):
+            width = _saturated_walk(datum, pattern, 10 ** 7)[2]
+            support = {j for j, x in enumerate(pattern) if x}
+            want = tuple((_pack(alpha, width), _pack(need, width))
+                         for _, alpha, need in positive_roots(datum)
+                         if {j for j, k in enumerate(need) if k} <= support)
+            key = _pack(pattern, width) << width - 1
+            assert _packed_roots(datum, width)[2][key] == (
+                orbit_length(datum, pattern), want), (family, pattern)
+    for family, rank, top in WALK_BOXES:
+        datum = root_datum(family, rank)
+        for lam in _walk_weights(rank, top):
+            parent_of, _, width = _saturated_walk(datum, lam, 10 ** 7)
+            ones, table, memo = _packed_roots(datum, width)
+            guard = ones << width - 1
+            for w in parent_of:
+                high = w | guard
+                admitted = memo[(high - ones) & guard][1]
+                assert all((high - need) & guard != guard
+                           for _, alpha, need in table
+                           if (alpha, need) not in admitted), (lam, w)
 
 
 # ht(theta) * sum(lam) just below a power of two and at or just past one.

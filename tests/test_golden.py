@@ -32,6 +32,12 @@ _BASE = {
     "enumerate-premet-overflow": ["enumerate", "--family", "A", "--rank",
                                   "2", "--p", "5", "--n-max", "3", "--bound",
                                   "premet", "--cap", "10"],
+    "enumerate-premet-g2": ["enumerate", "--family", "G", "--rank", "2",
+                            "--p", "5", "--n-max", "30", "--bound",
+                            "premet"],
+    "enumerate-premet-b3": ["enumerate", "--family", "B", "--rank", "3",
+                            "--p", "3", "--n-max", "40", "--bound",
+                            "premet"],
     "mullineux": ["mullineux", "--p", "5", "--partition", "5,4,2,2,1"],
     "error-hypothesis": ["witness", "incr", "--rank", "3", "--weight",
                          "1,1,1", "--m", "1"],

@@ -68,6 +68,13 @@ MUTANTS = (
     ("width-drops-guard-bit", "dominance.py",
      ".bit_length() + 1", ".bit_length()",
      ["test_dominance.py::test_saturated_walk_matches_full_walk[A-1-4]"]),
+    ("admission-reads-root-support", "dominance.py",
+     "for row, (_, _, need) in", "for row, (_, need, _) in",
+     ["test_dominance.py::"
+      "test_each_member_tests_only_the_rows_its_zero_pattern_admits"]),
+    ("admitted-rows-skip-guard-test", "dominance.py",
+     "if (high - need) & guard == guard:", "if True:",
+     ["test_dominance.py::test_saturation_cap_boundary[A-2-lam0-7]"]),
     ("tail-remainder-zero", "intervals.py",
      "scale * abs(bern[terms]) * num", "0",
      ["test_intervals.py::test_tail_equals_the_fraction_sum_on_the_ladder"]),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from functools import lru_cache
+from itertools import repeat
 
 from .rootdata import (RootDatum, Weight, add, is_dominant, positive_roots,
                        sub)
@@ -40,6 +41,24 @@ class WitnessChain(namedtuple("WitnessChain", "target root_coeffs")):
             if not isinstance(k, int) or k < 0:
                 return False
         return sub(source, datum.root_combination(coeffs)) == self.target
+
+
+def chains_hold(datum: RootDatum, source: Weight, targets: list,
+                coeffs: list) -> bool:
+    """all(WitnessChain(t, c).verify(datum, source) for t, c in zip(targets,
+    coeffs)), equally long, in one pass per coefficient column and entry."""
+    cols = list(zip(*coeffs)) or [()] * datum.rank
+    if not set(map(len, coeffs)) <= {datum.rank} or not all(
+            all(map(isinstance, col, repeat(int))) and min(col, default=0) >= 0
+            for col in cols):
+        return False
+    weights = []
+    for s, row in zip(source, datum.rows):
+        acc = repeat(s, len(coeffs))
+        for j, c in row:
+            acc = map(operator.sub, acc, map(operator.mul, repeat(c), cols[j]))
+        weights.append(acc)
+    return list(zip(*weights)) == list(targets)
 
 
 def check_dominant(datum: RootDatum, w) -> Weight:

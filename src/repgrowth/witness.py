@@ -19,9 +19,9 @@ k+2 for even r.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 
-from .dominance import (HypothesisError, WitnessChain, _bracket,
+from .dominance import (HypothesisError, WitnessChain, _bracket, chains_hold,
                         check_dominant, is_good)
 from .rootdata import RootDatum, Weight, add, is_dominant, root_datum, sub
 
@@ -267,12 +267,12 @@ _RANK5_BETA = (0, 1, 3, 1, 0)  # alpha_2 + 3*alpha_3 + alpha_4
 
 
 @lru_cache(maxsize=None)
-def _a5_steps() -> tuple[tuple[Weight, Weight], ...]:
-    """The family's 243 root steps (delta, sum delta_i*alpha_i), delta over
-    {0, 1, 2}^5 lexicographically; a constant table, built on first use."""
+def _a5_steps() -> tuple[tuple[int, ...], ...]:
+    """The family's 243 root steps as ten columns, delta_1..5 and then sum
+    delta_i*alpha_i, delta over {0, 1, 2}^5 lexicographically; built once."""
     datum = root_datum("A", 5)
-    return tuple((delta, datum.root_combination(delta))
-                 for delta in product(range(3), repeat=5))
+    deltas = list(product(range(3), repeat=5))
+    return (*zip(*deltas), *zip(*map(datum.root_combination, deltas)))
 
 
 def a5_good_family(w) -> list[tuple[Weight, WitnessChain]]:
@@ -282,35 +282,36 @@ def a5_good_family(w) -> list[tuple[Weight, WitnessChain]]:
     case repeated bracket-preserving raises feed the middle coefficient
     until it reaches 25, then the family mu - 5*beta - delta is emitted for
     all delta with root coefficients in {0, 1, 2}, lexicographically.
-    Each member is the base minus a tabulated step, and its chain check
-    sums kvec + delta from w, so the two computations stay independent.
+    Each member is the base minus a tabulated step and its chain check sums
+    kvec + delta from w, so the two stay independent; both go by columns.
     """
     datum = root_datum("A", 5)
     w, _, _ = _require_type_a(datum, w)
     a = list(w)
-    kvec = [0] * 5
-    if a[2] < 25:
-        if _bracket(5, w) < 77:
-            raise HypothesisError(
-                "hypothesis bracket ≥ 77 (or a_3 ≥ 25) fails: "
-                f"bracket = {_bracket(5, w)}, a_3 = {a[2]}")
-        # bracket - 3*a_3 >= 5, so one side carries >= 3
-        _feed_centre(a, kvec, 2, 25)
-    for i, x in enumerate(_RANK5_BETA):
-        kvec[i] += 5 * x
+    kvec = [5 * x for x in _RANK5_BETA]
+    if a[2] < 25 and _bracket(5, w) < 77:
+        raise HypothesisError(
+            "hypothesis bracket ≥ 77 (or a_3 ≥ 25) fails: "
+            f"bracket = {_bracket(5, w)}, a_3 = {a[2]}")
+    # bracket - 3*a_3 >= 5, so one side carries >= 3
+    _feed_centre(a, kvec, 2, 25)
     gamma = sub(w, datum.root_combination(kvec))
     if not all(c >= 5 for c in gamma):
         raise AssertionError(f"family base {gamma} has a coefficient below 5")
-    family = []
-    for delta, step in _a5_steps():
-        member = sub(gamma, step)
-        if min(member) <= 0:
-            raise AssertionError(f"member {member} has a zero coefficient")
-        chain = WitnessChain(target=member, root_coeffs=add(kvec, delta))
-        if not chain.verify(datum, w):
-            raise AssertionError(f"chain for {member} failed on input {w}")
-        family.append((member, chain))
-    if len({mu for mu, _ in family}) != 243:
+    table = _a5_steps()
+    cols = [sub((g,) * 243, step) for g, step in zip(gamma, table[5:])]
+    members = list(zip(*cols))
+    coeffs = list(zip(*[add((k,) * 243, d) for k, d in zip(kvec, table[:5])]))
+    # namedtuple's _make, without a Python call per chain
+    family = list(zip(members, map(tuple.__new__, repeat(WitnessChain),
+                                   zip(members, coeffs))))
+    if min(map(min, cols)) <= 0 or not chains_hold(datum, w, members, coeffs):
+        for member, chain in family:
+            if min(member) <= 0:
+                raise AssertionError(f"member {member} has a zero coefficient")
+            if not chain.verify(datum, w):
+                raise AssertionError(f"chain for {member} failed on input {w}")
+    if len(set(members)) != 243:
         raise AssertionError("family members are not distinct")
     return family
 

@@ -22,6 +22,7 @@ from repgrowth.dominance import (
     _packed_roots,
     _saturated_walk,
     bracket,
+    chains_hold,
     dominance_witness,
     orbit_length,
     saturated_dominant_set,
@@ -30,6 +31,7 @@ from repgrowth.dominance import (
     weyl_stabilizer_order,
 )
 from repgrowth.rootdata import is_dominant, positive_roots, root_datum
+from repgrowth.witness import a5_good_family
 
 from oracles import (brute_dominants_below, brute_orbit,
                      brute_saturated_total, brute_saturated_walk,
@@ -168,6 +170,89 @@ def test_witness_chain_rejects_bad_chains(family, rank):
         assert not WitnessChain(target, root_coeffs).verify(datum, source)
     wrong = (target[0] + 1,) + target[1:]
     assert not WitnessChain(wrong, coeffs).verify(datum, source)
+
+
+# --- chains_hold, with WitnessChain.verify as its oracle --------------------
+
+def _both_verdicts(datum, source, targets, coeffs):
+    """(chains_hold, all(verify)) on one batch of chains."""
+    return (chains_hold(datum, source, targets, coeffs),
+            all(WitnessChain(t, c).verify(datum, source)
+                for t, c in zip(targets, coeffs)))
+
+
+def _batch(family, rank, lam):
+    """The chains of the a5 family of lam (A5) or of the saturated set."""
+    datum = root_datum(family, rank)
+    found = (a5_good_family(lam) if (family, rank) == ("A", 5) else
+             saturated_dominant_set(datum, lam))
+    return datum, [mu for mu, _ in found], [c.root_coeffs for _, c in found]
+
+
+BATCHES = [
+    ("A", 5, (0, 0, 25, 0, 0)), ("A", 5, (9, 8, 14, 8, 0)),
+    ("A", 5, (30, 3, 0, 5, 40)), ("A", 5, (0, 1, 0, 25, 30)),
+    ("B", 3, (2, 1, 3)), ("C", 3, (3, 0, 2)), ("G", 2, (3, 4)),
+    ("F", 4, (1, 0, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("family,rank,lam", BATCHES)
+def test_chains_hold_agrees_with_verify_on_every_chain(family, rank, lam):
+    datum, targets, coeffs = _batch(family, rank, lam)
+    assert len(coeffs) > 1
+    assert _both_verdicts(datum, lam, targets, coeffs) == (True, True)
+    for t, c in zip(targets, coeffs):
+        assert _both_verdicts(datum, lam, [t], [c]) == (True, True)
+    # a batch fails when any one of its chains fails
+    wrong = targets[:-1] + [(targets[-1][0] + 1,) + targets[-1][1:]]
+    assert _both_verdicts(datum, lam, wrong, coeffs) == (False, False)
+
+
+def _adversaries(datum, source, target, coeffs):
+    """(name, target, coeffs) chains that break one thing about a good one;
+    each negative, float or bool entry keeps the arithmetic exact, so only
+    the entry test can tell."""
+    def exact(c):
+        return tuple(s - d for s, d in
+                     zip(source, dense_root_combination(datum, c)))
+
+    neg = (-1,) + coeffs[1:]
+    flt = (float(coeffs[0]),) + coeffs[1:]
+    fra = (Fraction(coeffs[0]),) + coeffs[1:]
+    boo = (True,) + coeffs[1:]
+    return [
+        ("coefficient", target, (coeffs[0] + 1,) + coeffs[1:]),
+        ("target", (target[0] + 1,) + target[1:], coeffs),
+        ("negative", exact(neg), neg),
+        ("float", exact(flt), flt),
+        ("fraction", exact(fra), fra),
+        ("bool", exact(boo), boo),
+        ("short", target, coeffs[:-1]),
+        ("long", target, coeffs + (0,)),
+    ]
+
+
+@pytest.mark.parametrize("family,rank,lam", [
+    ("A", 5, (0, 0, 25, 0, 0)), ("G", 2, (3, 4)), ("F", 4, (1, 0, 1, 2)),
+], ids=["A5", "G2", "F4"])
+def test_chains_hold_agrees_with_verify_on_adversarial_chains(family, rank,
+                                                              lam):
+    datum, targets, coeffs = _batch(family, rank, lam)
+    assert _both_verdicts(datum, lam, [], []) == (True, True)
+    i = len(coeffs) // 2
+    seen = {}
+    for name, target, bad in _adversaries(datum, lam, targets[i], coeffs[i]):
+        for t, c in (([target], [bad]),
+                     (targets[:i] + [target] + targets[i + 1:],
+                      coeffs[:i] + [bad] + coeffs[i + 1:])):
+            verdicts = _both_verdicts(datum, lam, t, c)
+            assert verdicts[0] == verdicts[1], (name, verdicts)
+        seen[name] = verdicts[1]
+    assert seen == {"coefficient": False, "target": False, "negative": False,
+                    "float": False, "fraction": False, "bool": True,
+                    "short": False, "long": False}
+
 
 # --- Weyl group orders ------------------------------------------------------
 

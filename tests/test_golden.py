@@ -27,6 +27,8 @@ _BASE = {
     "bound-interval": ["bound", "--family", "E", "--rank", "6", "--n", "30",
                        "--p", "7"],
     "witness-a5": ["witness", "a5", "--weight", "0,0,25,0,0"],
+    # a_3 < 25, so the family's base is fed by _feed_centre first
+    "witness-a5-bracket": ["witness", "a5", "--weight", "9,8,14,8,0"],
     "witness-good": ["witness", "good", "--rank", "5", "--weight",
                      "1,2,3,2,1"],
     "enumerate-premet-overflow": ["enumerate", "--family", "A", "--rank",

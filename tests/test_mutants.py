@@ -236,8 +236,18 @@ MUTANTS = (
       "test_intervals.py::test_contains_evaluates_once_per_rung",
       "test_intervals.py::test_per_precision_evaluates_once_per_precision"]),
     ("a5-step-of-reversed-delta", "witness.py",
-     "datum.root_combination(delta))", "datum.root_combination(delta[::-1]))",
+     "zip(*map(datum.root_combination, deltas))",
+     "zip(*(datum.root_combination(d[::-1]) for d in deltas))",
      ["test_witness.py::test_a5_family_canonical_input"]),
+    ("batch-check-skips-a-cartan-entry", "dominance.py",
+     "for j, c in row:", "for j, c in row[1:]:",
+     ["test_dominance.py::"
+      "test_chains_hold_agrees_with_verify_on_adversarial_chains[G2]"]),
+    ("batch-check-admits-negative-entries", "dominance.py",
+     "all(map(isinstance, col, repeat(int))) and min(col, default=0) >= 0",
+     "all(map(isinstance, col, repeat(int)))",
+     ["test_dominance.py::"
+      "test_chains_hold_agrees_with_verify_on_adversarial_chains[G2]"]),
     ("unit-scan-starts-at-j", "witness.py",
      "i = j - 1", "i = j",
      ["test_witness.py::test_incr_pins"]),

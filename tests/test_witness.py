@@ -491,10 +491,12 @@ def test_broken_engine_fails_the_centre_chain_check(broken_engine, engine,
 def test_broken_family_chain_fails_its_check(monkeypatch):
     from repgrowth import witness
 
-    # every member chain loses its alpha_5 coefficient; the first member's
-    # has none to lose
-    monkeypatch.setattr(witness, "add",
-                        lambda u, v: (*map(sum, zip(u, v)),)[:4] + (0,))
+    # every member chain loses its alpha_5 coefficient (kvec_5 = 0 on this
+    # input and the delta_5 column is zeroed); the first member's has none
+    # to lose
+    table = witness._a5_steps()
+    monkeypatch.setattr(witness, "_a5_steps",
+                        lambda: (*table[:4], (0,) * 243, *table[5:]))
     assert _check("a-020").run(64, "desk") == (
         "fail", "a5 family on (0, 0, 25, 0, 0): chain for (5, 5, 5, 6, 3) "
                 "failed on input (0, 0, 25, 0, 0)")
@@ -553,13 +555,22 @@ print(sys.flags.optimize, check.run(64, "desk"))
 
 @pytest.fixture
 def verify_calls(monkeypatch):
+    """One entry per chain checked, by WitnessChain.verify or in a batch by
+    chains_hold (the rank-5 family's check)."""
+    from repgrowth import witness
+
     calls = []
-    verify = WitnessChain.verify
+    verify, batch = WitnessChain.verify, witness.chains_hold
 
     def counted(self, datum, source):
         calls.append(source)
         return verify(self, datum, source)
+
+    def counted_batch(datum, source, targets, coeffs):
+        calls.extend([source] * len(coeffs))
+        return batch(datum, source, targets, coeffs)
     monkeypatch.setattr(WitnessChain, "verify", counted)
+    monkeypatch.setattr(witness, "chains_hold", counted_batch)
     return calls
 
 

@@ -18,8 +18,8 @@ from math import comb, factorial, log10, prod
 from mpmath import iv
 
 from . import intervals
-from .dominance import (DEFAULT_CAP, HypothesisError, check_dominant,
-                        saturated_weight_total)
+from .dominance import (DEFAULT_CAP, HypothesisError, _saturated_size,
+                        check_dominant)
 from .intervals import (Certificate, DEFAULT_CEILING_BITS,
                         DEFAULT_REPORT_BITS, certify_cmp, certify_less, exact,
                         exact_compare_cert, per_precision, power, zeta_iv)
@@ -110,7 +110,13 @@ def n_lambda(datum: RootDatum, w) -> int:
 
 def premet_lower(datum: RootDatum, w, p: int, cap: int = DEFAULT_CAP) -> int:
     """Saturated-set weight count: a dimension lower bound for restricted
-    highest weights away from the excluded small characteristics."""
+    highest weights away from the excluded small characteristics.
+
+    Up to rank 4 (`dominance.POLY_RANK_MAX`) the count is read off
+    `dominance.saturated_polynomial`, fitted to the walk on a simplex; that
+    the count is a polynomial in w is McMullen's theorem ("Valuations and
+    Euler-type relations on certain classes of convex polytopes", Proc.
+    LMS 35, 1977), an external fact.  From rank 5 on it is walked."""
     w = datum.check_weight(w)
     check_char(p)
     if datum.family in ("B", "C", "F", "G") and p == 2:
@@ -120,7 +126,7 @@ def premet_lower(datum: RootDatum, w, p: int, cap: int = DEFAULT_CAP) -> int:
         raise HypothesisError("characteristic 3 excluded for G2")
     if not is_restricted(w, p):
         raise HypothesisError(f"weight {w} is not {p}-restricted")
-    return saturated_weight_total(datum, w, cap)
+    return _saturated_size(datum, w, cap)
 
 
 def bound2_iv(r: int, n: int):

@@ -48,7 +48,6 @@ from .bounds import (
     k_sum_bound,
     n_lambda,
     partition_bound,
-    premet_lower,
     ratio_holds,
     ratio_iv,
     sym_rn_bound,
@@ -57,6 +56,7 @@ from .bounds import (
 from .dominance import (
     HypothesisError,
     orbit_length,
+    saturated_weight_total,
     weyl_order,
     weyl_stabilizer_order,
 )
@@ -325,7 +325,7 @@ def _lower_consistency(bits: int, scale: str) -> tuple[str, str]:
     checked = 0
     for w in itertools.product(range(5), repeat=2):
         quick = n_lambda(datum, w)
-        walk = premet_lower(datum, w, 5)
+        walk = saturated_weight_total(datum, w)
         if quick > walk:
             return "fail", (f"weight {w}: closed-form count {quick} "
                             f"exceeds walk count {walk}")

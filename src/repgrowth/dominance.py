@@ -11,7 +11,8 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from functools import lru_cache
-from itertools import repeat
+from itertools import product, repeat
+from math import comb, prod
 
 from .rootdata import (RootDatum, Weight, add, is_dominant, positive_roots,
                        sub)
@@ -232,6 +233,63 @@ def saturated_weight_total(datum: RootDatum, lam: Weight,
                            cap: int = DEFAULT_CAP) -> int:
     """Size of the full saturated set (all Weyl images included)."""
     return _saturated_walk(datum, lam, cap)[1]
+
+
+# ---------------------------------------------------------------------------
+# The saturated-set size as a polynomial in lam.
+
+POLY_RANK_MAX = 4  # above it the C(2r, r) walks of the build are not budgeted
+
+
+@lru_cache(maxsize=None)
+def saturated_polynomial(datum: RootDatum) -> dict[Weight, int]:
+    """c_k for |k| <= rank, with |sat(lam)| = sum_k c_k prod_i C(lam_i, k_i)
+    for every dominant lam.
+
+    |sat(lam)| is a polynomial of degree <= rank in lam (McMullen,
+    "Valuations and Euler-type relations on certain classes of convex
+    polytopes", Proc. LMS 35, 1977: conv(W lam) - lam is the Minkowski sum
+    of lam_i (conv(W omega_i) - omega_i), lattice polytopes in the root
+    lattice; external).  So c_k = (Delta^k P)(0), the finite difference
+    of the walk's totals over the points j <= k, all on the simplex
+    {sum(lam) <= rank}.
+    """
+    r = datum.rank
+    simplex = [k for k in product(range(r + 1), repeat=r) if sum(k) <= r]
+    total = {k: saturated_weight_total(datum, k) for k in simplex}
+    return {k: sum((-1) ** (sum(k) - sum(j)) * prod(map(comb, k, j))
+                   * total[j] for j in product(*(range(x + 1) for x in k)))
+            for k in simplex}
+
+
+@lru_cache(maxsize=None)
+def _polynomial_table(datum: RootDatum) -> dict[tuple[bool, ...], tuple]:
+    """Per zero pattern of lam (True where lam_i != 0): the coefficients of
+    the terms supported on its nonzero coordinates, and their k_i as one
+    column per nonzero coordinate; C(0, k_i) = 0 drops every other term."""
+    coeffs = saturated_polynomial(datum)
+    table = {}
+    for pattern in product((False, True), repeat=datum.rank):
+        terms = [(c, k) for k, c in coeffs.items()
+                 if all(z or not x for z, x in zip(pattern, k))]
+        cols = list(zip(*(k for _, k in terms)))
+        table[pattern] = (tuple(c for c, _ in terms),
+                          tuple(col for z, col in zip(pattern, cols) if z))
+    return table
+
+
+def _saturated_size(datum: RootDatum, lam: Weight, cap: int) -> int:
+    """saturated_weight_total(datum, lam, cap) for a checked dominant lam,
+    read off the polynomial up to POLY_RANK_MAX, with the walk's errors."""
+    if cap < 1 or datum.rank > POLY_RANK_MAX:
+        return _saturated_walk(datum, lam, cap)[1]  # cap < 1: ValueError
+    acc, cols = _polynomial_table(datum)[tuple(map(bool, lam))]
+    for x, col in zip(filter(None, lam), cols):
+        acc = map(operator.mul, acc, map(comb, repeat(x), col))
+    total = sum(acc)
+    if total > cap:
+        raise SaturationCapError(f"saturated set of {lam} exceeds cap {cap}")
+    return total
 
 
 def is_good(w: Weight) -> bool:

@@ -2,30 +2,36 @@
 
 import copy
 import itertools
+import math
 import os
 import pickle
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repgrowth import dominance
 from repgrowth.bounds import premet_lower
 from repgrowth.dominance import (
+    DEFAULT_CAP,
     HypothesisError,
     SaturationCapError,
     WitnessChain,
     _pack,
     _packed_roots,
+    _saturated_size,
     _saturated_walk,
     bracket,
     chains_hold,
     dominance_witness,
     orbit_length,
     saturated_dominant_set,
+    saturated_polynomial,
     saturated_weight_total,
     weyl_order,
     weyl_stabilizer_order,
@@ -382,14 +388,20 @@ def test_saturation_cap_enforced():
 @pytest.mark.parametrize("family,rank,lam,size", [
     ("A", 2, (1, 1), 7),
     ("F", 4, (1, 0, 0, 0), 49),
+    ("G", 2, (1, 0), 7),
+    ("A", 5, (1, 0, 0, 0, 1), 31),
 ])
 def test_saturation_cap_boundary(family, rank, lam, size):
-    """The cap bounds the size of the whole saturated set, images included."""
+    """The cap bounds the size of the whole saturated set, images included;
+    premet_lower keeps the walk's error where it reads the polynomial."""
     datum = root_datum(family, rank)
-    assert saturated_weight_total(datum, lam, cap=size) == size
-    with pytest.raises(SaturationCapError) as err:
-        saturated_weight_total(datum, lam, cap=size - 1)
-    assert str(err.value) == f"saturated set of {lam} exceeds cap {size - 1}"
+    for count in (partial(saturated_weight_total, datum, lam),
+                  partial(premet_lower, datum, lam, 0)):
+        assert count(cap=size) == size
+        with pytest.raises(SaturationCapError) as err:
+            count(cap=size - 1)
+        assert str(err.value) == (
+            f"saturated set of {lam} exceeds cap {size - 1}")
 
 
 @pytest.mark.parametrize("cap", [0, -5])
@@ -401,6 +413,8 @@ def test_saturation_cap_below_one_rejected(cap):
         saturated_dominant_set(datum, (0, 0), cap=cap)
     with pytest.raises(ValueError, match="cap must be >= 1"):
         premet_lower(datum, (0, 0), 5, cap=cap)
+    with pytest.raises(HypothesisError):  # the hypotheses come first
+        premet_lower(datum, (0, 0), 4, cap=cap)
 
 
 # Criterion 7's type-A box (coefficients 0-4) and small boxes elsewhere;
@@ -533,6 +547,44 @@ def test_premet_lower_matches_brute_on_benchmark_data(family, rank, p):
     for lam, box in random.Random(f"{family}{rank}-{p}").sample(pool, 4):
         assert (premet_lower(datum, lam, p)
                 == brute_saturated_total(datum, lam, box=box)), lam
+
+
+# --- the saturated-set polynomial ---------------------------------------------
+
+# Every root datum of rank <= 4, the benchmark's with its characteristic.
+POLYNOMIAL_DATA = SATURATED_DATA + [
+    ("A", 1, 7), ("A", 2, 5), ("B", 2, 5), ("C", 2, 5), ("C", 4, 3)]
+
+
+@pytest.mark.parametrize("family,rank,p", POLYNOMIAL_DATA)
+def test_saturated_polynomial_matches_the_walk(family, rank, p):
+    """The polynomial, fitted on the simplex, against the walk on the grid
+    {0..p+1}^rank past the restricted box; premet_lower reads it there."""
+    datum = root_datum(family, rank)
+    coeffs = saturated_polynomial(datum)
+    assert len(coeffs) == math.comb(2 * rank, rank)
+    assert all(type(c) is int and c > 0 for c in coeffs.values())
+    for lam in itertools.product(range(p + 2), repeat=rank):
+        size = saturated_weight_total(datum, lam)
+        assert _saturated_size(datum, lam, DEFAULT_CAP) == size, lam
+        if max(lam) < p:
+            assert premet_lower(datum, lam, p) == size, lam
+
+
+def test_premet_lower_walks_from_rank_5(monkeypatch):
+    walked = []
+
+    def walk(datum, lam, cap):
+        walked.append(lam)
+        return _saturated_walk(datum, lam, cap)
+
+    monkeypatch.setattr(dominance, "_saturated_walk", walk)
+    premet_lower(root_datum("A", 4), (1, 0, 2, 0), 5)  # builds on first use
+    walked.clear()
+    assert premet_lower(root_datum("A", 4), (1, 0, 2, 1), 5) == 265
+    assert walked == []
+    assert premet_lower(root_datum("A", 5), (1, 0, 2, 0, 0), 5) == 396
+    assert walked == [(1, 0, 2, 0, 0)]
 
 
 def test_positive_roots_built_once_per_datum():

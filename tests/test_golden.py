@@ -40,6 +40,10 @@ _BASE = {
     "enumerate-premet-b3": ["enumerate", "--family", "B", "--rank", "3",
                             "--p", "3", "--n-max", "40", "--bound",
                             "premet"],
+    # rank 4: every weight of the box reads the full 70-term polynomial
+    "enumerate-premet-f4": ["enumerate", "--family", "F", "--rank", "4",
+                            "--p", "3", "--n-max", "40", "--bound",
+                            "premet"],
     "mullineux": ["mullineux", "--p", "5", "--partition", "5,4,2,2,1"],
     "error-hypothesis": ["witness", "incr", "--rank", "3", "--weight",
                          "1,1,1", "--m", "1"],

@@ -286,6 +286,15 @@ MUTANTS = (
     ("chain-fields-swapped", "dominance.py",
      '"target root_coeffs"', '"root_coeffs target"',
      ["test_dominance.py::test_witness_chain_is_a_read_only_value_record"]),
+    ("polynomial-drops-a-coefficient", "dominance.py",
+     "            for k in simplex}", "            for k in simplex[:-1]}",
+     ["test_dominance.py::test_saturated_polynomial_matches_the_walk[A-2-5]"]),
+    ("polynomial-fitted-below-the-simplex", "dominance.py",
+     "if sum(k) <= r]", "if sum(k) <= r - 1]",
+     ["test_dominance.py::test_saturated_polynomial_matches_the_walk[A-2-5]"]),
+    ("zero-pattern-keeps-a-zero-coordinate", "dominance.py",
+     "if all(z or not x for", "if all(z or x < 2 for",
+     ["test_dominance.py::test_saturated_polynomial_matches_the_walk[A-2-5]"]),
 )
 
 
